@@ -48,37 +48,28 @@ def oblivious_shuffle(
 
 
 # -------------------------------------------------------------------- sort
-from functools import lru_cache
-
-
-@lru_cache(maxsize=4)
-def _batcher_pairs_cached(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Cached layer list — network generation is pure-Python and O(n log² n),
-    so repeated sorts at the same size shouldn't regenerate it."""
-    return tuple(_batcher_pairs_gen(n))
-
-
 def _batcher_pairs(n: int):
-    return _batcher_pairs_cached(n)
-
-
-def _batcher_pairs_gen(n: int):
     """Compare-exchange layers of Batcher's odd-even mergesort for n a
-    power of two. Yields (i_idx, j_idx) index arrays per layer."""
+    power of two. Yields (i_idx, j_idx) index arrays per layer.
+
+    Layer (p, k) pairs x with x + k for every x in [k % p, n - k) that
+    starts a k-block at offset k % p and stays inside its 2p-block."""
     p = 1
     while p < n:
         k = p
         while k >= 1:
-            i_list, j_list = [], []
-            for j in range(k % p, n - k, 2 * k):
-                for i in range(min(k, n - j - k)):
-                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
-                        i_list.append(i + j)
-                        j_list.append(i + j + k)
-            if i_list:
-                yield np.array(i_list), np.array(j_list)
+            r = k % p
+            x = np.arange(r, n - k)
+            x = x[((x - r) % (2 * k) < k) & (x // (2 * p) == (x + k) // (2 * p))]
+            if len(x):
+                yield x, x + k
             k //= 2
         p *= 2
+
+
+def _own(v: SharedVector) -> SharedVector:
+    """A private copy of ``v`` that a protocol may update in place."""
+    return SharedVector(tuple(s.copy() for s in v.shares))
 
 
 def oblivious_sort(
@@ -101,80 +92,68 @@ def oblivious_sort(
         for name, v in cols.items():
             pad = vm.share(pad_key if name == key else np.zeros(n2 - n, np.int64))
             cols[name] = vm.concat([v, pad])
-    names = list(cols)
-    shares = {name: cols[name] for name in names}
+    cols = {name: _own(v) for name, v in cols.items()}
     for i_idx, j_idx in _batcher_pairs(n2):
-        ki = vm.take(shares[key], i_idx)
-        kj = vm.take(shares[key], j_idx)
+        ki = vm.take(cols[key], i_idx)
+        kj = vm.take(cols[key], j_idx)
         # swap if out of order
         swap = vm.lt(kj, ki) if not descending else vm.lt(ki, kj)
-        for name in names:
-            vi = vm.take(shares[name], i_idx)
-            vj = vm.take(shares[name], j_idx)
+        # the comparators of one layer are disjoint, so updating in place
+        # reads no value this layer has already written
+        for v in cols.values():
+            vi = vm.take(v, i_idx)
+            vj = vm.take(v, j_idx)
             delta = vm.mul(swap, vm.sub(vj, vi))
-            new_i = vm.add(vi, delta)
-            new_j = vm.sub(vj, delta)
-            merged = [s.copy() for s in shares[name].shares]
-            for p in range(len(merged)):
-                merged[p][i_idx] = new_i.shares[p]
-                merged[p][j_idx] = new_j.shares[p]
-            shares[name] = SharedVector(tuple(merged))
-    out = SharedRelation({name: vm.take(shares[name], slice(0, n)) for name in names})
-    return out
+            for s, d in zip(v.shares, delta.shares):
+                s[i_idx] += d
+                s[j_idx] -= d
+    return SharedRelation({name: vm.take(v, slice(0, n)) for name, v in cols.items()})
 
 
 # ------------------------------------------------------ segmented log-scan
+def segmented_scan(
+    vm: SecretSharingVM,
+    vals: SharedVector,
+    same_seg: SharedVector,
+    combine: Callable[[SecretSharingVM, SharedVector, SharedVector], SharedVector],
+) -> SharedVector:
+    """Inclusive segmented scan (Hillis–Steele, O(log n) levels of
+    vectorized Beaver muls). ``same_seg[i] = [row i is in the same segment
+    as row i-1]`` (``same_seg[0] = 0``). At level d, each row i >= d sets
+    ``v[i] = combine(vm, v[i], f[i] * v[i-d])`` and ``f[i] = f[i] * f[i-d]``,
+    with ``f`` starting as ``same_seg``."""
+    n = len(vals)
+    v, f = _own(vals), _own(same_seg)
+    d = 1
+    while d < n:
+        hi, lo = slice(d, n), slice(0, n - d)
+        f_hi = vm.take(f, hi)
+        carried = vm.mul(f_hi, vm.take(v, lo))
+        v_new = combine(vm, vm.take(v, hi), carried)
+        f_new = vm.mul(f_hi, vm.take(f, lo))
+        for s, new in zip(v.shares + f.shares, v_new.shares + f_new.shares):
+            s[hi] = new
+        d *= 2
+    return v
+
+
+def _or(vm: SecretSharingVM, a: SharedVector, b: SharedVector) -> SharedVector:
+    """or(a, b) = a + b - a*b over shared 0/1 values."""
+    return vm.sub(vm.add(a, b), vm.mul(a, b))
+
+
 def segmented_scan_sum(
     vm: SecretSharingVM, vals: SharedVector, same_seg: SharedVector
 ) -> SharedVector:
-    """Inclusive segmented prefix sum (Hillis–Steele, O(log n) levels of
-    vectorized Beaver muls). ``same_seg[i] = [row i is in the same segment
-    as row i-1]`` (``same_seg[0] = 0``)."""
-    n = len(vals)
-    v, f = vals, same_seg
-    d = 1
-    while d < n:
-        # candidate = v[i] + f[i..] * v[i-d]  restricted to i >= d
-        idx_hi = np.arange(d, n)
-        idx_lo = np.arange(0, n - d)
-        v_hi, v_lo = vm.take(v, idx_hi), vm.take(v, idx_lo)
-        f_hi, f_lo = vm.take(f, idx_hi), vm.take(f, idx_lo)
-        v_new = vm.add(v_hi, vm.mul(f_hi, v_lo))
-        f_new = vm.mul(f_hi, f_lo)
-        v_sh = [s.copy() for s in v.shares]
-        f_sh = [s.copy() for s in f.shares]
-        for p in range(len(v_sh)):
-            v_sh[p][idx_hi] = v_new.shares[p]
-            f_sh[p][idx_hi] = f_new.shares[p]
-        v, f = SharedVector(tuple(v_sh)), SharedVector(tuple(f_sh))
-        d *= 2
-    return v
+    """Inclusive segmented prefix sum."""
+    return segmented_scan(vm, vals, same_seg, SecretSharingVM.add)
 
 
 def segmented_scan_or(
     vm: SecretSharingVM, bits: SharedVector, same_seg: SharedVector
 ) -> SharedVector:
     """Inclusive segmented prefix OR over shared 0/1 values."""
-    n = len(bits)
-    v, f = bits, same_seg
-    d = 1
-    while d < n:
-        idx_hi = np.arange(d, n)
-        idx_lo = np.arange(0, n - d)
-        v_hi, v_lo = vm.take(v, idx_hi), vm.take(v, idx_lo)
-        f_hi, f_lo = vm.take(f, idx_hi), vm.take(f, idx_lo)
-        carried = vm.mul(f_hi, v_lo)  # OR contribution from the left
-        # or(a, b) = a + b - a*b
-        v_new = vm.sub(vm.add(v_hi, carried), vm.mul(v_hi, carried))
-        f_new = vm.mul(f_hi, f_lo)
-        v_sh = [s.copy() for s in v.shares]
-        f_sh = [s.copy() for s in f.shares]
-        for p in range(len(v_sh)):
-            v_sh[p][idx_hi] = v_new.shares[p]
-            f_sh[p][idx_hi] = f_new.shares[p]
-        v, f = SharedVector(tuple(v_sh)), SharedVector(tuple(f_sh))
-        d *= 2
-    return v
+    return segmented_scan(vm, bits, same_seg, _or)
 
 
 def _same_key_flags(vm: SecretSharingVM, key: SharedVector) -> SharedVector:

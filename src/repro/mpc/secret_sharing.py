@@ -91,33 +91,23 @@ class SecretSharingVM:
         The input owner sends one share to each other party: n-1 words per
         element over the network, one round.
         """
-        x = _as_ring(values)
-        shares = [
-            self._rng.integers(0, 1 << 63, len(x), dtype=_DTYPE) * _DTYPE(2)
-            + self._rng.integers(0, 2, len(x), dtype=_DTYPE)
-            for _ in range(self.n_parties - 1)
-        ]
-        last = x.copy()
-        for s in shares:
-            last -= s
-        shares.append(last)
+        shared = self._reshare(_as_ring(values))
         self.meter.charge_comm(
-            rounds=1, bytes_sent=len(x) * _WORD_BYTES * (self.n_parties - 1)
+            rounds=1, bytes_sent=len(shared) * _WORD_BYTES * (self.n_parties - 1)
         )
-        return SharedVector(tuple(shares))
+        return shared
 
     def _reshare(self, cleartext_ring: np.ndarray) -> SharedVector:
         """Produce a fresh sharing of an internally-computed result
         (ideal-functionality output). No communication charge here; the
-        calling ABB op charges its protocol cost."""
-        shares = [
-            self._rng.integers(0, 1 << 63, len(cleartext_ring), dtype=_DTYPE)
-            * _DTYPE(2)
-            + self._rng.integers(0, 2, len(cleartext_ring), dtype=_DTYPE)
-            for _ in range(self.n_parties - 1)
-        ]
-        last = cleartext_ring.copy()
-        for s in shares:
+        calling ABB op charges its protocol cost.
+
+        Each share but the last is one raw 64-bit draw, uniform over the
+        ring; the last makes the shares sum to the value."""
+        draw = self._rng.bit_generator.random_raw
+        shares = [draw(len(cleartext_ring)) for _ in range(self.n_parties - 1)]
+        last = cleartext_ring - shares[0]
+        for s in shares[1:]:
             last -= s
         shares.append(last)
         return SharedVector(tuple(shares))
@@ -180,8 +170,8 @@ class SecretSharingVM:
     # -------------------------------------------------------- Beaver triples
     def _beaver_triple(self, n: int) -> tuple[SharedVector, SharedVector, SharedVector]:
         """Trusted-dealer triple generation (semi-honest preprocessing)."""
-        a = self._rng.integers(0, 1 << 63, n, dtype=_DTYPE)
-        b = self._rng.integers(0, 1 << 63, n, dtype=_DTYPE)
+        a = self._rng.bit_generator.random_raw(n)
+        b = self._rng.bit_generator.random_raw(n)
         c = a * b
         return self._reshare(a), self._reshare(b), self._reshare(c)
 

@@ -64,6 +64,59 @@ def test_batcher_pairs_sort_network_cleartext():
             assert (np.diff(x) >= 0).all()
 
 
+def _batcher_pairs_reference(n: int):
+    """Loop form of Batcher's odd-even mergesort layers (the reference the
+    vectorized ``P._batcher_pairs`` must reproduce exactly)."""
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            i_list, j_list = [], []
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        i_list.append(i + j)
+                        j_list.append(i + j + k)
+            if i_list:
+                yield np.array(i_list), np.array(j_list)
+            k //= 2
+        p *= 2
+
+
+@pytest.mark.parametrize("n", [2**e for e in range(1, 13)])
+def test_batcher_pairs_match_reference(n):
+    got = list(P._batcher_pairs(n))
+    want = list(_batcher_pairs_reference(n))
+    assert len(got) == len(want)
+    for (gi, gj), (wi, wj) in zip(got, want):
+        np.testing.assert_array_equal(gi, wi)
+        np.testing.assert_array_equal(gj, wj)
+
+
+def test_protocol_costs_are_pinned():
+    """Simulated rounds and bytes of sort, grouped sum and masked distinct
+    count on fixed inputs. Any change here is a cost-model change."""
+    g = np.random.default_rng(0)
+    vm = SecretSharingVM()
+    rel = share_dataframe(
+        vm,
+        pd.DataFrame({"k": g.integers(0, 37, 1000), "v": g.integers(-100, 100, 1000)}),
+    )
+
+    def cost(fn):
+        r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
+        fn()
+        return vm.meter.rounds - r0, vm.meter.bytes_sent - b0
+
+    assert cost(lambda: P.oblivious_sort(vm, rel, "k")) == (552, 10_395_984)
+    assert cost(
+        lambda: P.aggregate_sum_by_key(vm, rel, "k", "v", np.random.default_rng(1))
+    ) == (593, 12_567_360)
+    key = vm.share(np.sort(g.integers(0, 37, 1000)))
+    mask = vm.share(g.integers(0, 2, 1000))
+    assert cost(lambda: P.distinct_count_sorted(vm, key, mask)) == (43, 3_033_168)
+
+
 # ------------------------------------------------------------------- scans
 def test_segmented_scan_sum(vm):
     vals = np.array([1, 2, 3, 4, 5], dtype=np.int64)
