@@ -83,3 +83,20 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture()
+def unordered_joins(spark):
+    """Joins keep the session's 64 shuffle partitions (adaptive execution
+    may not coalesce them), so Spark returns join output in hash-partition
+    order: a test that needs a sorted result has to sort it itself."""
+    confs = {
+        "spark.sql.shuffle.partitions": "64",
+        "spark.sql.adaptive.coalescePartitions.enabled": "false",
+    }
+    prev = {k: spark.conf.get(k) for k in confs}
+    for k, v in confs.items():
+        spark.conf.set(k, v)
+    yield
+    for k, v in prev.items():
+        spark.conf.set(k, v)

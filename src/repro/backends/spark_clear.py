@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import reduce
 
+import numpy as np
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
@@ -75,6 +76,33 @@ def exec_clear_node(node: D.Node, inputs: list[DataFrame]) -> DataFrame:
     if isinstance(node, D.Output):
         return inputs[0]
     raise NotImplementedError(type(node))  # pragma: no cover
+
+
+def join_index_pairs(
+    left: DataFrame,
+    right: DataFrame,
+    key: str,
+    left_id: str,
+    right_id: str,
+    *,
+    by_key: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate the ``(left_id, right_id)`` pairs of an equi-join on
+    ``key`` — the cleartext join a public join's party or a hybrid join's
+    STP runs in Spark.
+
+    The join runs in Spark; its unordered output is collected to numpy and
+    sorted there with one ``np.lexsort``, by (key, left id, right id), or
+    by (left id, right id) when ``by_key`` is false. The pairs are
+    collected for sharing anyway, so a Spark ``orderBy`` would only add a
+    range-partition sampling job and one more shuffle. The sort tuples
+    are unique, so the order is total.
+    """
+    pdf = left.join(right, on=key).select(key, left_id, right_id).toPandas()
+    lids = pdf[left_id].to_numpy(np.int64)
+    rids = pdf[right_id].to_numpy(np.int64)
+    order = np.lexsort((rids, lids, pdf[key].to_numpy()) if by_key else (rids, lids))
+    return lids[order], rids[order]
 
 
 def run_query_clear(

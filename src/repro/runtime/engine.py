@@ -22,6 +22,7 @@ All MPC/communication work is charged to one :class:`Meter`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -29,7 +30,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from ..backends.oblivc_sim import OblivcBackend
 from ..backends.sharemind_sim import MASK, SharemindBackend, SSRel
-from ..backends.spark_clear import exec_clear_node
+from ..backends.spark_clear import exec_clear_node, join_index_pairs
 from ..core import dag as D
 from ..core.compiler import Plan
 from ..mpc import protocols as P
@@ -116,8 +117,6 @@ class Engine:
                 self._charge_transfer(val.df.count(), len(val.df.columns))
             return val.df
         if isinstance(val, PartVal):
-            from functools import reduce
-
             return reduce(DataFrame.unionByName, val.parts.values())
         return self._reveal_to(val, party).df
 
@@ -191,8 +190,6 @@ class Engine:
         if isinstance(n, D.Concat) and not self._downstream_has_mpc(dag, n):
             # all-clear concat (insecure sub-plans only)
             dfs = [self._as_clear_at(v, party) for v in pvals]
-            from functools import reduce
-
             return ClearVal(party, reduce(DataFrame.unionByName, dfs))
         if isinstance(n, D.Concat):
             # partitioned relation staying distributed until the MPC entry
@@ -250,8 +247,10 @@ class Engine:
     def _exec_public_join(self, dag, n: D.PublicJoin, pvals):
         """§5.3 public join. Key columns are public: they travel in the
         clear to ``n.at``, which computes matching row-id pairs with a
-        Spark join. Only matching rows then re-enter MPC (or, with no MPC
-        downstream, the result is assembled in the clear)."""
+        Spark join, sorted by (key, left row id, right row id) — so a §5.4
+        sort-eliminated consumer sees its key in order. Only matching rows
+        then re-enter MPC (or, with no MPC downstream, the result is
+        assembled in the clear)."""
         parts_l = {p: df.toPandas() for p, df in sorted(self._as_parts(pvals[0]).items())}
         parts_r = {p: df.toPandas() for p, df in sorted(self._as_parts(pvals[1]).items())}
 
@@ -275,26 +274,20 @@ class Engine:
         rdf = self._to_spark(
             rkeys.rename(columns={n.right_key: n.left_key})
         ).withColumnRenamed("gid", "rgid")
-        pairs = (
-            ldf.join(rdf, on=n.left_key)
-            .orderBy(n.left_key, "lgid", "rgid")
-            .toPandas()
-        )
+        lgid, rgid = join_index_pairs(ldf, rdf, n.left_key, "lgid", "rgid")
         # index pairs go back to every party
-        self._charge_transfer(len(pairs) * len(self.parties), 2)
+        self._charge_transfer(len(lgid) * len(self.parties), 2)
 
         if not self._downstream_has_mpc(dag, n):
             # assemble the join result in the clear at `n.at` (reaches
             # the recipient anyway; §7.2 "public join avoids MPC")
             lfull = pd.concat(parts_l.values(), ignore_index=True)
-            rfull = pd.concat(
-                [p.drop(columns=[]) for p in parts_r.values()], ignore_index=True
-            )
+            rfull = pd.concat(parts_r.values(), ignore_index=True)
             self._charge_transfer(len(lfull), len(lfull.columns))
             self._charge_transfer(len(rfull), len(rfull.columns))
-            left_sel = lfull.iloc[pairs["lgid"].to_numpy()].reset_index(drop=True)
+            left_sel = lfull.iloc[lgid].reset_index(drop=True)
             right_sel = (
-                rfull.iloc[pairs["rgid"].to_numpy()]
+                rfull.iloc[rgid]
                 .drop(columns=[n.right_key])
                 .reset_index(drop=True)
             )
@@ -303,31 +296,24 @@ class Engine:
 
         # share only the matching rows of each partition into MPC
         def matched_shared(parts, gids: np.ndarray, drop_col: str | None):
-            needed = np.unique(gids)
-            pos_of = {g: i for i, g in enumerate(needed)}
+            """Share the rows ``gids`` names, each once, in row-id order;
+            also return each pair's position among the shared rows."""
+            needed, pos = np.unique(gids, return_inverse=True)
+            cols = [c for c in next(iter(parts.values())).columns if c != drop_col]
             shared, offset = [], 0
-            for _, pdf in parts.items():
+            for pdf in parts.values():
                 local = needed[(needed >= offset) & (needed < offset + len(pdf))]
-                rows = pdf.iloc[local - offset]
-                if drop_col is not None and drop_col in rows.columns:
-                    rows = rows.drop(columns=[drop_col])
-                if len(rows):
+                if len(local):
+                    rows = pdf.iloc[local - offset][cols]
                     shared.append(self.backend.input_rel(rows.astype(np.int64)))
                 offset += len(pdf)
             if not shared:
-                empty = pd.DataFrame(
-                    {c: np.zeros(0, np.int64) for c in (pdf.columns if drop_col is None
-                     else [c for c in pdf.columns if c != drop_col])}
-                )
-                return self.backend.input_rel(empty), pos_of
-            return self.backend.concat(shared), pos_of
+                empty = pd.DataFrame({c: np.zeros(0, np.int64) for c in cols})
+                return self.backend.input_rel(empty), pos
+            return self.backend.concat(shared), pos
 
-        left_shared, lpos = matched_shared(parts_l, pairs["lgid"].to_numpy(), None)
-        right_shared, rpos = matched_shared(
-            parts_r, pairs["rgid"].to_numpy(), n.right_key
-        )
-        li = np.array([lpos[g] for g in pairs["lgid"]], dtype=np.int64)
-        ri = np.array([rpos[g] for g in pairs["rgid"]], dtype=np.int64)
+        left_shared, li = matched_shared(parts_l, lgid, None)
+        right_shared, ri = matched_shared(parts_r, rgid, n.right_key)
         # public indices: selection is share-local (free)
         left_sel = self._take_public(left_shared, li)
         right_sel = self._take_public(right_shared, ri)
@@ -361,9 +347,7 @@ class Engine:
         # STP: enumerate + clear join in Spark
         ldf = self._to_spark(pd.DataFrame({"k": lk, "li": np.arange(len(lk))}))
         rdf = self._to_spark(pd.DataFrame({"k": rk, "ri": np.arange(len(rk))}))
-        pairs = ldf.join(rdf, on="k").orderBy("li", "ri").toPandas()
-        li = pairs["li"].to_numpy().astype(np.int64)
-        ri = pairs["ri"].to_numpy().astype(np.int64)
+        li, ri = join_index_pairs(ldf, rdf, "k", "li", "ri", by_key=False)
         # STP secret-shares the index relations (inputToMPC)
         self._charge_transfer(len(li) + len(ri), 1)
         # oblivious indexing back under MPC

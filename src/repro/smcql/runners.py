@@ -26,6 +26,7 @@ from pyspark.sql import SparkSession
 
 from .. import synth_data
 from ..backends.oblivc_sim import OBLIVM_GATES_PER_SECOND
+from ..backends.spark_clear import join_index_pairs
 from ..core.compiler import CompileOptions, compile_query
 from ..mpc import protocols as P
 from ..mpc.accounting import Meter
@@ -149,28 +150,20 @@ def run_aspirin_conclave(
     meter.charge_comm(rounds=1, bytes_sent=8.0 * (len(d_all) + len(m_all)))
     ddf = spark.createDataFrame(d_all[["patient_id", "dgid"]])
     mdf = spark.createDataFrame(m_all[["patient_id", "mgid"]])
-    pairs = (
-        ddf.join(mdf, on="patient_id")
-        .orderBy("patient_id", "dgid", "mgid")
-        .toPandas()
-    )
+    dgid, mgid = join_index_pairs(ddf, mdf, "patient_id", "dgid", "mgid")
     # share only the matched rows' private columns into MPC
-    d_needed = np.unique(pairs["dgid"])
-    m_needed = np.unique(pairs["mgid"])
-    dpos = {g: i for i, g in enumerate(d_needed)}
-    mpos = {g: i for i, g in enumerate(m_needed)}
+    d_needed, li = np.unique(dgid, return_inverse=True)
+    m_needed, ri = np.unique(mgid, return_inverse=True)
     d_shared = share_dataframe(
         vm, d_all.iloc[d_needed][["patient_id", "diag"]].astype(np.int64)
     )
     m_shared = share_dataframe(
         vm, m_all.iloc[m_needed][["med"]].astype(np.int64)
     )
-    li = np.array([dpos[g] for g in pairs["dgid"]], dtype=np.int64)
-    ri = np.array([mpos[g] for g in pairs["mgid"]], dtype=np.int64)
     key = vm.take(d_shared.columns["patient_id"], li)
     diag = vm.take(d_shared.columns["diag"], li)
     med = vm.take(m_shared.columns["med"], ri)
-    if len(pairs) == 0:
+    if len(dgid) == 0:
         return count, meter
     f1 = P.filter_eq_flags(vm, diag, synth_data.CDIFF_CODE)
     f2 = P.filter_eq_flags(vm, med, synth_data.ASPIRIN_CODE)

@@ -190,6 +190,26 @@ def test_aspirin_public_join_only_shares_overlap(spark):
     assert byts["small"] < byts["big"] / 1.5
 
 
+def test_boundary_operator_costs_are_pinned(spark):
+    """Results and simulated rounds and bytes of the compiled aspirin plan
+    (public join + sort-eliminated distinct count) and credit plan (hybrid
+    joins + hybrid aggregations) on fixed inputs. Any change here is a
+    cost-model change."""
+    from repro.core import dag as D
+
+    gen = aspirin.gen_inputs(n_per_party=300, overlap_frac=0.2, seed=1)
+    spec, plan, eng, df = _run(spark, aspirin, gen)
+    assert plan.dag.nodes_of_type(D.PublicJoin)
+    assert all(n.input_sorted for n in plan.dag.nodes_of_type(D.DistinctCount))
+    assert df.toPandas()["rx_cnt"].tolist() == [49]
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (71, 900_008.0)
+
+    plan, eng = _check_credit(spark, credit_card.gen_inputs(n_holders=150, seed=1))
+    assert plan.dag.nodes_of_type(D.HybridJoin)
+    assert plan.dag.nodes_of_type(D.HybridAggregate)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (189, 916_054.3750300453)
+
+
 # ---------------------------------------------------------- comorbidity
 def test_comorbidity_end_to_end(spark):
     gen = comorbidity.gen_inputs(n_per_party=500, distinct_key_frac=0.05)

@@ -62,6 +62,28 @@ def test_join_modes_agree_with_pandas(spark, mode):
     pd.testing.assert_frame_equal(got[["k", "v", "w"]], expected, check_dtype=False)
 
 
+@pytest.mark.parametrize("mode", ["public", "hybrid"])
+def test_boundary_join_pairs_in_key_order(spark, unordered_joins, mode):
+    """Duplicate keys on both sides; ``v`` and ``w`` are the row ids.
+    The public join returns its rows ordered by (key, left row, right
+    row); the hybrid join obliviously shuffles its result, so only the
+    row set is compared."""
+    plan, parties = _join_plan(mode)
+    g = np.random.default_rng(11)
+    jl = pd.DataFrame({"k": g.integers(0, 6, 30), "v": np.arange(30)})
+    jr = pd.DataFrame({"k": g.integers(0, 6, 25), "w": np.arange(25)})
+    data = {"jl": spark.createDataFrame(jl), "jr": spark.createDataFrame(jr)}
+    eng = Engine(spark, [p.name for p in parties])
+    got = eng.run(plan, data).toPandas()[["k", "v", "w"]].astype(np.int64)
+    if mode == "hybrid":
+        got = got.sort_values(["k", "v", "w"])
+    expected = jl.merge(jr, on="k").sort_values(["k", "v", "w"])
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True), expected.reset_index(drop=True),
+        check_dtype=False,
+    )
+
+
 def test_hybrid_join_cheaper_than_mpc_join(spark):
     costs = {}
     for mode in ("mpc", "hybrid"):

@@ -7,7 +7,11 @@ import pytest
 from repro.core import dag as D
 from repro.core.columns import Column, Party
 from repro.core.lang import Rel, concat, newTable
-from repro.backends.spark_clear import exec_clear_node, run_query_clear
+from repro.backends.spark_clear import (
+    exec_clear_node,
+    join_index_pairs,
+    run_query_clear,
+)
 from repro.oracle import assert_equivalent
 
 
@@ -147,3 +151,33 @@ def test_exec_clear_node_rejects_unknown():
 
     with pytest.raises(NotImplementedError):
         exec_clear_node(Bogus([], []), [])
+
+
+def test_join_index_pairs_match_spark_order_by(spark, unordered_joins):
+    """Many-to-many keys: the lexsort after the collect returns exactly the
+    pairs, in exactly the order, of a Spark ``orderBy`` on the join."""
+    g = np.random.default_rng(8)
+    left = spark.createDataFrame(pd.DataFrame(
+        {"k": g.integers(0, 40, 300), "li": g.permutation(300)}
+    ))
+    right = spark.createDataFrame(pd.DataFrame(
+        {"k": g.integers(0, 40, 250), "ri": g.permutation(250)}
+    ))
+    joined = left.join(right, on="k").select("k", "li", "ri")
+    raw = joined.toPandas()
+    # precondition: Spark's own join output is not in key order
+    assert not raw["k"].is_monotonic_increasing
+    for by_key, order in ((True, ("k", "li", "ri")), (False, ("li", "ri"))):
+        expected = joined.orderBy(*order).toPandas()
+        li, ri = join_index_pairs(left, right, "k", "li", "ri", by_key=by_key)
+        assert li.dtype == ri.dtype == np.int64
+        np.testing.assert_array_equal(li, expected["li"].to_numpy())
+        np.testing.assert_array_equal(ri, expected["ri"].to_numpy())
+
+
+def test_join_index_pairs_no_match(spark):
+    left = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "li": [0, 1]}))
+    right = spark.createDataFrame(pd.DataFrame({"k": [3], "ri": [0]}))
+    li, ri = join_index_pairs(left, right, "k", "li", "ri")
+    assert len(li) == len(ri) == 0
+    assert li.dtype == ri.dtype == np.int64
