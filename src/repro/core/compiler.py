@@ -53,9 +53,6 @@ class Plan:
     def nodes(self) -> list[D.Node]:
         return self.dag.topo_order()
 
-    def mpc_nodes(self) -> list[D.Node]:
-        return [n for n in self.nodes() if n.site and n.site[0] != "clear"]
-
     def describe(self) -> str:
         lines = []
         for n in self.nodes():

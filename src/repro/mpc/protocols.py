@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import pandas as pd
 
 from .secret_sharing import SecretSharingVM, SharedVector, _from_ring
 from .shared_rel import SharedRelation
@@ -212,13 +211,6 @@ def aggregate_sum_by_key(
     )
 
 
-def aggregate_sum_total(
-    vm: SecretSharingVM, rel: SharedRelation, value: str
-) -> SharedRelation:
-    """Ungrouped SUM — share-local additions, no communication."""
-    return SharedRelation({value: vm.sum(rel.columns[value])})
-
-
 # -------------------------------------------------------------------- join
 def join_cartesian(
     vm: SecretSharingVM,
@@ -278,15 +270,6 @@ def filter_eq_flags(
     return vm.eq(col, const)
 
 
-def apply_filter_oblivious(
-    vm: SecretSharingVM, rel: SharedRelation, flags: SharedVector
-) -> SharedRelation:
-    """Zero out non-matching rows (size-preserving oblivious filter)."""
-    return SharedRelation(
-        {n: vm.mul(v, flags) for n, v in rel.columns.items()}
-    )
-
-
 # ----------------------------------------------------------- distinct count
 def distinct_count_sorted(
     vm: SecretSharingVM,
@@ -319,19 +302,3 @@ def distinct_count_sorted(
     one = vm.share(np.ones(n, np.int64))
     contrib = vm.mul(mask, vm.sub(one, seen_before))
     return vm.sum(contrib)
-
-
-# ------------------------------------------------------------------- limit
-def top_k_by(
-    vm: SecretSharingVM,
-    rel: SharedRelation,
-    key: str,
-    k: int,
-) -> SharedRelation:
-    """ORDER BY key DESC LIMIT k under MPC: oblivious sort descending,
-    then take the first k rows (positions are public)."""
-    sorted_rel = oblivious_sort(vm, rel, key, descending=True)
-    k = min(k, sorted_rel.n_rows)
-    return SharedRelation(
-        {n: vm.take(v, slice(0, k)) for n, v in sorted_rel.columns.items()}
-    )

@@ -156,17 +156,6 @@ class SecretSharingVM:
             tuple(np.array([s.sum(dtype=_DTYPE)], dtype=_DTYPE) for s in a.shares)
         )
 
-    def segment_sum(self, a: SharedVector, segment_ids: np.ndarray) -> SharedVector:
-        """Share-local segmented sum by *public* segment ids (used when row
-        grouping is public, e.g. after a hybrid aggregation's clear sort)."""
-        n_seg = int(segment_ids.max()) + 1 if len(segment_ids) else 0
-        out = []
-        for s in a.shares:
-            acc = np.zeros(n_seg, dtype=_DTYPE)
-            np.add.at(acc, segment_ids, s)
-            out.append(acc)
-        return SharedVector(tuple(out))
-
     # -------------------------------------------------------- Beaver triples
     def _beaver_triple(self, n: int) -> tuple[SharedVector, SharedVector, SharedVector]:
         """Trusted-dealer triple generation (semi-honest preprocessing)."""

@@ -63,10 +63,3 @@ def share_dataframe(vm: SecretSharingVM, pdf: pd.DataFrame) -> SharedRelation:
 def reveal_relation(vm: SecretSharingVM, rel: SharedRelation) -> pd.DataFrame:
     """Open every column of a shared relation to all parties."""
     return pd.DataFrame({n: vm.reveal(v) for n, v in rel.columns.items()})
-
-
-def reveal_relation_to(
-    vm: SecretSharingVM, rel: SharedRelation, party
-) -> pd.DataFrame:
-    """Open every column of a shared relation to one party (e.g. the STP)."""
-    return pd.DataFrame({n: vm.reveal_to(v, party) for n, v in rel.columns.items()})

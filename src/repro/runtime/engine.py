@@ -127,6 +127,16 @@ class Engine:
             return {val.party: val.df}
         raise TypeError("expected a cleartext relation")
 
+    def _stays_partitioned(self, dag: D.Dag, n: D.Concat) -> bool:
+        """A concat stays partitioned in the clear when it is cleartext
+        work feeding MPC (each part is shared at the MPC entry), or when
+        it feeds a public join, which shares only the matching rows. An
+        all-clear concat (insecure sub-plans only) is a Spark union."""
+        if n.site[0] == "clear":
+            return self._downstream_has_mpc(dag, n)
+        cons = dag.consumers().get(id(n), [])
+        return n.site == ("mpc",) and any(isinstance(c, D.PublicJoin) for c in cons)
+
     @staticmethod
     def _downstream_has_mpc(dag: D.Dag, node: D.Node) -> bool:
         cons = dag.consumers()
@@ -165,18 +175,15 @@ class Engine:
             return ClearVal(party, df)
         site = n.site
         assert site is not None, f"uncompiled node {n.name}"
-        if isinstance(n, D.Concat) and site == ("mpc",):
-            # a concat feeding a public join must stay partitioned in the
-            # clear — the public join shares only the matching rows
-            cons = dag.consumers().get(id(n), [])
-            if cons and any(isinstance(c, D.PublicJoin) for c in cons):
-                parts: dict[str, DataFrame] = {}
-                for v in pvals:
-                    for p, df in self._as_parts(v).items():
-                        parts[p] = df if p not in parts else parts[p].unionByName(df)
-                return PartVal(parts)
+        if isinstance(n, D.Concat) and self._stays_partitioned(dag, n):
+            parts: dict[str, DataFrame] = {}
+            for v in pvals:
+                for p, df in self._as_parts(v).items():
+                    parts[p] = df if p not in parts else parts[p].unionByName(df)
+            return PartVal(parts)
         if site[0] == "clear":
-            return self._exec_clear(dag, n, site[1], pvals)
+            dfs = [self._as_clear_at(v, site[1]) for v in pvals]
+            return ClearVal(site[1], exec_clear_node(n, dfs))
         if site[0] == "public":
             return self._exec_public_join(dag, n, pvals)
         if site[0] == "hybrid":
@@ -185,33 +192,11 @@ class Engine:
             return self._exec_hybrid_agg(n, pvals)
         return self._exec_mpc(n, pvals)
 
-    # ------------------------------------------------------------- clear
-    def _exec_clear(self, dag, n: D.Node, party: str, pvals):
-        if isinstance(n, D.Concat) and not self._downstream_has_mpc(dag, n):
-            # all-clear concat (insecure sub-plans only)
-            dfs = [self._as_clear_at(v, party) for v in pvals]
-            return ClearVal(party, reduce(DataFrame.unionByName, dfs))
-        if isinstance(n, D.Concat):
-            # partitioned relation staying distributed until the MPC entry
-            parts: dict[str, DataFrame] = {}
-            for v in pvals:
-                for p, df in self._as_parts(v).items():
-                    parts[p] = df if p not in parts else parts[p].unionByName(df)
-            return PartVal(parts)
-        dfs = [self._as_clear_at(v, party) for v in pvals]
-        return ClearVal(party, exec_clear_node(n, dfs))
-
     # --------------------------------------------------------------- mpc
     def _exec_mpc(self, n: D.Node, pvals):
         be = self.backend
         if isinstance(n, D.Concat):
-            rels = []
-            for v in pvals:
-                if isinstance(v, (ClearVal, PartVal)):
-                    rels.append(self._ensure_mpc(v))
-                else:
-                    rels.append(v)
-            return be.concat(rels)
+            return be.concat([self._ensure_mpc(v) for v in pvals])
         if isinstance(n, D.Project):
             return be.project(self._ensure_mpc(pvals[0]), n.cols)
         if isinstance(n, D.Filter):

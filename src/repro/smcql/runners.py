@@ -6,9 +6,12 @@ Four runners, matching the paper's Figure 7 comparison:
   one small garbled-circuit MPC *per shared slice* on the ObliVM
   backend (join + filters + distinct contribution), single-party slices
   processed locally in Spark;
-* ``run_aspirin_conclave`` — Conclave: slicing + §5.3 public join, the
-  shared-slice rows entering one secret-sharing MPC; §5.4 sort
-  elimination makes the MPC distinct-count a linear scan;
+* ``run_aspirin_conclave`` — Conclave on the same slices: single-party
+  slices processed locally in Spark, the shared slices run through the
+  compiled aspirin plan (``compile_query`` + ``Engine.run``: §5.3 public
+  join into one secret-sharing MPC, §5.4 sort elimination making the
+  MPC distinct-count a linear scan). The slicing is applied by hand, as
+  in the paper; the compiler has no slicing pass;
 * ``run_comorbidity_smcql`` — split aggregation (local Spark pre-agg) +
   ObliVM garbled circuits for the combine/sort/limit;
 * ``run_comorbidity_conclave`` — the same plan on the Sharemind-style
@@ -26,14 +29,10 @@ from pyspark.sql import SparkSession
 
 from .. import synth_data
 from ..backends.oblivc_sim import OBLIVM_GATES_PER_SECOND
-from ..backends.spark_clear import join_index_pairs
 from ..core.compiler import CompileOptions, compile_query
-from ..mpc import protocols as P
 from ..mpc.accounting import Meter
 from ..mpc.circuits import gate_counts
-from ..mpc.gc_backend import WIRE_BYTES, batcher_comparators
-from ..mpc.secret_sharing import SecretSharingVM
-from ..mpc.shared_rel import SharedRelation, share_dataframe
+from ..mpc.gc_backend import WIRE_BYTES
 from ..queries import aspirin, comorbidity
 from ..queries.base import gen_to_spark
 from ..runtime.engine import Engine
@@ -124,6 +123,15 @@ def run_aspirin_smcql(
 def run_aspirin_conclave(
     spark: SparkSession, gen: dict[str, pd.DataFrame], *, meter: Meter | None = None
 ) -> tuple[int, Meter]:
+    """Conclave on SMCQL's slices, as in §7.4: each hospital counts its
+    single-party slices locally in Spark, and the four shared slices run
+    through the compiled aspirin plan (§5.3 public join, §5.4 sort
+    elimination) on the secret-sharing engine, whose revealed ``rx_cnt``
+    is added to the local counts.
+
+    ``Engine.run`` restarts its meter's wall clock, so the engine keeps a
+    meter of its own and its simulated cost is added to ``meter``, whose
+    wall clock spans the slicing, the local counts and the engine."""
     meter = meter or Meter()
     meter.restart_wall()
     dslice, mslice = _slice_aspirin(gen)
@@ -131,45 +139,20 @@ def run_aspirin_conclave(
         _local_aspirin_count(spark, dslice.single[p], mslice.single[p])
         for p in ("h1", "h2")
     )
-    # public join on the shared slices, in the clear (Spark), sorted by
-    # patient_id — so the MPC distinct-count needs no oblivious sort
-    dsh = {p: df for p, df in dslice.shared.items()}
-    msh = {p: df for p, df in mslice.shared.items()}
-    vm = SecretSharingVM(n_parties=2, meter=meter, seed=5)
-    d_all = pd.concat(
-        [dsh["h1"], dsh["h2"]], keys=["h1", "h2"]
-    ).reset_index(level=0, names="src_d").reset_index(drop=True)
-    m_all = pd.concat(
-        [msh["h1"], msh["h2"]], keys=["h1", "h2"]
-    ).reset_index(level=0, names="src_m").reset_index(drop=True)
-    if len(d_all) == 0 or len(m_all) == 0:
-        return count, meter  # no shared slices: nothing enters MPC
-    d_all["dgid"] = np.arange(len(d_all))
-    m_all["mgid"] = np.arange(len(m_all))
-    # key columns travel in the clear
-    meter.charge_comm(rounds=1, bytes_sent=8.0 * (len(d_all) + len(m_all)))
-    ddf = spark.createDataFrame(d_all[["patient_id", "dgid"]])
-    mdf = spark.createDataFrame(m_all[["patient_id", "mgid"]])
-    dgid, mgid = join_index_pairs(ddf, mdf, "patient_id", "dgid", "mgid")
-    # share only the matched rows' private columns into MPC
-    d_needed, li = np.unique(dgid, return_inverse=True)
-    m_needed, ri = np.unique(mgid, return_inverse=True)
-    d_shared = share_dataframe(
-        vm, d_all.iloc[d_needed][["patient_id", "diag"]].astype(np.int64)
-    )
-    m_shared = share_dataframe(
-        vm, m_all.iloc[m_needed][["med"]].astype(np.int64)
-    )
-    key = vm.take(d_shared.columns["patient_id"], li)
-    diag = vm.take(d_shared.columns["diag"], li)
-    med = vm.take(m_shared.columns["med"], ri)
-    if len(dgid) == 0:
-        return count, meter
-    f1 = P.filter_eq_flags(vm, diag, synth_data.CDIFF_CODE)
-    f2 = P.filter_eq_flags(vm, med, synth_data.ASPIRIN_CODE)
-    mask = vm.mul(f1, f2)
-    cnt = vm.reveal(P.distinct_count_sorted(vm, key, mask))[0]
-    return count + int(cnt), meter
+    shared = {
+        f"{rel}_{p}": s.shared[p]
+        for rel, s in (("diag", dslice), ("med", mslice))
+        for p in ("h1", "h2")
+    }
+    d_rows, m_rows = (sum(map(len, s.shared.values())) for s in (dslice, mslice))
+    if d_rows == 0 or m_rows == 0:
+        return count, meter  # the shared join is empty: nothing enters MPC
+    spec = aspirin.build()
+    plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
+    eng = Engine(spark, [p.name for p in spec.parties])
+    rx = eng.run(plan, gen_to_spark(spark, shared)).toPandas()
+    meter.charge_comm(rounds=eng.meter.rounds, bytes_sent=eng.meter.bytes_sent)
+    return count + int(rx["rx_cnt"].iloc[0]), meter
 
 
 def run_comorbidity_smcql(

@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.backends.sharemind_sim import SharemindBackend, SSRel
 from repro.mpc.accounting import Meter, SimulatedOOM
 from repro.mpc import protocols as P
 from repro.mpc.secret_sharing import SecretSharingVM
@@ -16,6 +17,12 @@ def vm() -> SecretSharingVM:
 
 def _rng():
     return np.random.default_rng(5)
+
+
+def _backend(vm) -> SharemindBackend:
+    """The engine's adapter over the protocols, for operators the engine
+    composes from them (ungrouped sum, top-k)."""
+    return SharemindBackend(vm, _rng())
 
 
 def _share(vm, **cols) -> SharedRelation:
@@ -168,11 +175,11 @@ def test_aggregate_sum_by_key_presorted_skips_sort(vm):
 
 
 def test_aggregate_sum_total_is_local(vm):
-    rel = _share(vm, v=[1, 2, 3, 4])
+    rel = SSRel(_share(vm, v=[1, 2, 3, 4]))
     r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
-    out = P.aggregate_sum_total(vm, rel, "v")
+    out = _backend(vm).aggregate(rel, [], "sum", "v", "s")
     assert vm.meter.rounds == r0 and vm.meter.bytes_sent == b0
-    assert vm.reveal(out.columns["v"])[0] == 10
+    assert vm.reveal(out.rel.columns["s"])[0] == 10
 
 
 # -------------------------------------------------------------------- join
@@ -234,14 +241,10 @@ def test_select_by_public_index(vm):
     np.testing.assert_array_equal(got["b"], [3, 1])
 
 
-def test_filter_flags_and_oblivious_apply(vm):
+def test_filter_eq_flags(vm):
     col = vm.share(np.array([5, 7, 5, 9], dtype=np.int64))
     flags = P.filter_eq_flags(vm, col, 5)
     np.testing.assert_array_equal(vm.reveal(flags), [1, 0, 1, 0])
-    rel = _share(vm, x=[1, 2, 3, 4])
-    out = P.apply_filter_oblivious(vm, rel, flags)
-    # size-preserving: non-matching rows zeroed, length unchanged
-    np.testing.assert_array_equal(vm.reveal(out.columns["x"]), [1, 0, 3, 0])
 
 
 # ----------------------------------------------------------- distinct count
@@ -262,14 +265,21 @@ def test_distinct_count_sorted(vm, keys, mask, expected):
 
 
 # ------------------------------------------------------------------- top-k
+def _top_k(vm, limit: int, **cols) -> pd.DataFrame:
+    """ORDER BY cnt DESC LIMIT ``limit`` as the engine runs it: a descending
+    oblivious sort, then a public-position limit."""
+    be = _backend(vm)
+    top = be.limit(be.sort_by(SSRel(_share(vm, **cols)), "cnt", ascending=False), limit)
+    return be.reveal(top)
+
+
 def test_top_k_by(vm):
-    rel = _share(vm, k=[1, 2, 3, 4], cnt=[10, 40, 20, 30])
-    got = reveal_relation(vm, P.top_k_by(vm, rel, "cnt", 2))
+    got = _top_k(vm, 2, k=[1, 2, 3, 4], cnt=[10, 40, 20, 30])
     np.testing.assert_array_equal(got["cnt"], [40, 30])
     np.testing.assert_array_equal(got["k"], [2, 4])
 
 
 def test_top_k_larger_than_relation(vm):
-    rel = _share(vm, k=[1, 2], cnt=[5, 9])
-    got = reveal_relation(vm, P.top_k_by(vm, rel, "cnt", 10))
+    got = _top_k(vm, 10, k=[1, 2], cnt=[5, 9])
     np.testing.assert_array_equal(got["cnt"], [9, 5])
+    np.testing.assert_array_equal(got["k"], [2, 1])

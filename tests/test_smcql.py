@@ -1,13 +1,18 @@
 """Tests for the SMCQL baseline: slicing semantics and the four §7.4
 runners, all checked against DuckDB on the cleartext union."""
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
 
 import duckdb
 
+from repro.core.compiler import CompileOptions, compile_query
 from repro.mpc.accounting import Meter
 from repro.queries import aspirin, comorbidity
+from repro.queries.base import gen_to_spark
+from repro.runtime.engine import Engine
 from repro.smcql.runners import (
     run_aspirin_conclave,
     run_aspirin_smcql,
@@ -63,6 +68,70 @@ def test_aspirin_conclave_matches_oracle(spark, overlap):
     gen = aspirin.gen_inputs(n_per_party=200, overlap_frac=overlap, seed=12)
     got, meter = run_aspirin_conclave(spark, gen)
     assert got == _oracle_count(gen)
+
+
+def _held_at(gen, party: str) -> set:
+    return set(gen[f"diag_{party}"]["patient_id"]) | set(gen[f"med_{party}"]["patient_id"])
+
+
+def _compiled_aspirin(spark, gen):
+    spec = aspirin.build()
+    plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
+    eng = Engine(spark, [p.name for p in spec.parties])
+    df = eng.run(plan, gen_to_spark(spark, gen)).toPandas()
+    return int(df["rx_cnt"].iloc[0]), eng.meter
+
+
+def test_aspirin_conclave_is_the_compiled_plan(spark):
+    """With every patient at both hospitals the single-party slices are
+    empty, and the runner is exactly compile_query + Engine.run."""
+    gen = aspirin.gen_inputs(n_per_party=300, overlap_frac=1.0, seed=4)
+    both = _held_at(gen, "h1") & _held_at(gen, "h2")
+    gen = {k: v[v["patient_id"].isin(both)].reset_index(drop=True) for k, v in gen.items()}
+    got, meter = run_aspirin_conclave(spark, gen)
+    want, eng_meter = _compiled_aspirin(spark, gen)
+    assert got == want == _oracle_count(gen)
+    assert meter.rounds == eng_meter.rounds > 0
+    assert meter.bytes_sent == eng_meter.bytes_sent
+
+
+def test_aspirin_conclave_cost_is_pinned(spark):
+    """The T5 Conclave point's result and simulated rounds and bytes on
+    fixed inputs. Any change here is a cost-model change."""
+    gen = aspirin.gen_inputs(n_per_party=300, overlap_frac=0.2, seed=1)
+    got, meter = run_aspirin_conclave(spark, gen)
+    assert got == _oracle_count(gen) == 49
+    assert (meter.rounds, meter.bytes_sent) == (65, 245_312.0)
+
+
+def test_aspirin_conclave_one_empty_shared_slice(spark):
+    """Shared patients without medication rows at h2: h2's shared
+    medication slice has no rows, the other three shared slices do."""
+    gen = aspirin.gen_inputs(n_per_party=200, overlap_frac=0.2, seed=12)
+    med = gen["med_h2"]
+    both = _held_at(gen, "h1") & _held_at(gen, "h2")
+    gen["med_h2"] = med[~med["patient_id"].isin(both)].reset_index(drop=True)
+    diag_parts = {p: gen[f"diag_{p}"] for p in ("h1", "h2")}
+    med_parts = {p: gen[f"med_{p}"] for p in ("h1", "h2")}
+    locs = key_locations([diag_parts, med_parts], "patient_id")
+    shared = [
+        len(slice_by_key(parts, "patient_id", key_locations=locs).shared[p])
+        for parts in (diag_parts, med_parts) for p in ("h1", "h2")
+    ]
+    assert shared[3] == 0 and min(shared[:3]) > 0
+    got, meter = run_aspirin_conclave(spark, gen)
+    assert got == _oracle_count(gen)
+    assert meter.rounds > 0
+
+
+def test_aspirin_conclave_clock_spans_the_whole_run(spark):
+    """The hybrid clock covers slicing and the local Spark counts, not
+    just the engine (whose run restarts its own meter's wall clock)."""
+    gen = aspirin.gen_inputs(n_per_party=2000, overlap_frac=0.05, seed=3)
+    t0 = time.perf_counter()
+    _, meter = run_aspirin_conclave(spark, gen)
+    wall = time.perf_counter() - t0
+    assert meter.wall_seconds() >= 0.9 * wall
 
 
 def test_aspirin_conclave_beats_smcql_cost(spark):
