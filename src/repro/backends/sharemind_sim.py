@@ -1,14 +1,13 @@
 """Sharemind-style MPC stage executor over the secret-sharing VM.
 
 Adapts the protocol library (:mod:`repro.mpc.protocols`) to the
-engine's needs: relations carry per-column fixed-point *scales* (power-
-of-two exponents) so division/multiplication chains stay in the integer
-ring and are descaled on reveal, plus an optional oblivious filter mask
+engine's needs. It owns the format of the engine's MPC relations: a
+:class:`SharedRelation` whose per-column fixed-point *scales* (power-of-
+two exponents) keep division/multiplication chains in the integer ring
+and are divided out on reveal, plus an optional oblivious filter mask
 column ``__mask``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -22,25 +21,6 @@ FP_BITS = 20
 MASK = "__mask"
 
 
-@dataclass
-class SSRel:
-    """A secret-shared relation plus engine metadata."""
-
-    rel: SharedRelation
-    scales: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def n_rows(self) -> int:
-        return self.rel.n_rows
-
-    def scale_of(self, col: str) -> int:
-        return self.scales.get(col, 0)
-
-    @property
-    def has_mask(self) -> bool:
-        return MASK in self.rel.columns
-
-
 class SharemindBackend:
     """One MPC session across the parties, Sharemind-style."""
 
@@ -51,19 +31,19 @@ class SharemindBackend:
         self.rng = rng
 
     # -------------------------------------------------------------- I/O
-    def input_rel(self, pdf: pd.DataFrame) -> SSRel:
-        return SSRel(share_dataframe(self.vm, pdf))
+    def input_rel(self, pdf: pd.DataFrame) -> SharedRelation:
+        return share_dataframe(self.vm, pdf)
 
-    def reveal(self, r: SSRel) -> pd.DataFrame:
+    def reveal(self, r: SharedRelation) -> pd.DataFrame:
         """Open to all parties, de-scaling fixed-point columns to float
         and dropping masked-out rows (mask reveal leaks the filtered
         cardinality — authorized at output time, the recipients see the
         rows anyway)."""
         out = {}
         mask = None
-        if r.has_mask:
-            mask = self.vm.reveal(r.rel.columns[MASK]) == 1
-        for name, vec in r.rel.columns.items():
+        if MASK in r.columns:
+            mask = self.vm.reveal(r.columns[MASK]) == 1
+        for name, vec in r.columns.items():
             if name == MASK:
                 continue
             vals = self.vm.reveal(vec)
@@ -74,46 +54,44 @@ class SharemindBackend:
         return pd.DataFrame(out)
 
     # -------------------------------------------------------- operators
-    def concat(self, rels: list[SSRel]) -> SSRel:
+    def concat(self, rels: list[SharedRelation]) -> SharedRelation:
         scales = rels[0].scales
         for r in rels[1:]:
             if r.scales != scales:
                 raise ValueError("concat scale mismatch")
-        cols = {
-            n: self.vm.concat([r.rel.columns[n] for r in rels])
-            for n in rels[0].rel.column_names
-        }
-        return SSRel(SharedRelation(cols), dict(scales))
+        return rels[0].with_columns({
+            n: self.vm.concat([r.columns[n] for r in rels])
+            for n in rels[0].column_names
+        })
 
-    def project(self, r: SSRel, cols: list[str]) -> SSRel:
-        keep = list(cols) + ([MASK] if r.has_mask else [])
-        return SSRel(
-            r.rel.project(keep), {c: r.scales[c] for c in keep if c in r.scales}
-        )
+    def project(self, r: SharedRelation, cols: list[str]) -> SharedRelation:
+        """Keep ``cols``, and the filter mask if ``r`` has one."""
+        keep = [c for c in cols if c != MASK] + ([MASK] if MASK in r.columns else [])
+        return r.project(keep)
 
-    def filter_eq(self, r: SSRel, col: str, value: int) -> SSRel:
-        flags = P.filter_eq_flags(self.vm, r.rel.columns[col], value)
-        if r.has_mask:
-            flags = self.vm.mul(flags, r.rel.columns[MASK])
-        cols = dict(r.rel.columns)
-        cols[MASK] = flags
-        return SSRel(SharedRelation(cols), dict(r.scales))
+    def filter_eq(self, r: SharedRelation, col: str, value: int) -> SharedRelation:
+        flags = P.filter_eq_flags(self.vm, r.columns[col], value)
+        if MASK in r.columns:
+            flags = self.vm.mul(flags, r.columns[MASK])
+        return r.with_columns({**r.columns, MASK: flags})
 
-    def arith(self, r: SSRel, out: str, left: str, op: str, right) -> SSRel:
-        lv = r.rel.columns[left]
+    def arith(
+        self, r: SharedRelation, out: str, left: str, op: str, right
+    ) -> SharedRelation:
+        lv = r.columns[left]
         ls = r.scale_of(left)
-        cols = dict(r.rel.columns)
+        cols = dict(r.columns)
         scales = dict(r.scales)
         if op == "*":
             if isinstance(right, str):
-                cols[out] = self.vm.mul(lv, r.rel.columns[right])
+                cols[out] = self.vm.mul(lv, r.columns[right])
                 scales[out] = ls + r.scale_of(right)
             else:
                 cols[out] = self.vm.mul_public(lv, int(right))
                 scales[out] = ls
         elif op == "/":
             if isinstance(right, str):
-                rv = r.rel.columns[right]
+                rv = r.columns[right]
                 rs = r.scale_of(right)
             else:
                 rv = self.vm.share(np.full(r.n_rows, int(right), np.int64))
@@ -122,55 +100,56 @@ class SharemindBackend:
             scales[out] = ls - rs + FP_BITS
         else:  # pragma: no cover
             raise ValueError(op)
-        return SSRel(SharedRelation(cols), scales)
+        return SharedRelation(cols, scales)
 
-    def _masked_value(self, r: SSRel, over: str | None, agg_op: str) -> SharedVector:
-        """The value vector to aggregate: the `over` column for SUM, ones
-        for COUNT — multiplied by the filter mask if present."""
+    def _masked_value(
+        self, r: SharedRelation, over: str | None, agg_op: str
+    ) -> tuple[SharedVector, int]:
+        """The value vector to aggregate — the `over` column for SUM, ones
+        for COUNT — multiplied by the filter mask if present, and the
+        scale the aggregate keeps (the `over` column's, for SUM)."""
         if agg_op == "count" or over is None:
             v = self.vm.share(np.ones(r.n_rows, np.int64))
+            scale = 0
         else:
-            v = r.rel.columns[over]
-        if r.has_mask:
-            v = self.vm.mul(v, r.rel.columns[MASK])
-        return v
+            v = r.columns[over]
+            scale = r.scale_of(over)
+        if MASK in r.columns:
+            v = self.vm.mul(v, r.columns[MASK])
+        return v, scale
 
     def aggregate(
-        self, r: SSRel, group: list[str], agg_op: str, over: str | None,
+        self, r: SharedRelation, group: list[str], agg_op: str, over: str | None,
         out_col: str, *, input_sorted: bool = False,
-    ) -> SSRel:
-        val = self._masked_value(r, over, agg_op)
-        scale = r.scale_of(over) if (agg_op == "sum" and over) else 0
+    ) -> SharedRelation:
+        val, scale = self._masked_value(r, over, agg_op)
+        scales = {out_col: scale} if scale else {}
         if not group:
-            out = SharedRelation({out_col: self.vm.sum(val)})
-            return SSRel(out, {out_col: scale} if scale else {})
+            return SharedRelation({out_col: self.vm.sum(val)}, scales)
         if len(group) != 1:
             raise NotImplementedError("multi-column group-by")
-        work = SharedRelation({group[0]: r.rel.columns[group[0]], out_col: val})
-        agg = P.aggregate_sum_by_key(
+        work = SharedRelation({group[0]: r.columns[group[0]], out_col: val}, scales)
+        return P.aggregate_sum_by_key(
             self.vm, work, group[0], out_col, self.rng, input_sorted=input_sorted
         )
-        return SSRel(agg, {out_col: scale} if scale else {})
 
-    def join(self, left: SSRel, right: SSRel, lk: str, rk: str) -> SSRel:
-        if left.has_mask or right.has_mask:
+    def join(
+        self, left: SharedRelation, right: SharedRelation, lk: str, rk: str
+    ) -> SharedRelation:
+        if MASK in left.columns or MASK in right.columns:
             raise NotImplementedError("join over filtered MPC relations")
         if not lk:  # cross join: broadcast a 1-row right side
             if right.n_rows != 1:
                 raise NotImplementedError("cross join needs a scalar right side")
             idx = np.zeros(left.n_rows, dtype=np.int64)
-            cols = dict(left.rel.columns)
-            for n, v in right.rel.columns.items():
-                cols[n] = self.vm.take(v, idx)
-            return SSRel(SharedRelation(cols), {**left.scales, **right.scales})
-        joined = P.join_cartesian(self.vm, left.rel, right.rel, lk, rk, self.rng)
-        return SSRel(joined, {**left.scales, **right.scales})
+            return self.concat_columns(left, self.take(right, idx))
+        return P.join_cartesian(self.vm, left, right, lk, rk, self.rng)
 
     def distinct_count(
-        self, r: SSRel, col: str, out_col: str, *, input_sorted: bool
-    ) -> SSRel:
-        key = r.rel.columns[col]
-        mask = r.rel.columns[MASK] if r.has_mask else None
+        self, r: SharedRelation, col: str, out_col: str, *, input_sorted: bool
+    ) -> SharedRelation:
+        key = r.columns[col]
+        mask = r.columns.get(MASK)
         if not input_sorted:
             work_cols = {col: key}
             if mask is not None:
@@ -179,45 +158,60 @@ class SharemindBackend:
             key = work.columns[col]
             mask = work.columns.get(MASK)
         cnt = P.distinct_count_sorted(self.vm, key, mask)
-        return SSRel(SharedRelation({out_col: cnt}))
+        return SharedRelation({out_col: cnt})
 
-    def sort_by(self, r: SSRel, col: str, ascending: bool) -> SSRel:
-        if r.has_mask:
+    def sort_by(self, r: SharedRelation, col: str, ascending: bool) -> SharedRelation:
+        if MASK in r.columns:
             raise NotImplementedError("sort over filtered MPC relations")
-        return SSRel(
-            P.oblivious_sort(self.vm, r.rel, col, descending=not ascending),
-            dict(r.scales),
-        )
+        return P.oblivious_sort(self.vm, r, col, descending=not ascending)
 
-    def limit(self, r: SSRel, n: int) -> SSRel:
-        return SSRel(
-            SharedRelation(
-                {c: self.vm.take(v, slice(0, n)) for c, v in r.rel.columns.items()}
-            ),
-            dict(r.scales),
-        )
+    def take(self, r: SharedRelation, idx) -> SharedRelation:
+        """Rows at public positions ``idx`` (an index array or a slice):
+        share-local, free."""
+        return r.with_columns({c: self.vm.take(v, idx) for c, v in r.columns.items()})
+
+    def limit(self, r: SharedRelation, n: int) -> SharedRelation:
+        return self.take(r, slice(0, n))
 
     # ------------------------------------------------ hybrid sub-protocols
-    def shuffle(self, r: SSRel) -> SSRel:
-        rel, _ = P.oblivious_shuffle(self.vm, r.rel, self.rng)
-        return SSRel(rel, dict(r.scales))
+    def shuffle(self, r: SharedRelation) -> SharedRelation:
+        rel, _ = P.oblivious_shuffle(self.vm, r, self.rng)
+        return rel
 
-    def reveal_col_to(self, r: SSRel, col: str, party: str) -> np.ndarray:
-        return self.vm.reveal_to(r.rel.columns[col], party)
+    def reveal_col_to(self, r: SharedRelation, col: str, party: str) -> np.ndarray:
+        return self.vm.reveal_to(r.columns[col], party)
 
-    def select_rows(self, r: SSRel, idx: np.ndarray) -> SSRel:
-        return SSRel(P.select_by_public_index(self.vm, r.rel, idx), dict(r.scales))
+    def select_rows(self, r: SharedRelation, idx: np.ndarray) -> SharedRelation:
+        return P.select_by_public_index(self.vm, r, idx)
 
-    def reorder_public(self, r: SSRel, order: np.ndarray) -> SSRel:
-        return SSRel(
-            SharedRelation(
-                {c: self.vm.permute_public(v, order) for c, v in r.rel.columns.items()}
-            ),
-            dict(r.scales),
+    def reorder_public(self, r: SharedRelation, order: np.ndarray) -> SharedRelation:
+        return r.with_columns(
+            {c: self.vm.permute_public(v, order) for c, v in r.columns.items()}
         )
 
-    def concat_columns(self, a: SSRel, b: SSRel) -> SSRel:
-        cols = dict(a.rel.columns)
-        for n, v in b.rel.columns.items():
-            cols[n] = v
-        return SSRel(SharedRelation(cols), {**a.scales, **b.scales})
+    def concat_columns(self, a: SharedRelation, b: SharedRelation) -> SharedRelation:
+        return SharedRelation({**a.columns, **b.columns}, {**a.scales, **b.scales})
+
+    def hybrid_aggregate(
+        self, r: SharedRelation, group: str, agg_op: str, over: str | None,
+        out_col: str, same: np.ndarray,
+    ) -> SharedRelation:
+        """MPC half of the §5.3 hybrid aggregation. ``r`` is in the order of
+        the STP's clear sort by ``group``, and ``same[i]`` is the STP's flag
+        [row i has the key of row i-1]; the STP secret-shares it and the
+        group-end flags. An oblivious segmented scan sums each group into
+        its last row, and the group ends are kept."""
+        shared_same = self.vm.share(same)
+        val, scale = self._masked_value(r, over, agg_op)
+        sums = P.segmented_scan_sum(self.vm, val, shared_same)
+        is_end = np.ones(len(same), dtype=np.int64)
+        is_end[:-1] = 1 - same[1:]
+        return P.keep_group_ends(
+            self.vm,
+            SharedRelation(
+                {group: r.columns[group], out_col: sums},
+                {out_col: scale} if scale else {},
+            ),
+            self.vm.share(is_end),
+            self.rng,
+        )

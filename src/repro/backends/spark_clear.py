@@ -11,7 +11,9 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
+import pandas as pd
 import pyspark.sql.functions as F
+import pyspark.sql.types as T
 from pyspark.sql import DataFrame, SparkSession
 
 from ..core import dag as D
@@ -24,6 +26,20 @@ _OPS = {
     "<=": "<=",
     ">=": ">=",
 }
+
+
+#: Spark column type per pandas dtype kind (signed int, float, bool)
+_SPARK_TYPES = {"i": T.LongType(), "f": T.DoubleType(), "b": T.BooleanType()}
+
+
+def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
+    """A pandas frame as a Spark DataFrame. The schema comes from the
+    pandas dtypes, so a frame with zero rows loads too: Spark cannot infer
+    a schema from no rows."""
+    schema = T.StructType(
+        [T.StructField(c, _SPARK_TYPES[t.kind]) for c, t in pdf.dtypes.items()]
+    )
+    return spark.createDataFrame(pdf, schema)
 
 
 def exec_clear_node(node: D.Node, inputs: list[DataFrame]) -> DataFrame:

@@ -9,6 +9,13 @@ wire-label state. Exceeding the simulated VM's memory cap raises
 "Obliv-C runs out of memory at 30k records (join) / 300k (projection)"
 observations (§2.3).
 
+:class:`GCBackend` is also the engine's Obliv-C backend for MPC stages
+(and, with a lower gate throughput, the ObliVM backend of the SMCQL
+baseline). A filter keeps every row and adds a ``__mask`` column that
+later operators honour and :meth:`GCBackend.reveal` applies. Hybrid
+operators are not supported here: the paper's hybrid protocols are built
+on the secret-sharing backend.
+
 Calibration constants (documented in DESIGN.md §2.1):
 
 * ``bit_width=32`` — Obliv-C's default obliv int;
@@ -30,6 +37,10 @@ from .circuits import gate_counts
 WIRE_BYTES = 4 * GC_LABEL_BYTES
 #: Bytes moved per evaluator input bit (oblivious transfer, ~3 labels).
 OT_BYTES_PER_BIT = 3 * GC_LABEL_BYTES
+#: ObliVM (SMCQL's backend, Java) is far slower than Obliv-C (§7.4):
+#: calibrated so 20k-row MPC aggregation+sort lands in the >1 h regime.
+OBLIVM_GATES_PER_SECOND = 1e5
+MASK = "__mask"
 
 
 def batcher_comparators(n: int) -> float:
@@ -63,6 +74,8 @@ class GCRelation:
 class GCBackend:
     """One 2-party garbled-circuit session with metered cost."""
 
+    name = "oblivc"
+
     def __init__(self, meter: Meter, *, bit_width: int = 32):
         self.meter = meter
         self.k = bit_width
@@ -75,7 +88,7 @@ class GCBackend:
         self.meter.charge_memory(what, bits * WIRE_BYTES)
 
     # -------------------------------------------------------------- input
-    def input_relation(self, pdf: pd.DataFrame) -> GCRelation:
+    def input_rel(self, pdf: pd.DataFrame) -> GCRelation:
         """Encode a cleartext relation into wire labels (garbler side) /
         receive labels via OT (evaluator side)."""
         pdf = pdf.reset_index(drop=True).astype(np.int64)
@@ -85,22 +98,45 @@ class GCBackend:
         return GCRelation(pdf)
 
     def reveal(self, rel: GCRelation) -> pd.DataFrame:
-        """Decode output wires to cleartext (sends decode bits)."""
+        """Decode output wires to cleartext (sends decode bits), dropping
+        masked-out rows."""
         self.meter.charge_comm(
             rounds=1, bytes_sent=self._bits(rel.n_rows, rel.n_cols) / 8
         )
-        return rel.pdf.copy()
+        pdf = rel.pdf
+        if MASK in pdf.columns:
+            pdf = pdf[pdf[MASK] == 1].drop(columns=MASK)
+        return pdf.reset_index(drop=True)
 
     # ---------------------------------------------------------- operators
+    def concat(self, rels: list[GCRelation]) -> GCRelation:
+        return GCRelation(pd.concat([r.pdf for r in rels], ignore_index=True))
+
+    def take(self, rel: GCRelation, idx: np.ndarray) -> GCRelation:
+        """Rows at public positions ``idx``: wire selection, no ANDs."""
+        return GCRelation(rel.pdf.iloc[idx].reset_index(drop=True))
+
+    def concat_columns(self, a: GCRelation, b: GCRelation) -> GCRelation:
+        """The columns of ``a`` and ``b`` (same row count) side by side, a
+        column of ``b`` replacing one of the same name: rewiring, no ANDs."""
+        pdf = a.pdf.copy()
+        for c in b.pdf.columns:
+            pdf[c] = b.pdf[c].to_numpy()
+        return GCRelation(pdf)
+
     def project(self, rel: GCRelation, cols: list[str]) -> GCRelation:
-        """Projection: wire rewiring only (no ANDs), but the full input
-        must be staged — this is what OOMs Obliv-C at ~300k records."""
+        """Projection, keeping the filter mask: wire rewiring only (no
+        ANDs), but the full input must be staged — this is what OOMs
+        Obliv-C at ~300k records."""
+        keep = [c for c in cols if c != MASK] + (
+            [MASK] if MASK in rel.pdf.columns else []
+        )
         self._charge_live(
             "gc project",
             self._bits(rel.n_rows, rel.n_cols) * 3
-            + self._bits(rel.n_rows, len(cols)),
+            + self._bits(rel.n_rows, len(keep)),
         )
-        return GCRelation(rel.pdf[cols].copy())
+        return GCRelation(rel.pdf[keep].copy())
 
     def filter_eq(self, rel: GCRelation, col: str, const: int) -> GCRelation:
         """Oblivious filter: eq-compare each row against the constant.
@@ -112,10 +148,14 @@ class GCBackend:
         self._charge_live("gc filter", self._bits(n, rel.n_cols + 1))
         mask = (rel.pdf[col].to_numpy() == const).astype(np.int64)
         out = rel.pdf.copy()
-        out["__mask"] = (
-            mask if "__mask" not in out.columns else mask * out["__mask"].to_numpy()
-        )
+        out[MASK] = mask if MASK not in out.columns else mask * out[MASK].to_numpy()
         return GCRelation(out)
+
+    def arith(self, rel: GCRelation, out: str, left: str, op: str, right) -> GCRelation:
+        raise NotImplementedError(
+            "garbled-circuit backend supports relational ops only in this "
+            "reproduction; arithmetic-heavy queries run on Sharemind (§7.4)"
+        )
 
     def join(
         self, left: GCRelation, right: GCRelation, lk: str, rk: str
@@ -123,6 +163,8 @@ class GCBackend:
         """Cartesian-product join: n·m equality circuits plus muxes for
         the output columns. The n·m match flags are retained wire state —
         this is what OOMs Obliv-C at ~30k records."""
+        if not lk:
+            raise NotImplementedError("cross join unsupported on GC backend")
         n, m = left.n_rows, right.n_rows
         eq_and, _ = gate_counts("eq", self.k)
         mux_and, _ = gate_counts("mux", self.k)
@@ -135,8 +177,8 @@ class GCBackend:
         merged = left.pdf.merge(right.pdf, left_on=lk, right_on=rk)
         if rk != lk and rk in merged.columns:
             merged = merged.drop(columns=[rk])
-        if "__mask_x" in merged.columns:
-            merged["__mask"] = merged.pop("__mask_x") * merged.pop("__mask_y")
+        if f"{MASK}_x" in merged.columns:
+            merged[MASK] = merged.pop(f"{MASK}_x") * merged.pop(f"{MASK}_y")
         return GCRelation(merged.reset_index(drop=True))
 
     def agg_sum_by_key(
@@ -157,12 +199,36 @@ class GCBackend:
         self.meter.charge_gates(and_gates=gates)
         self._charge_live("gc aggregation", self._bits(n, 3) * 2)
         pdf = rel.pdf
-        if "__mask" in pdf.columns:
-            pdf = pdf[pdf["__mask"] == 1].drop(columns="__mask")
+        if MASK in pdf.columns:
+            pdf = pdf[pdf[MASK] == 1].drop(columns=MASK)
         out = pdf.groupby(key, as_index=False)[value].sum()
         return GCRelation(out.reset_index(drop=True))
 
-    def distinct_count(self, rel: GCRelation, col: str, *, presorted: bool = False) -> int:
+    def aggregate(
+        self, rel: GCRelation, group: list[str], agg_op: str, over: str | None,
+        out_col: str, *, input_sorted: bool = False,
+    ) -> GCRelation:
+        """SUM or COUNT of mask=1 rows, grouped by at most one column."""
+        if agg_op == "count" or over is None:
+            pdf = rel.pdf.copy()
+            pdf["__ones"] = np.int64(1)
+            rel, over = GCRelation(pdf), "__ones"
+        if not group:
+            # scalar sum: an adder chain, linear gates
+            add_and, _ = gate_counts("add", self.k)
+            self.meter.charge_gates(and_gates=rel.n_rows * add_and)
+            pdf = rel.pdf
+            work = pdf[pdf[MASK] == 1] if MASK in pdf.columns else pdf
+            return GCRelation(pd.DataFrame({out_col: [np.int64(work[over].sum())]}))
+        out = self.agg_sum_by_key(
+            self.project(rel, [group[0], over]), group[0], over,
+            presorted=input_sorted,
+        )
+        return GCRelation(out.pdf.rename(columns={over: out_col}))
+
+    def distinct_count(
+        self, rel: GCRelation, col: str, out_col: str, *, input_sorted: bool
+    ) -> GCRelation:
         """COUNT(DISTINCT col) (over mask=1 rows if filtered): sort
         network + eq-scan + counter adds."""
         n = rel.n_rows
@@ -170,21 +236,24 @@ class GCBackend:
         add_and, _ = gate_counts("add", self.k)
         swap_and, _ = gate_counts("cmp_swap", self.k)
         gates = n * (eq_and + add_and)
-        if not presorted:
+        if not input_sorted:
             gates += batcher_comparators(n) * swap_and
         self.meter.charge_gates(and_gates=gates)
         self._charge_live("gc distinct", self._bits(n, 2))
         pdf = rel.pdf
-        if "__mask" in pdf.columns:
-            pdf = pdf[pdf["__mask"] == 1]
-        return int(pdf[col].nunique())
+        if MASK in pdf.columns:
+            pdf = pdf[pdf[MASK] == 1]
+        return GCRelation(pd.DataFrame({out_col: [np.int64(pdf[col].nunique())]}))
 
-    def top_k_by(self, rel: GCRelation, key: str, k: int) -> GCRelation:
-        """ORDER BY key DESC LIMIT k: full sorting network, reveal first
-        k positions."""
+    def sort_by(self, rel: GCRelation, col: str, ascending: bool) -> GCRelation:
+        """ORDER BY col: a full sorting network over the records."""
         n = rel.n_rows
         swap_and, _ = gate_counts("cmp_swap", 2 * self.k)
         self.meter.charge_gates(and_gates=batcher_comparators(n) * swap_and)
         self._charge_live("gc sort", self._bits(n, rel.n_cols) * 2)
-        out = rel.pdf.sort_values(key, ascending=False, kind="stable").head(k)
+        out = rel.pdf.sort_values(col, ascending=ascending, kind="stable")
         return GCRelation(out.reset_index(drop=True))
+
+    def limit(self, rel: GCRelation, n: int) -> GCRelation:
+        """The first ``n`` positions: public, no ANDs."""
+        return GCRelation(rel.pdf.head(n).reset_index(drop=True))

@@ -39,7 +39,7 @@ def oblivious_shuffle(
     simulation driver only — no party learns it)."""
     perm = rng.permutation(rel.n_rows)
     return (
-        SharedRelation(
+        rel.with_columns(
             {n: vm.oblivious_permute(v, perm) for n, v in rel.columns.items()}
         ),
         perm,
@@ -106,7 +106,7 @@ def oblivious_sort(
             for s, d in zip(v.shares, delta.shares):
                 s[i_idx] += d
                 s[j_idx] -= d
-    return SharedRelation({name: vm.take(v, slice(0, n)) for name, v in cols.items()})
+    return rel.with_columns({name: vm.take(v, slice(0, n)) for name, v in cols.items()})
 
 
 # ------------------------------------------------------ segmented log-scan
@@ -197,17 +197,27 @@ def aggregate_sum_by_key(
         next_same = vm.share(np.zeros(1, np.int64))
     one = vm.share(np.ones(n, np.int64))
     is_end = vm.sub(one, next_same)
-    staged = SharedRelation(
-        {key: work.columns[key], value: sums, "__end": is_end}
+    return keep_group_ends(
+        vm, work.with_columns({key: work.columns[key], value: sums}), is_end, rng
     )
+
+
+def keep_group_ends(
+    vm: SecretSharingVM,
+    rel: SharedRelation,
+    is_end: SharedVector,
+    rng: np.random.Generator,
+) -> SharedRelation:
+    """Last step of a sort-based aggregation: shuffle the rows together
+    with their shared group-end flags, reveal the flags and keep the
+    group-end rows. The shuffle hides which sorted position (so which
+    group) each kept row came from; the number of groups is revealed."""
+    staged = rel.with_columns({**rel.columns, "__end": is_end})
     shuffled, _ = oblivious_shuffle(vm, staged, rng)
     flags = vm.reveal(shuffled.columns["__end"])
     keep = np.nonzero(flags == 1)[0]
-    return SharedRelation(
-        {
-            key: vm.take(shuffled.columns[key], keep),
-            value: vm.take(shuffled.columns[value], keep),
-        }
+    return rel.with_columns(
+        {n: vm.take(shuffled.columns[n], keep) for n in rel.columns}
     )
 
 
@@ -246,7 +256,8 @@ def join_cartesian(
     for name, v in right.columns.items():
         if name != right_key:
             out[name] = vm.gather(v, ri)
-    joined = SharedRelation(out)
+    right_scales = {n: s for n, s in right.scales.items() if n != right_key}
+    joined = SharedRelation(out, {**left.scales, **right_scales})
     shuffled, _ = oblivious_shuffle(vm, joined, rng) if joined.n_rows else (joined, None)
     return shuffled
 
@@ -257,7 +268,7 @@ def select_by_public_index(
     """Oblivious indexing (hybrid join step 6): the indexes were produced
     by the STP over *shuffled* row identities, so applying them is charged
     as the Laud-style select protocol."""
-    return SharedRelation({n: vm.gather(v, idx) for n, v in rel.columns.items()})
+    return rel.with_columns({n: vm.gather(v, idx) for n, v in rel.columns.items()})
 
 
 # ------------------------------------------------------------------ filter

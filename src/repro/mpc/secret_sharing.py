@@ -216,21 +216,6 @@ class SecretSharingVM:
             rounds=_CMP_ROUNDS, words_per_elem=_CMP_WORDS_PER_ELEM, n_elems=len(a),
         )
 
-    def eq_outer(self, a: SharedVector, b: SharedVector) -> SharedVector:
-        """All-pairs equality [a_i == b_j], flattened row-major (len(a)·len(b)).
-
-        This is the quadratic kernel of the Cartesian-product MPC join; the
-        communication charge is what makes the MPC join O(n²)."""
-        av = self._reconstruct_ring(a)
-        bv = self._reconstruct_ring(b)
-        flags = (av[:, None] == bv[None, :]).astype(np.int64).ravel()
-        return self._abb(
-            flags,
-            rounds=_CMP_ROUNDS,
-            words_per_elem=_CMP_WORDS_PER_ELEM,
-            n_elems=len(av) * len(bv),
-        )
-
     def div_fixed(self, num: SharedVector, den: SharedVector, scale: int) -> SharedVector:
         """Fixed-point division: floor(num * scale / den). ABB functionality
         (real secret-shared division is Goldschmidt-style iteration)."""

@@ -3,11 +3,13 @@
 A ``SharedRelation`` is a named, ordered set of :class:`SharedVector`
 columns of equal length. Row count is public (consistent with the paper:
 MPC input sizes are public; intermediate sizes are hidden unless a
-rewrite reveals them with authorization).
+rewrite reveals them with authorization). Columns computed by fixed-point
+division carry a power-of-two *scale* that the backend divides out on
+reveal; every protocol that rebuilds a relation keeps the scales.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -17,9 +19,11 @@ from .secret_sharing import SecretSharingVM, SharedVector
 
 @dataclass
 class SharedRelation:
-    """Column-oriented secret-shared relation."""
+    """Column-oriented secret-shared relation. ``scales`` maps a
+    fixed-point column to its fraction bits (absent: an integer column)."""
 
     columns: dict[str, SharedVector]
+    scales: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         lens = {len(v) for v in self.columns.values()}
@@ -34,13 +38,18 @@ class SharedRelation:
     def column_names(self) -> list[str]:
         return list(self.columns.keys())
 
-    def project(self, names: list[str]) -> "SharedRelation":
-        return SharedRelation({n: self.columns[n] for n in names})
+    def scale_of(self, col: str) -> int:
+        return self.scales.get(col, 0)
 
-    def rename(self, mapping: dict[str, str]) -> "SharedRelation":
+    def with_columns(self, columns: dict[str, SharedVector]) -> "SharedRelation":
+        """A relation over ``columns`` that keeps this one's scales of the
+        columns it still has (for rebuilding the same columns)."""
         return SharedRelation(
-            {mapping.get(n, n): v for n, v in self.columns.items()}
+            columns, {c: s for c, s in self.scales.items() if c in columns}
         )
+
+    def project(self, names: list[str]) -> "SharedRelation":
+        return self.with_columns({n: self.columns[n] for n in names})
 
 
 def share_dataframe(vm: SecretSharingVM, pdf: pd.DataFrame) -> SharedRelation:

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import pandas as pd
-import pyspark.sql.types as T
 
+from ..backends.spark_clear import to_spark
 from ..core.columns import Party
 from ..core import dag as D
 
@@ -26,20 +26,7 @@ class QuerySpec:
     input_names: list[str] = field(default_factory=list)
 
 
-#: Spark column type per pandas dtype kind (signed int, float, bool)
-_SPARK_TYPES = {"i": T.LongType(), "f": T.DoubleType(), "b": T.BooleanType()}
-
-
 def gen_to_spark(spark, gen: dict[str, pd.DataFrame]):
-    """Materialize generated pandas inputs as Spark DataFrames. The schema
-    comes from the pandas dtypes, so a frame with zero rows (an empty
-    SMCQL slice) loads too: Spark cannot infer a schema from no rows."""
-    return {
-        name: spark.createDataFrame(
-            pdf,
-            T.StructType(
-                [T.StructField(c, _SPARK_TYPES[t.kind]) for c, t in pdf.dtypes.items()]
-            ),
-        )
-        for name, pdf in gen.items()
-    }
+    """Materialize generated pandas inputs as Spark DataFrames (an empty
+    SMCQL slice loads too, see :func:`~repro.backends.spark_clear.to_spark`)."""
+    return {name: to_spark(spark, pdf) for name, pdf in gen.items()}

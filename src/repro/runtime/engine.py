@@ -17,7 +17,9 @@ paper's deployment model:
   in the clear, only matching rows re-enter MPC (or, when nothing
   downstream needs MPC, the result is assembled in the clear).
 
-All MPC/communication work is charged to one :class:`Meter`.
+The engine itself holds only Spark and cleartext work: every step under
+MPC is a call on one backend object, which owns the format of its MPC
+relations. All MPC/communication work is charged to one :class:`Meter`.
 """
 from __future__ import annotations
 
@@ -28,15 +30,13 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..backends.oblivc_sim import OblivcBackend
-from ..backends.sharemind_sim import MASK, SharemindBackend, SSRel
-from ..backends.spark_clear import exec_clear_node, join_index_pairs
+from ..backends.sharemind_sim import SharemindBackend
+from ..backends.spark_clear import exec_clear_node, join_index_pairs, to_spark
 from ..core import dag as D
 from ..core.compiler import Plan
-from ..mpc import protocols as P
 from ..mpc.accounting import Meter
+from ..mpc.gc_backend import GCBackend
 from ..mpc.secret_sharing import SecretSharingVM
-from ..mpc.shared_rel import SharedRelation
 
 
 @dataclass
@@ -71,13 +71,10 @@ class Engine:
         self.meter = meter if meter is not None else Meter()
         self.rng = np.random.default_rng(seed)
         if backend == "sharemind":
-            self.vm = SecretSharingVM(
-                n_parties=len(parties), meter=self.meter, seed=seed
-            )
-            self.backend = SharemindBackend(self.vm, self.rng)
+            vm = SecretSharingVM(n_parties=len(parties), meter=self.meter, seed=seed)
+            self.backend = SharemindBackend(vm, self.rng)
         elif backend == "oblivc":
-            self.vm = None
-            self.backend = OblivcBackend(self.meter)
+            self.backend = GCBackend(self.meter)
         else:  # pragma: no cover
             raise ValueError(backend)
 
@@ -85,10 +82,7 @@ class Engine:
     def _to_spark(self, pdf: pd.DataFrame) -> DataFrame:
         if len(pdf.columns) == 0:
             raise ValueError("empty schema")
-        if len(pdf) == 0:
-            # createDataFrame can't infer a schema from zero rows
-            pdf = pdf.astype("float64")
-        return self.spark.createDataFrame(pdf)
+        return to_spark(self.spark, pdf)
 
     def _charge_transfer(self, n_rows: int, n_cols: int) -> None:
         self.meter.charge_comm(rounds=1, bytes_sent=float(n_rows) * n_cols * 8)
@@ -300,21 +294,9 @@ class Engine:
         left_shared, li = matched_shared(parts_l, lgid, None)
         right_shared, ri = matched_shared(parts_r, rgid, n.right_key)
         # public indices: selection is share-local (free)
-        left_sel = self._take_public(left_shared, li)
-        right_sel = self._take_public(right_shared, ri)
+        left_sel = self.backend.take(left_shared, li)
+        right_sel = self.backend.take(right_shared, ri)
         return self.backend.concat_columns(left_sel, right_sel)
-
-    def _take_public(self, rel, idx: np.ndarray):
-        if isinstance(rel, SSRel):
-            return SSRel(
-                SharedRelation(
-                    {c: self.vm.take(v, idx) for c, v in rel.rel.columns.items()}
-                ),
-                dict(rel.scales),
-            )
-        from ..mpc.gc_backend import GCRelation
-
-        return GCRelation(rel.pdf.iloc[idx].reset_index(drop=True))
 
     # ------------------------------------------------------- hybrid join
     def _exec_hybrid_join(self, n: D.HybridJoin, pvals):
@@ -338,8 +320,7 @@ class Engine:
         # oblivious indexing back under MPC
         left_rows = be.select_rows(left, li)
         right_rows = be.select_rows(
-            be.project(right, [c for c in right.rel.column_names
-                               if c not in (n.right_key, MASK)]),
+            be.project(right, [c for c in right.column_names if c != n.right_key]),
             ri,
         )
         res = be.concat_columns(left_rows, right_rows)
@@ -370,37 +351,7 @@ class Engine:
         # indexes travel in the clear; parties reorder locally (free)
         self._charge_transfer(len(order) * len(self.parties), 1)
         reordered = be.reorder_public(rel, order)
-        # STP secret-shares the equality flags
-        same = self.vm.share(eq)
-        val = be._masked_value(reordered, n.over, n.agg_op)
-        scale = reordered.scale_of(n.over) if (n.agg_op == D.SUM and n.over) else 0
-        sums = P.segmented_scan_sum(self.vm, val, same)
-        nrows = len(eq)
-        is_end = np.ones(nrows, dtype=np.int64)
-        is_end[: nrows - 1] = 1 - eq[1:]
-        staged = SSRel(
-            SharedRelation(
-                {
-                    group: reordered.rel.columns[group],
-                    n.out_col: sums,
-                    "__end": self.vm.share(is_end),
-                }
-            ),
-            {n.out_col: scale} if scale else {},
+        # STP secret-shares the equality and group-end flags
+        return be.hybrid_aggregate(
+            reordered, group, n.agg_op, n.over, n.out_col, eq
         )
-        shuffled = be.shuffle(staged)
-        flags = self.vm.reveal(shuffled.rel.columns["__end"])
-        keep = np.nonzero(flags == 1)[0]
-        kept = self._take_public(
-            SSRel(
-                SharedRelation(
-                    {
-                        group: shuffled.rel.columns[group],
-                        n.out_col: shuffled.rel.columns[n.out_col],
-                    }
-                ),
-                shuffled.scales,
-            ),
-            keep,
-        )
-        return kept

@@ -28,11 +28,10 @@ import pyspark.sql.functions as F
 from pyspark.sql import SparkSession
 
 from .. import synth_data
-from ..backends.oblivc_sim import OBLIVM_GATES_PER_SECOND
 from ..core.compiler import CompileOptions, compile_query
 from ..mpc.accounting import Meter
 from ..mpc.circuits import gate_counts
-from ..mpc.gc_backend import WIRE_BYTES
+from ..mpc.gc_backend import OBLIVM_GATES_PER_SECOND, WIRE_BYTES, GCBackend
 from ..queries import aspirin, comorbidity
 from ..queries.base import gen_to_spark
 from ..runtime.engine import Engine
@@ -173,12 +172,10 @@ def run_comorbidity_smcql(
         partials.append(pdf)
     combined = pd.concat(partials, ignore_index=True).astype(np.int64)
     # MPC combine + sort + limit under ObliVM-style garbled circuits
-    from ..backends.oblivc_sim import OblivcBackend
-
-    be = OblivcBackend(meter)
+    be = GCBackend(meter)
     rel = be.input_rel(combined)
     agg = be.aggregate(rel, ["diag"], "sum", "cnt", "cnt")
-    top = be.gc.top_k_by(agg, "cnt", top_k)
+    top = be.limit(be.sort_by(agg, "cnt", ascending=False), top_k)
     return be.reveal(top), meter
 
 

@@ -47,9 +47,8 @@ def _sharemind_join(n: int) -> Meter:
     meter = Meter()
     vm = SecretSharingVM(3, meter, seed=2)
     left = share_dataframe(vm, _keyed(n, seed=1, n_keys=n))
-    right = share_dataframe(vm, _keyed(n, seed=2, n_keys=n))
-    P.join_cartesian(vm, left, right.rename({"v": "w"}), "k", "k",
-                     np.random.default_rng(2))
+    right = share_dataframe(vm, _keyed(n, seed=2, n_keys=n).rename(columns={"v": "w"}))
+    P.join_cartesian(vm, left, right, "k", "k", np.random.default_rng(2))
     return meter
 
 
@@ -66,7 +65,7 @@ def _sharemind_project(n: int) -> Meter:
 def _oblivc_agg(n: int) -> Meter:
     meter = Meter()
     be = GCBackend(meter)
-    rel = be.input_relation(_keyed(n, n_keys=max(1, n // 10)))
+    rel = be.input_rel(_keyed(n, n_keys=max(1, n // 10)))
     be.agg_sum_by_key(rel, "k", "v")
     return meter
 
@@ -74,8 +73,8 @@ def _oblivc_agg(n: int) -> Meter:
 def _oblivc_join(n: int) -> Meter:
     meter = Meter()
     be = GCBackend(meter)
-    left = be.input_relation(_keyed(n, seed=1, n_keys=n))
-    right = be.input_relation(_keyed(n, seed=2, n_keys=n).rename(columns={"v": "w"}))
+    left = be.input_rel(_keyed(n, seed=1, n_keys=n))
+    right = be.input_rel(_keyed(n, seed=2, n_keys=n).rename(columns={"v": "w"}))
     be.join(left, right, "k", "k")
     return meter
 
@@ -83,7 +82,7 @@ def _oblivc_join(n: int) -> Meter:
 def _oblivc_project(n: int) -> Meter:
     meter = Meter()
     be = GCBackend(meter)
-    rel = be.input_relation(_keyed(n))
+    rel = be.input_rel(_keyed(n))
     be.reveal(be.project(rel, ["k"]))
     return meter
 

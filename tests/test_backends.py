@@ -1,12 +1,13 @@
-"""Tests for the engine-facing backend adapters (Sharemind-sim SSRel
-ops with fixed-point scales and masks; Obliv-C-sim adapter)."""
+"""Tests for the two engine-facing MPC backends: ``SharemindBackend``
+over ``SharedRelation`` (fixed-point scales and the filter mask carried
+through every operator) and ``GCBackend`` over ``GCRelation``."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.backends.oblivc_sim import OblivcBackend
-from repro.backends.sharemind_sim import FP_BITS, MASK, SharemindBackend, SSRel
+from repro.backends.sharemind_sim import FP_BITS, MASK, SharemindBackend
 from repro.mpc.accounting import Meter
+from repro.mpc.gc_backend import GCBackend
 from repro.mpc.secret_sharing import SecretSharingVM
 
 
@@ -38,7 +39,7 @@ def test_concat_and_project(be):
 def test_filter_masks_and_reveal_drops_rows(be):
     r = be.input_rel(_pdf(a=[1, 2, 1], b=[10, 20, 30]))
     f = be.filter_eq(r, "a", 1)
-    assert f.has_mask
+    assert MASK in f.columns
     out = be.reveal(f)
     np.testing.assert_array_equal(out["b"], [10, 30])
 
@@ -157,15 +158,72 @@ def test_reveal_col_to_charges_less_than_full_reveal(be):
     assert single < full
 
 
+# A fixed-point column (q = num / den) must come out of every operator
+# that rebuilds a relation with its scale: without it, reveal returns the
+# raw ring values, q · 2^FP_BITS.
+_ROWS = _pdf(k=[3, 1, 2, 1], num=[1, 3, 5, 7], den=[2, 4, 8, 16])
+_OTHER = _pdf(k=[1, 2], w=[10, 20])
+
+
+def _hybrid_sum(be, r):
+    """The MPC half of a hybrid SUM of q by k, with the STP's clear sort
+    done here."""
+    keys = _ROWS["k"].to_numpy()
+    order = np.argsort(keys, kind="stable")
+    same = np.r_[0, (np.diff(keys[order]) == 0).astype(np.int64)]
+    return be.hybrid_aggregate(be.reorder_public(r, order), "k", "sum", "q", "s", same)
+
+
+_SCALED_OPS = {
+    "sort_by": (lambda be, r: be.sort_by(r, "k", ascending=True), lambda p: p),
+    "shuffle": (lambda be, r: be.shuffle(r), lambda p: p),
+    "select_rows": (
+        lambda be, r: be.select_rows(r, np.array([2, 0, 0])),
+        lambda p: p.iloc[[2, 0, 0]],
+    ),
+    "take": (lambda be, r: be.take(r, np.array([3, 1])), lambda p: p.iloc[[3, 1]]),
+    "limit": (lambda be, r: be.limit(r, 2), lambda p: p.head(2)),
+    "join_left": (
+        lambda be, r: be.join(r, be.input_rel(_OTHER), "k", "k"),
+        lambda p: p.merge(_OTHER, on="k"),
+    ),
+    "join_right": (
+        lambda be, r: be.join(be.input_rel(_OTHER), r, "k", "k"),
+        lambda p: _OTHER.merge(p, on="k"),
+    ),
+    "grouped_sum": (
+        lambda be, r: be.aggregate(r, ["k"], "sum", "q", "s"),
+        lambda p: p.groupby("k", as_index=False)["q"].sum().rename(columns={"q": "s"}),
+    ),
+    "hybrid_sum": (
+        _hybrid_sum,
+        lambda p: p.groupby("k", as_index=False)["q"].sum().rename(columns={"q": "s"}),
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SCALED_OPS))
+def test_fixed_point_scale_survives(be, op):
+    run, expect = _SCALED_OPS[op]
+    r = be.arith(be.input_rel(_ROWS), "q", "num", "/", "den")
+    got = be.reveal(run(be, r))
+    want = expect(_ROWS.assign(q=_ROWS["num"] / _ROWS["den"]))
+
+    def rows(df):
+        return df[sorted(df.columns)].sort_values(sorted(df.columns)).reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(rows(got), rows(want), check_dtype=False, atol=1e-5)
+
+
 def test_input_rejects_non_integer(be):
     with pytest.raises(TypeError):
         be.input_rel(pd.DataFrame({"x": [1.5]}))
 
 
-# ------------------------------------------------------------- oblivc-sim
+# ------------------------------------------------------------ gc backend
 @pytest.fixture()
-def gc() -> OblivcBackend:
-    return OblivcBackend(Meter())
+def gc() -> GCBackend:
+    return GCBackend(Meter())
 
 
 def test_gc_adapter_roundtrip(gc):
@@ -208,3 +266,13 @@ def test_gc_adapter_distinct_count(gc):
     r = gc.input_rel(_pdf(c=[5, 5, 6]))
     out = gc.distinct_count(r, "c", "dc", input_sorted=True)
     assert out.pdf["dc"].iloc[0] == 2
+
+
+@pytest.mark.parametrize(
+    "agg_op,over,want", [("sum", "v", [10, 30]), ("count", None, [1, 1])]
+)
+def test_gc_grouped_aggregate_honours_mask(gc, agg_op, over, want):
+    r = gc.input_rel(_pdf(g=[1, 1, 2, 2], x=[5, 6, 5, 7], v=[10, 20, 30, 40]))
+    r = gc.filter_eq(r, "x", 5)
+    out = gc.reveal(gc.aggregate(r, ["g"], agg_op, over, "s")).sort_values("g")
+    assert out["s"].tolist() == want

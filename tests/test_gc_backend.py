@@ -15,7 +15,7 @@ def _backend(cap_bytes=None, rate=10e6) -> GCBackend:
 
 
 def _rel(backend, **cols) -> GCRelation:
-    return backend.input_relation(
+    return backend.input_rel(
         pd.DataFrame({k: np.asarray(v, np.int64) for k, v in cols.items()})
     )
 
@@ -48,7 +48,7 @@ def test_join_matches_pandas():
     g = np.random.default_rng(3)
     l = pd.DataFrame({"k": g.integers(0, 8, 25), "a": np.arange(25)}).astype(np.int64)
     r = pd.DataFrame({"k": g.integers(0, 8, 15), "b": np.arange(15)}).astype(np.int64)
-    out = be.join(be.input_relation(l), be.input_relation(r), "k", "k").pdf
+    out = be.join(be.input_rel(l), be.input_rel(r), "k", "k").pdf
     expected = l.merge(r, on="k")
     pd.testing.assert_frame_equal(
         out.sort_values(["k", "a", "b"]).reset_index(drop=True),
@@ -127,20 +127,21 @@ def test_agg_presorted_cheaper():
 def test_distinct_count(presorted):
     be = _backend()
     rel = _rel(be, c=[3, 1, 3, 2, 2, 3])
-    assert be.distinct_count(rel, "c", presorted=presorted) == 3
+    out = be.distinct_count(rel, "c", "dc", input_sorted=presorted)
+    assert out.pdf["dc"].tolist() == [3]
 
 
 def test_distinct_count_with_mask():
     be = _backend()
     rel = _rel(be, c=[1, 2, 3], f=[1, 0, 1])
     rel = be.filter_eq(rel, "f", 1)
-    assert be.distinct_count(rel, "c") == 2
+    assert be.distinct_count(rel, "c", "dc", input_sorted=False).pdf["dc"].tolist() == [2]
 
 
 def test_top_k_by():
     be = _backend()
     rel = _rel(be, k=[1, 2, 3], cnt=[5, 50, 20])
-    out = be.top_k_by(rel, "cnt", 2).pdf
+    out = be.limit(be.sort_by(rel, "cnt", ascending=False), 2).pdf
     np.testing.assert_array_equal(out["k"], [2, 3])
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.backends.sharemind_sim import SharemindBackend, SSRel
+from repro.backends.sharemind_sim import SharemindBackend
 from repro.mpc.accounting import Meter, SimulatedOOM
 from repro.mpc import protocols as P
 from repro.mpc.secret_sharing import SecretSharingVM
@@ -175,11 +175,11 @@ def test_aggregate_sum_by_key_presorted_skips_sort(vm):
 
 
 def test_aggregate_sum_total_is_local(vm):
-    rel = SSRel(_share(vm, v=[1, 2, 3, 4]))
+    rel = _share(vm, v=[1, 2, 3, 4])
     r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
     out = _backend(vm).aggregate(rel, [], "sum", "v", "s")
     assert vm.meter.rounds == r0 and vm.meter.bytes_sent == b0
-    assert vm.reveal(out.rel.columns["s"])[0] == 10
+    assert vm.reveal(out.columns["s"])[0] == 10
 
 
 # -------------------------------------------------------------------- join
@@ -269,7 +269,7 @@ def _top_k(vm, limit: int, **cols) -> pd.DataFrame:
     """ORDER BY cnt DESC LIMIT ``limit`` as the engine runs it: a descending
     oblivious sort, then a public-position limit."""
     be = _backend(vm)
-    top = be.limit(be.sort_by(SSRel(_share(vm, **cols)), "cnt", ascending=False), limit)
+    top = be.limit(be.sort_by(_share(vm, **cols), "cnt", ascending=False), limit)
     return be.reveal(top)
 
 

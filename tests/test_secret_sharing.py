@@ -113,16 +113,6 @@ def test_eq(vm):
     )
 
 
-def test_eq_outer_flags_and_cost(vm):
-    a = np.array([1, 2, 3], dtype=np.int64)
-    b = np.array([3, 1], dtype=np.int64)
-    b0 = vm.meter.bytes_sent
-    flags = vm.reveal(vm.eq_outer(vm.share(a), vm.share(b)))
-    np.testing.assert_array_equal(flags, [0, 1, 0, 0, 1, 0])
-    # quadratic cost: at least 6 comparisons' worth of bytes
-    assert vm.meter.bytes_sent - b0 > 6 * 8
-
-
 def test_div_fixed(vm):
     num = vm.share(np.array([10, 7, 0], dtype=np.int64))
     den = vm.share(np.array([4, 2, 5], dtype=np.int64))
