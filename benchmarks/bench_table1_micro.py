@@ -2,13 +2,13 @@
 Sharemind-sim / Obliv-C-sim / Spark. Runs the quick sweep and checks
 the paper's shape: MPC operators are orders of magnitude slower than
 cleartext Spark, and the GC join hits its memory cliff."""
-from repro.bench_util import format_table
+from repro.bench_util import format_table, sweep
 from repro.tables import table1_micro
 
 
 def test_table1_micro(benchmark, spark):
     points = benchmark.pedantic(
-        lambda: table1_micro.run(spark, quick=True), rounds=1, iterations=1
+        lambda: sweep(spark, table1_micro, quick=True), rounds=1, iterations=1
     )
     print("\n" + format_table("T1 (Fig.1): single-operator scalability (quick)", points))
     by = {(p.system, p.n): p for p in points}

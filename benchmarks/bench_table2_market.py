@@ -1,12 +1,12 @@
 """Benchmark for Table T2 (Figure 4): market-concentration query —
 Conclave vs pure-Sharemind vs insecure Spark."""
-from repro.bench_util import format_table
+from repro.bench_util import format_table, sweep
 from repro.tables import table2_market
 
 
 def test_table2_market(benchmark, spark):
     points = benchmark.pedantic(
-        lambda: table2_market.run(spark, quick=True), rounds=1, iterations=1
+        lambda: sweep(spark, table2_market, quick=True), rounds=1, iterations=1
     )
     print("\n" + format_table("T2 (Fig.4): market concentration (quick)", points))
     by = {(p.system, p.n): p for p in points}

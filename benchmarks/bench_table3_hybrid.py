@@ -1,12 +1,12 @@
 """Benchmark for Table T3 (Figure 5): hybrid operator microbenchmarks —
 MPC vs hybrid vs public join; MPC vs hybrid aggregation."""
-from repro.bench_util import format_table
+from repro.bench_util import format_table, sweep
 from repro.tables import table3_hybrid
 
 
 def test_table3_hybrid(benchmark, spark):
     points = benchmark.pedantic(
-        lambda: table3_hybrid.run(spark, quick=True), rounds=1, iterations=1
+        lambda: sweep(spark, table3_hybrid, quick=True), rounds=1, iterations=1
     )
     print("\n" + format_table("T3 (Fig.5): hybrid operators (quick)", points))
     by = {(p.system, p.n): p for p in points}

@@ -1,12 +1,12 @@
 """Benchmark for Table T4 (Figure 6): credit-card regulation query —
 Conclave's hybrid operators vs whole-query Sharemind MPC."""
-from repro.bench_util import format_table
+from repro.bench_util import format_table, sweep
 from repro.tables import table4_credit
 
 
 def test_table4_credit(benchmark, spark):
     points = benchmark.pedantic(
-        lambda: table4_credit.run(spark, quick=True), rounds=1, iterations=1
+        lambda: sweep(spark, table4_credit, quick=True), rounds=1, iterations=1
     )
     print("\n" + format_table("T4 (Fig.6): credit-card regulation (quick)", points))
     by = {(p.system, p.n): p for p in points}

@@ -1,12 +1,12 @@
 """Benchmark for Table T5 (Figure 7a): aspirin count — Conclave (public
 join + slicing + sort elimination) vs SMCQL (sliced ObliVM MPCs)."""
-from repro.bench_util import format_table
+from repro.bench_util import format_table, sweep
 from repro.tables import table5_aspirin
 
 
 def test_table5_aspirin(benchmark, spark):
     points = benchmark.pedantic(
-        lambda: table5_aspirin.run(spark, quick=True), rounds=1, iterations=1
+        lambda: sweep(spark, table5_aspirin, quick=True), rounds=1, iterations=1
     )
     print("\n" + format_table("T5 (Fig.7a): aspirin count (quick)", points))
     by = {(p.system, p.n): p for p in points}

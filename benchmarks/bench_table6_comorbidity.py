@@ -1,13 +1,13 @@
 """Benchmark for Table T6 (Figure 7b): comorbidity — identical split-
 aggregation plan on Conclave's secret-sharing backend vs SMCQL's
 ObliVM-style garbled circuits."""
-from repro.bench_util import format_table
+from repro.bench_util import format_table, sweep
 from repro.tables import table6_comorbidity
 
 
 def test_table6_comorbidity(benchmark, spark):
     points = benchmark.pedantic(
-        lambda: table6_comorbidity.run(spark, quick=True), rounds=1, iterations=1
+        lambda: sweep(spark, table6_comorbidity, quick=True), rounds=1, iterations=1
     )
     print("\n" + format_table("T6 (Fig.7b): comorbidity (quick)", points))
     by = {(p.system, p.n): p for p in points}

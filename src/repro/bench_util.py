@@ -1,17 +1,20 @@
 """Shared harness for the per-table benchmark sweeps.
 
-Each table job produces rows ``{system, n, seconds, status}``. A point's
-``seconds`` is the meter's *hybrid clock* (wall + simulated network +
-simulated gates, see :mod:`repro.mpc.accounting`); ``status`` mirrors
-the paper's figure annotations: ``ok``, ``oom`` (simulated MPC VM out of
-memory) or ``dnf`` (simulated runtime exceeded the paper's patience
-threshold, e.g. ">1 h").
+Each ``repro.tables.tableN_*`` module declares ``SIZES`` (system label
+-> full and quick sizes) and ``point(spark, system, n) -> Meter``;
+:func:`sweep` drives it and yields one :class:`Point` per cell. A
+point's ``seconds`` is the meter's *hybrid clock* (wall + simulated
+network + simulated gates, see :mod:`repro.mpc.accounting`); ``status``
+mirrors the paper's figure annotations: ``ok``, ``oom`` (simulated MPC
+VM out of memory) or ``dnf`` (simulated runtime exceeded the paper's
+patience threshold, e.g. ">1 h").
 """
 from __future__ import annotations
 
 import sys
 import time
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable
 
 from .mpc.accounting import Meter, SimulatedOOM
@@ -28,16 +31,6 @@ class Point:
     status: str  # ok | oom | dnf
     wall: float = 0.0
     sim: float = 0.0
-
-    def as_row(self) -> dict:
-        return {
-            "system": self.system,
-            "n": self.n,
-            "seconds": None if self.seconds is None else round(self.seconds, 3),
-            "status": self.status,
-            "wall_s": round(self.wall, 3),
-            "sim_s": round(self.sim, 3),
-        }
 
 
 def run_point(
@@ -58,6 +51,16 @@ def run_point(
     )
 
 
+def sweep(spark, table: ModuleType, *, quick: bool = False) -> list[Point]:
+    """Run ``table.point`` over every (system, n) cell of ``table.SIZES``,
+    in declaration order, on the quick or the full sizes."""
+    return [
+        run_point(system, n, lambda: table.point(spark, system, n))
+        for system, (full, q) in table.SIZES.items()
+        for n in (q if quick else full)
+    ]
+
+
 def format_table(title: str, points: list[Point]) -> str:
     """A fixed-width table matching the figure's data series."""
     lines = [title, "-" * len(title)]
@@ -69,12 +72,4 @@ def format_table(title: str, points: list[Point]) -> str:
             f"{p.system:<22} {p.n:>12} {sec:>12} {p.status:>8} "
             f"{p.wall:>9.3f} {p.sim:>10.3f}"
         )
-    return "\n".join(lines)
-
-
-def points_to_markdown(points: list[Point]) -> str:
-    lines = ["| system | n | seconds | status |", "|---|---|---|---|"]
-    for p in points:
-        sec = f"{p.seconds:.2f}" if p.seconds is not None else "—"
-        lines.append(f"| {p.system} | {p.n:,} | {sec} | {p.status} |")
     return "\n".join(lines)

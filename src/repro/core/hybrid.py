@@ -7,8 +7,9 @@ when the propagated trust sets authorize it:
   STP), who learns both key columns (and result cardinality);
 * **public join** — both key columns are public (trust set = all
   parties); any party may compute the join in the clear;
-* **hybrid aggregation** — the group-by column's trust set contains an
-  STP, who learns the (shuffled) group-by column.
+* **hybrid aggregation** — the single group-by column's trust set
+  contains an STP, who learns the (shuffled) group-by column. The
+  protocol groups by one key, so a multi-column group-by stays in MPC.
 
 The chosen STP is the deterministic minimum of the authorized set, so
 all parties compile identical plans.
@@ -56,12 +57,10 @@ def apply_hybrid_rewrites(
             isinstance(n, D.Aggregate)
             and enable_hybrid
             and n.owner is None
-            and n.group_cols
+            and len(n.group_cols) == 1
             and not n.clear_count_at
         ):
-            authorized = frozenset.intersection(
-                *[n.parents[0].trust[g] for g in n.group_cols]
-            )
+            authorized = n.parents[0].trust[n.group_cols[0]]
             if not authorized:
                 continue
             new = D.HybridAggregate(

@@ -2,7 +2,8 @@
 
 ``jobs/tableN_*.py`` call :func:`main` with the table module; it builds
 (or reuses) a SparkSession configured like the test fixture, runs the
-sweep and prints the paper-style results table.
+table through :func:`repro.bench_util.sweep` and prints the paper-style
+results table.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import importlib
 
 from pyspark.sql import SparkSession
 
-from ..bench_util import format_table
+from ..bench_util import format_table, sweep
 
 
 def make_spark(app: str) -> SparkSession:
@@ -36,7 +37,7 @@ def main(table: str, title: str) -> None:
     mod = importlib.import_module(f"repro.tables.{table}")
     spark = make_spark(table)
     try:
-        points = mod.run(spark, quick=args.quick)
+        points = sweep(spark, mod, quick=args.quick)
         print()
         print(format_table(title, points))
     finally:

@@ -7,6 +7,8 @@ insecure Spark), swept over input sizes on a log scale. Reproduces the
 paper's observations: MPC aggregation/join die in the thousands-of-rows
 regime, Obliv-C OOMs (join ~tens of k, projection ~hundreds of k), and
 Spark handles millions of rows in seconds.
+
+:func:`repro.bench_util.sweep` drives :data:`SIZES` through :func:`point`.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import SparkSession
 
-from ..bench_util import Point, run_point
 from ..mpc import protocols as P
 from ..mpc.accounting import Meter
 from ..mpc.gc_backend import GCBackend
@@ -105,35 +106,31 @@ def _spark_op(spark: SparkSession, n: int, op: str) -> Meter:
     return meter
 
 
-SWEEPS = {
-    # (system, op) -> (sizes_full, sizes_quick)
-    ("sharemind", "agg"): ([100, 1000, 10_000, 100_000], [100, 1000, 10_000]),
-    ("sharemind", "join"): ([100, 1000, 3000, 10_000], [100, 1000, 3000]),
-    ("sharemind", "project"): ([1000, 10_000, 100_000, 1_000_000], [1000, 100_000]),
-    ("oblivc", "agg"): ([100, 1000, 10_000, 100_000], [100, 1000, 10_000]),
-    ("oblivc", "join"): ([100, 1000, 10_000, 40_000], [100, 1000, 40_000]),
-    ("oblivc", "project"): ([1000, 100_000, 1_000_000], [1000, 1_000_000]),
-    ("spark", "agg"): ([10_000, 100_000, 1_000_000, 3_000_000], [10_000, 100_000]),
-    ("spark", "join"): ([10_000, 100_000, 1_000_000], [10_000, 100_000]),
-    ("spark", "project"): ([10_000, 100_000, 3_000_000], [10_000, 100_000]),
+#: system/op -> (full, quick) input rows
+SIZES = {
+    "sharemind/agg": ([100, 1000, 10_000, 100_000], [100, 1000, 10_000]),
+    "sharemind/join": ([100, 1000, 3000, 10_000], [100, 1000, 3000]),
+    "sharemind/project": ([1000, 10_000, 100_000, 1_000_000], [1000, 100_000]),
+    "oblivc/agg": ([100, 1000, 10_000, 100_000], [100, 1000, 10_000]),
+    "oblivc/join": ([100, 1000, 10_000, 40_000], [100, 1000, 40_000]),
+    "oblivc/project": ([1000, 100_000, 1_000_000], [1000, 1_000_000]),
+    "spark/agg": ([10_000, 100_000, 1_000_000, 3_000_000], [10_000, 100_000]),
+    "spark/join": ([10_000, 100_000, 1_000_000], [10_000, 100_000]),
+    "spark/project": ([10_000, 100_000, 3_000_000], [10_000, 100_000]),
+}
+
+_MPC_KERNELS = {
+    "sharemind/agg": _sharemind_agg,
+    "sharemind/join": _sharemind_join,
+    "sharemind/project": _sharemind_project,
+    "oblivc/agg": _oblivc_agg,
+    "oblivc/join": _oblivc_join,
+    "oblivc/project": _oblivc_project,
 }
 
 
-def run(spark: SparkSession, *, quick: bool = False) -> list[Point]:
-    fns = {
-        ("sharemind", "agg"): _sharemind_agg,
-        ("sharemind", "join"): _sharemind_join,
-        ("sharemind", "project"): _sharemind_project,
-        ("oblivc", "agg"): _oblivc_agg,
-        ("oblivc", "join"): _oblivc_join,
-        ("oblivc", "project"): _oblivc_project,
-    }
-    points: list[Point] = []
-    for (system, op), (full, q) in SWEEPS.items():
-        for n in (q if quick else full):
-            label = f"{system}/{op}"
-            if system == "spark":
-                points.append(run_point(label, n, lambda: _spark_op(spark, n, op)))
-            else:
-                points.append(run_point(label, n, lambda: fns[(system, op)](n)))
-    return points
+def point(spark: SparkSession, system: str, n: int) -> Meter:
+    backend, op = system.split("/")
+    if backend == "spark":
+        return _spark_op(spark, n, op)
+    return _MPC_KERNELS[system](n)

@@ -11,32 +11,29 @@ Three systems over growing per-party trip counts:
 The paper runs to 1.3 B rows on a 9-node cluster; we sweep to 1 M rows
 per party (3 M total) on one box — Conclave's curve is linear in input
 size in both, so the shape comparison holds.
+
+:func:`repro.bench_util.sweep` drives :data:`SIZES` through :func:`point`.
 """
 from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
 from ..backends.spark_clear import run_query_clear
-from ..bench_util import Point, run_point
 from ..core.compiler import CompileOptions, compile_query
 from ..mpc.accounting import Meter
 from ..queries import market_concentration as Q
 from ..queries.base import gen_to_spark
 from ..runtime.engine import Engine
 
-FULL_NS = {
-    "conclave": [1000, 10_000, 100_000, 1_000_000],
-    "sharemind": [1000, 10_000, 100_000],
-    "insecure-spark": [1000, 10_000, 100_000, 1_000_000],
-}
-QUICK_NS = {
-    "conclave": [1000, 10_000],
-    "sharemind": [1000, 10_000],
-    "insecure-spark": [1000, 10_000],
+#: system -> (full, quick) rows per party
+SIZES = {
+    "conclave": ([1000, 10_000, 100_000, 1_000_000], [1000, 10_000]),
+    "sharemind": ([1000, 10_000, 100_000], [1000, 10_000]),
+    "insecure-spark": ([1000, 10_000, 100_000, 1_000_000], [1000, 10_000]),
 }
 
 
-def _run_system(spark: SparkSession, system: str, n_per_party: int) -> Meter:
+def point(spark: SparkSession, system: str, n_per_party: int) -> Meter:
     gen = Q.gen_inputs(n_per_party=n_per_party)
     spec = Q.build()
     data = gen_to_spark(spark, gen)
@@ -54,11 +51,3 @@ def _run_system(spark: SparkSession, system: str, n_per_party: int) -> Meter:
     eng.run(plan, data).collect()
     return eng.meter
 
-
-def run(spark: SparkSession, *, quick: bool = False) -> list[Point]:
-    ns = QUICK_NS if quick else FULL_NS
-    points: list[Point] = []
-    for system, sizes in ns.items():
-        for n in sizes:
-            points.append(run_point(system, n, lambda: _run_system(spark, system, n)))
-    return points

@@ -12,6 +12,8 @@ keyed data, compiled three ways:
 
 Aggregation splitting is disabled so the benchmark measures the
 operator, not the push-down (as in the paper's Figure 5 setup).
+
+:func:`repro.bench_util.sweep` drives :data:`SIZES` through :func:`point`.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..bench_util import Point, run_point
 from ..core import dag as D
 from ..core.columns import Column, Party
 from ..core.compiler import CompileOptions, compile_query
@@ -68,69 +69,36 @@ def _agg_query(mode: str):
     return out, [pa, pb, pc]
 
 
-def _run_join(spark: SparkSession, mode: str, n: int) -> Meter:
-    output, parties = _join_query(mode)
+#: mode-op -> (full, quick) rows per party
+SIZES = {
+    "mpc-join": ([200, 1000, 3000, 10_000], [200, 1000]),
+    "hybrid-join": ([1000, 10_000, 100_000, 200_000], [1000, 10_000]),
+    "public-join": ([1000, 10_000, 200_000, 2_000_000], [1000, 10_000]),
+    "mpc-agg": ([1000, 10_000, 50_000], [1000, 10_000]),
+    "hybrid-agg": ([10_000, 100_000, 1_000_000], [10_000]),
+}
+
+
+def point(spark: SparkSession, system: str, n_per_party: int) -> Meter:
+    mode, op = system.split("-")
+    output, parties = _join_query(mode) if op == "join" else _agg_query(mode)
     plan = compile_query(
         output,
         CompileOptions(parties=parties, allow_cardinality_leaking_pushdown=False),
     )
-    if mode == "mpc":
+    if system == "mpc-join":
         assert [j.site for j in plan.dag.nodes_of_type(D.Join)] == [("mpc",)]
     eng = Engine(spark, [p.name for p in parties])
-    data = {
-        "jl": spark.createDataFrame(_keyed(n, 1, n, "v")),
-        "jr": spark.createDataFrame(_keyed(n, 2, n, "w")),
-    }
-    eng.run(plan, data).collect()
+    if op == "join":
+        data = {
+            "jl": _keyed(n_per_party, 1, n_per_party, "v"),
+            "jr": _keyed(n_per_party, 2, n_per_party, "w"),
+        }
+    else:
+        n_keys = max(1, n_per_party // 10)
+        data = {
+            "ga": _keyed(n_per_party, 3, n_keys, "v"),
+            "gb": _keyed(n_per_party, 4, n_keys, "v"),
+        }
+    eng.run(plan, {k: spark.createDataFrame(v) for k, v in data.items()}).collect()
     return eng.meter
-
-
-def _run_agg(spark: SparkSession, mode: str, n_per_party: int) -> Meter:
-    output, parties = _agg_query(mode)
-    plan = compile_query(
-        output,
-        CompileOptions(parties=parties, allow_cardinality_leaking_pushdown=False),
-    )
-    eng = Engine(spark, [p.name for p in parties])
-    n_keys = max(1, n_per_party // 10)
-    data = {
-        "ga": spark.createDataFrame(_keyed(n_per_party, 3, n_keys, "v")),
-        "gb": spark.createDataFrame(_keyed(n_per_party, 4, n_keys, "v")),
-    }
-    eng.run(plan, data).collect()
-    return eng.meter
-
-
-FULL_NS = {
-    "mpc-join": [200, 1000, 3000, 10_000],
-    "hybrid-join": [1000, 10_000, 100_000, 200_000],
-    "public-join": [1000, 10_000, 200_000, 2_000_000],
-    "mpc-agg": [1000, 10_000, 50_000],
-    "hybrid-agg": [10_000, 100_000, 1_000_000],
-}
-QUICK_NS = {
-    "mpc-join": [200, 1000],
-    "hybrid-join": [1000, 10_000],
-    "public-join": [1000, 10_000],
-    "mpc-agg": [1000, 10_000],
-    "hybrid-agg": [10_000],
-}
-
-
-def run(spark: SparkSession, *, quick: bool = False) -> list[Point]:
-    ns = QUICK_NS if quick else FULL_NS
-    points: list[Point] = []
-    for system, sizes in ns.items():
-        op, mode = ("join", system.split("-")[0]) if "join" in system else (
-            "agg", system.split("-")[0]
-        )
-        for n in sizes:
-            if op == "join":
-                points.append(
-                    run_point(system, n, lambda: _run_join(spark, mode, n))
-                )
-            else:
-                points.append(
-                    run_point(system, n, lambda: _run_agg(spark, mode, n))
-                )
-    return points

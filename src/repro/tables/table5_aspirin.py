@@ -14,37 +14,27 @@
 
 Inputs use the paper's HealthLNK-like setting: 2% patient-ID overlap
 between the two hospitals.
+
+:func:`repro.bench_util.sweep` drives :data:`SIZES` through :func:`point`.
 """
 from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from ..bench_util import Point, run_point
 from ..mpc.accounting import Meter
 from ..queries import aspirin as Q
 from ..smcql.runners import run_aspirin_conclave, run_aspirin_smcql
 
-FULL_NS = {
-    "conclave": [4000, 40_000, 400_000, 4_000_000],
-    "smcql": [4000, 40_000, 400_000],
-}
-QUICK_NS = {
-    "conclave": [4000, 40_000],
-    "smcql": [4000, 40_000],
+#: system -> (full, quick) rows per party
+SIZES = {
+    "conclave": ([4000, 40_000, 400_000, 4_000_000], [4000, 40_000]),
+    "smcql": ([4000, 40_000, 400_000], [4000, 40_000]),
 }
 
 
-def _run_system(spark: SparkSession, system: str, n_per_party: int) -> Meter:
+def point(spark: SparkSession, system: str, n_per_party: int) -> Meter:
     gen = Q.gen_inputs(n_per_party=n_per_party, overlap_frac=0.02, seed=1)
     runner = run_aspirin_conclave if system == "conclave" else run_aspirin_smcql
     _, meter = runner(spark, gen)
     return meter
 
-
-def run(spark: SparkSession, *, quick: bool = False) -> list[Point]:
-    ns = QUICK_NS if quick else FULL_NS
-    points: list[Point] = []
-    for system, sizes in ns.items():
-        for n in sizes:
-            points.append(run_point(system, n, lambda: _run_system(spark, system, n)))
-    return points

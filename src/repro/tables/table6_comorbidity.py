@@ -6,27 +6,25 @@ MPC backend — Conclave's secret-sharing (Sharemind-style) vs SMCQL's
 garbled circuits (ObliVM-style) — which is exactly the paper's
 explanation for the Figure 7b gap. Distinct diagnosis keys are 10% of
 the per-party row count, per §7.4.
+
+:func:`repro.bench_util.sweep` drives :data:`SIZES` through :func:`point`.
 """
 from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from ..bench_util import Point, run_point
 from ..mpc.accounting import Meter
 from ..queries import comorbidity as Q
 from ..smcql.runners import run_comorbidity_conclave, run_comorbidity_smcql
 
-FULL_NS = {
-    "conclave": [2000, 20_000, 200_000],
-    "smcql": [2000, 20_000, 200_000],
-}
-QUICK_NS = {
-    "conclave": [2000, 20_000],
-    "smcql": [2000, 20_000],
+#: system -> (full, quick) rows per party
+SIZES = {
+    "conclave": ([2000, 20_000, 200_000], [2000, 20_000]),
+    "smcql": ([2000, 20_000, 200_000], [2000, 20_000]),
 }
 
 
-def _run_system(spark: SparkSession, system: str, n_per_party: int) -> Meter:
+def point(spark: SparkSession, system: str, n_per_party: int) -> Meter:
     gen = Q.gen_inputs(n_per_party=n_per_party, distinct_key_frac=0.1, seed=1)
     runner = (
         run_comorbidity_conclave if system == "conclave" else run_comorbidity_smcql
@@ -34,11 +32,3 @@ def _run_system(spark: SparkSession, system: str, n_per_party: int) -> Meter:
     _, meter = runner(spark, gen)
     return meter
 
-
-def run(spark: SparkSession, *, quick: bool = False) -> list[Point]:
-    ns = QUICK_NS if quick else FULL_NS
-    points: list[Point] = []
-    for system, sizes in ns.items():
-        for n in sizes:
-            points.append(run_point(system, n, lambda: _run_system(spark, system, n)))
-    return points

@@ -149,6 +149,24 @@ def test_hybrid_disabled_by_option():
     assert not plan.dag.nodes_of_type(D.HybridAggregate)
 
 
+@pytest.mark.parametrize(
+    "group, hybrid", [(["g1"], True), (["g1", "g2"], False)]
+)
+def test_hybrid_aggregation_only_for_one_group_column(group, hybrid):
+    # the hybrid aggregation protocol groups by a single STP-visible key
+    pa, pb, pc = Party("a"), Party("b"), Party("c")
+    mk = lambda: [  # noqa: E731
+        Column("g1", trust=(pc,)), Column("g2", trust=(pc,)), Column("v")
+    ]
+    t = concat([newTable(mk(), at=pa, name="ta"), newTable(mk(), at=pb, name="tb")])
+    out = t.aggregate("s", D.SUM, group=group, over="v").collect(to=[pa])
+    plan = compile_query(
+        out,
+        CompileOptions(parties=[pa, pb, pc], allow_cardinality_leaking_pushdown=False),
+    )
+    assert bool(plan.dag.nodes_of_type(D.HybridAggregate)) == hybrid
+
+
 def test_aspirin_public_join():
     spec = aspirin.build()
     plan = _compile(spec)

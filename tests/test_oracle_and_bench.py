@@ -1,9 +1,11 @@
 """Self-tests for the DuckDB oracle and the bench harness."""
+import types
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.bench_util import Point, format_table, points_to_markdown, run_point
+from repro.bench_util import Point, format_table, run_point, sweep
 from repro.mpc.accounting import Meter, SimulatedOOM
 from repro.oracle import assert_equivalent
 
@@ -72,12 +74,40 @@ def test_run_point_dnf():
     assert p.status == "dnf" and p.seconds > 3600
 
 
-def test_format_table_and_markdown():
+def _stub_table():
+    """A table module with one system that runs and one that OOMs."""
+    def point(spark, system, n):
+        if system == "ooms":
+            raise SimulatedOOM("stub", n, 1)
+        m = Meter()
+        m.charge_comm(rounds=1, bytes_sent=n)
+        return m
+
+    return types.SimpleNamespace(
+        SIZES={"runs": ([10, 20, 30], [10]), "ooms": ([40, 50], [50])},
+        point=point,
+    )
+
+
+@pytest.mark.parametrize(
+    "quick, want",
+    [
+        (False, [("runs", 10, "ok"), ("runs", 20, "ok"), ("runs", 30, "ok"),
+                 ("ooms", 40, "oom"), ("ooms", 50, "oom")]),
+        (True, [("runs", 10, "ok"), ("ooms", 50, "oom")]),
+    ],
+)
+def test_sweep_runs_sizes_in_order(quick, want):
+    pts = sweep(None, _stub_table(), quick=quick)
+    assert [(p.system, p.n, p.status) for p in pts] == want
+    assert all((p.seconds is None) == (p.status == "oom") for p in pts)
+    assert all(p.sim > 0 for p in pts if p.status == "ok")
+
+
+def test_format_table():
     pts = [
         Point("a", 100, 1.5, "ok", wall=1.0, sim=0.5),
         Point("b", 200, None, "oom"),
     ]
     txt = format_table("title", pts)
     assert "title" in txt and "a" in txt and "oom" in txt
-    md = points_to_markdown(pts)
-    assert md.count("|") > 8 and "—" in md

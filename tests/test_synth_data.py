@@ -1,12 +1,10 @@
-"""Tests for the synthetic dataset generators (paper datasets + the
-provided TPC-H-lite scaffolding)."""
+"""Tests for the synthetic stand-ins of the paper's datasets."""
 import numpy as np
 import pytest
 
 from repro import synth_data as S
 
 
-# ----------------------------------------------------------- paper data
 @pytest.mark.parametrize("n", [1, 100, 5000])
 def test_taxi_trips_shape_and_types(n):
     pdf = S.taxi_trips(n=n, seed=1)
@@ -76,25 +74,3 @@ def test_comorbidity_distinct_key_fraction():
     pdf = S.comorbidity_diagnoses(n=10_000, distinct_key_frac=0.1, seed=1)
     assert pdf["diag"].nunique() <= 1000
     assert pdf["diag"].nunique() > 900  # nearly all keys drawn at 10k rows
-
-
-# ------------------------------------------------- provided TPC-H-lite
-def test_lineitem_scale_factor(spark):
-    df = S.lineitem(spark, sf=0.001)
-    assert df.count() == 6000
-
-
-def test_orders_keys_contiguous(spark):
-    df = S.orders(spark, sf=0.001)
-    pdf = df.toPandas()
-    assert pdf["o_orderkey"].min() == 1
-    assert pdf["o_orderkey"].is_unique
-
-
-def test_uniform_and_zipf_keys(spark):
-    u = S.uniform_keys(spark, n=1000, n_keys=10).toPandas()
-    z = S.zipf_keys(spark, n=1000, n_keys=10, alpha=1.5).toPandas()
-    assert u["k"].between(1, 10).all()
-    assert z["k"].between(1, 10).all()
-    # zipf is skewed: the most frequent key dominates
-    assert z["k"].value_counts().iloc[0] > u["k"].value_counts().iloc[0]
