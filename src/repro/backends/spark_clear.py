@@ -1,16 +1,16 @@
 """Cleartext execution of DAG nodes as Spark DataFrame operations.
 
-Every local per-party step, STP step, and recipient post-processing step
-the compiler produces is executed here through the DataFrame API (so
+Every local per-party step and recipient post-processing step the
+compiler produces is executed here through the DataFrame API (so
 Catalyst plans it); the same functions power the "insecure Spark"
 baseline that runs a whole query in the clear over the unioned inputs
-(§7.1's insecure comparison line).
+(§7.1's insecure comparison line). The key join and sort of a hybrid or
+public operator run in numpy, in :mod:`repro.runtime.engine`.
 """
 from __future__ import annotations
 
 from functools import reduce
 
-import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 import pyspark.sql.types as T
@@ -92,33 +92,6 @@ def exec_clear_node(node: D.Node, inputs: list[DataFrame]) -> DataFrame:
     if isinstance(node, D.Output):
         return inputs[0]
     raise NotImplementedError(type(node))  # pragma: no cover
-
-
-def join_index_pairs(
-    left: DataFrame,
-    right: DataFrame,
-    key: str,
-    left_id: str,
-    right_id: str,
-    *,
-    by_key: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate the ``(left_id, right_id)`` pairs of an equi-join on
-    ``key`` — the cleartext join a public join's party or a hybrid join's
-    STP runs in Spark.
-
-    The join runs in Spark; its unordered output is collected to numpy and
-    sorted there with one ``np.lexsort``, by (key, left id, right id), or
-    by (left id, right id) when ``by_key`` is false. The pairs are
-    collected for sharing anyway, so a Spark ``orderBy`` would only add a
-    range-partition sampling job and one more shuffle. The sort tuples
-    are unique, so the order is total.
-    """
-    pdf = left.join(right, on=key).select(key, left_id, right_id).toPandas()
-    lids = pdf[left_id].to_numpy(np.int64)
-    rids = pdf[right_id].to_numpy(np.int64)
-    order = np.lexsort((rids, lids, pdf[key].to_numpy()) if by_key else (rids, lids))
-    return lids[order], rids[order]
 
 
 def run_query_clear(

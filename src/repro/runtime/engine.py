@@ -12,10 +12,13 @@ paper's deployment model:
   state, entered via ``inputToMPC`` (``DataFrame.toPandas`` → share) and
   left via ``revealTo`` (reveal → ``spark.createDataFrame``);
 * ``("hybrid", stp)`` nodes execute the §5.3 hybrid join / hybrid
-  aggregation protocols, with the STP's cleartext steps in Spark;
+  aggregation protocols. The STP's key join and sort run on the driver
+  in numpy (:func:`join_index_pairs`, ``np.argsort``) over the key
+  arrays it was revealed;
 * ``("public", party)`` nodes execute the public join: key columns move
-  in the clear, only matching rows re-enter MPC (or, when nothing
-  downstream needs MPC, the result is assembled in the clear).
+  in the clear and are joined in numpy on the driver, and only matching
+  rows re-enter MPC (or, when nothing downstream needs MPC, the result
+  is assembled in the clear).
 
 The engine itself holds only Spark and cleartext work: every step under
 MPC is a call on one backend object, which owns the format of its MPC
@@ -31,12 +34,38 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..backends.sharemind_sim import SharemindBackend
-from ..backends.spark_clear import exec_clear_node, join_index_pairs, to_spark
+from ..backends.spark_clear import exec_clear_node, to_spark
 from ..core import dag as D
 from ..core.compiler import Plan
 from ..mpc.accounting import Meter
 from ..mpc.gc_backend import GCBackend
 from ..mpc.secret_sharing import SecretSharingVM
+
+
+def join_index_pairs(
+    lkeys: np.ndarray, rkeys: np.ndarray, *, by_key: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate the ``(left position, right position)`` pairs of an
+    equi-join of two int64 key arrays: the cleartext join a public join's
+    party or a hybrid join's STP runs.
+
+    The pairs come ordered by (key, left, right), or by (left, right) when
+    ``by_key`` is false. The right keys are sorted with a stable
+    ``np.argsort``, and so are the left keys when ``by_key`` is true
+    (otherwise the left rows are taken in position order).
+    ``np.searchsorted`` finds each left row's run of equal right keys,
+    and ``np.repeat`` expands the runs into pairs. Within a run the right
+    positions ascend (the sort is stable), so the pairs need no sort of
+    their own.
+    """
+    rorder = np.argsort(rkeys, kind="stable")
+    lorder = np.argsort(lkeys, kind="stable") if by_key else np.arange(len(lkeys))
+    rsorted, lsorted = rkeys[rorder], lkeys[lorder]
+    start = np.searchsorted(rsorted, lsorted, side="left")
+    counts = np.searchsorted(rsorted, lsorted, side="right") - start
+    # each pair's offset inside its left row's run of equal right keys
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(lorder, counts), rorder[np.repeat(start, counts) + within]
 
 
 @dataclass
@@ -226,34 +255,23 @@ class Engine:
     def _exec_public_join(self, dag, n: D.PublicJoin, pvals):
         """§5.3 public join. Key columns are public: they travel in the
         clear to ``n.at``, which computes matching row-id pairs with a
-        Spark join, sorted by (key, left row id, right row id) — so a §5.4
+        numpy equi-join on the driver (:func:`join_index_pairs`), ordered
+        by (key, left row id, right row id) so that a §5.4
         sort-eliminated consumer sees its key in order. Only matching rows
         then re-enter MPC (or, with no MPC downstream, the result is
         assembled in the clear)."""
         parts_l = {p: df.toPandas() for p, df in sorted(self._as_parts(pvals[0]).items())}
         parts_r = {p: df.toPandas() for p, df in sorted(self._as_parts(pvals[1]).items())}
 
-        def keys_frame(parts: dict[str, pd.DataFrame], key: str):
-            frames, offset = [], 0
-            for _, pdf in parts.items():
-                frames.append(
-                    pd.DataFrame(
-                        {key: pdf[key], "gid": np.arange(offset, offset + len(pdf))}
-                    )
-                )
-                offset += len(pdf)
-            return pd.concat(frames, ignore_index=True)
-
-        lkeys = keys_frame(parts_l, n.left_key)
-        rkeys = keys_frame(parts_r, n.right_key)
+        # the parts' key columns in part order: a key's position is its row id
+        lkeys, rkeys = (
+            np.concatenate([pdf[key].to_numpy(np.int64) for pdf in parts.values()])
+            for parts, key in ((parts_l, n.left_key), (parts_r, n.right_key))
+        )
         # the key columns cross the network in the clear
         self._charge_transfer(len(lkeys) + len(rkeys), 2)
-        # clear join at the chosen party, in Spark
-        ldf = self._to_spark(lkeys).withColumnRenamed("gid", "lgid")
-        rdf = self._to_spark(
-            rkeys.rename(columns={n.right_key: n.left_key})
-        ).withColumnRenamed("gid", "rgid")
-        lgid, rgid = join_index_pairs(ldf, rdf, n.left_key, "lgid", "rgid")
+        # clear join at the chosen party
+        lgid, rgid = join_index_pairs(lkeys, rkeys)
         # index pairs go back to every party
         self._charge_transfer(len(lgid) * len(self.parties), 2)
 
@@ -301,8 +319,9 @@ class Engine:
     # ------------------------------------------------------- hybrid join
     def _exec_hybrid_join(self, n: D.HybridJoin, pvals):
         """§5.3 hybrid join (Figure 3): oblivious shuffles, key columns
-        revealed to the STP, clear join + enumeration at the STP (in
-        Spark), oblivious indexing to rebuild the result under MPC."""
+        revealed to the STP, clear join + enumeration at the STP (a numpy
+        equi-join on the driver), oblivious indexing to rebuild the result
+        under MPC."""
         be = self.backend
         if not isinstance(be, SharemindBackend):
             raise NotImplementedError("hybrid operators need the secret-sharing backend")
@@ -311,10 +330,8 @@ class Engine:
         # reveal key-only projections to the STP
         lk = be.reveal_col_to(left, n.left_key, n.stp)
         rk = be.reveal_col_to(right, n.right_key, n.stp)
-        # STP: enumerate + clear join in Spark
-        ldf = self._to_spark(pd.DataFrame({"k": lk, "li": np.arange(len(lk))}))
-        rdf = self._to_spark(pd.DataFrame({"k": rk, "ri": np.arange(len(rk))}))
-        li, ri = join_index_pairs(ldf, rdf, "k", "li", "ri", by_key=False)
+        # STP: enumerate + clear join
+        li, ri = join_index_pairs(lk, rk, by_key=False)
         # STP secret-shares the index relations (inputToMPC)
         self._charge_transfer(len(li) + len(ri), 1)
         # oblivious indexing back under MPC
@@ -329,22 +346,19 @@ class Engine:
     # ------------------------------------------------ hybrid aggregation
     def _exec_hybrid_agg(self, n: D.HybridAggregate, pvals):
         """§5.3 hybrid aggregation: shuffle, reveal the group-by column
-        to the STP, clear sort at the STP (Spark), public reorder,
-        oblivious accumulation with STP-shared equality flags, shuffle +
-        flag reveal to drop non-group-end rows."""
+        to the STP, clear sort at the STP (a stable ``np.argsort`` on the
+        driver), public reorder, oblivious accumulation with STP-shared
+        equality flags, shuffle + flag reveal to drop non-group-end rows."""
         be = self.backend
         if not isinstance(be, SharemindBackend):
             raise NotImplementedError("hybrid operators need the secret-sharing backend")
         rel = be.shuffle(self._ensure_mpc(pvals[0]))
         group = n.group_cols[0]
         keys = be.reveal_col_to(rel, group, n.stp)
-        # STP: sort the (key, idx) relation in the clear, in Spark
-        kdf = self._to_spark(
-            pd.DataFrame({"k": keys, "idx": np.arange(len(keys))})
-        )
-        ordered = kdf.orderBy("k", "idx").toPandas()
-        order = ordered["idx"].to_numpy().astype(np.int64)
-        sorted_keys = ordered["k"].to_numpy()
+        # STP: sort the rows by key in the clear; stability breaks ties
+        # by row position
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
         eq = np.zeros(len(keys), dtype=np.int64)
         if len(keys) > 1:
             eq[1:] = (sorted_keys[1:] == sorted_keys[:-1]).astype(np.int64)

@@ -16,7 +16,9 @@ from ..bench_util import format_table, sweep
 
 
 def make_spark(app: str) -> SparkSession:
-    return (
+    """A SparkSession that prints no stage progress bars and logs only
+    errors, so that a job's output is its table."""
+    spark = (
         SparkSession.builder.appName(app)
         .config("spark.driver.memory", "8g")
         .config("spark.sql.shuffle.partitions", "64")
@@ -24,8 +26,11 @@ def make_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
+    spark.sparkContext.setLogLevel("ERROR")
+    return spark
 
 
 def main(table: str, title: str) -> None:

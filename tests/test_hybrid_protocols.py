@@ -10,6 +10,9 @@ from repro.core import dag as D
 from repro.core.columns import Column, Party
 from repro.core.compiler import CompileOptions, compile_query
 from repro.core.lang import concat, newTable
+from repro.queries import aspirin, credit_card
+from repro.queries.base import gen_to_spark
+from repro.runtime import engine as engine_mod
 from repro.runtime.engine import Engine
 
 
@@ -82,6 +85,66 @@ def test_boundary_join_pairs_in_key_order(spark, unordered_joins, mode):
         got.reset_index(drop=True), expected.reset_index(drop=True),
         check_dtype=False,
     )
+
+
+@pytest.mark.parametrize("mode", ["public", "hybrid"])
+def test_boundary_join_without_match_is_empty(spark, mode):
+    plan, parties = _join_plan(mode)
+    jl = pd.DataFrame({"k": np.arange(10), "v": np.arange(10)})
+    jr = pd.DataFrame({"k": np.arange(100, 108), "w": np.arange(8)})
+    data = {"jl": spark.createDataFrame(jl), "jr": spark.createDataFrame(jr)}
+    got = Engine(spark, [p.name for p in parties]).run(plan, data).toPandas()
+    assert sorted(got.columns) == ["k", "v", "w"]
+    assert len(got) == 0
+
+
+def test_credit_with_disjoint_ssns_is_empty(spark):
+    """No bank SSN is the regulator's: the hybrid join matches nothing,
+    and the hybrid aggregations see zero rows."""
+    gen = credit_card.gen_inputs(n_holders=60)
+    for bank in ("scores_b", "scores_c"):
+        gen[bank] = gen[bank].assign(ssn=gen[bank]["ssn"] + 1_000_000)
+    spec = credit_card.build()
+    plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
+    eng = Engine(spark, [p.name for p in spec.parties])
+    got = eng.run(plan, gen_to_spark(spark, gen)).toPandas()
+    assert sorted(got.columns) == ["avg_score", "cnt", "total", "zip"]
+    assert len(got) == 0
+
+
+@pytest.mark.parametrize(
+    "query,gen",
+    [
+        (credit_card, lambda: credit_card.gen_inputs(n_holders=200)),
+        (aspirin, lambda: aspirin.gen_inputs(n_per_party=200, overlap_frac=0.2)),
+    ],
+    ids=["credit", "aspirin"],
+)
+def test_boundary_operators_send_nothing_to_spark(spark, monkeypatch, query, gen):
+    """The hybrid join, hybrid aggregation and public join compute their
+    key join or sort on the driver: the engine hands Spark only the
+    frames MPC reveals, none of the boundary operators' keys."""
+    revealed, loaded = [], []
+    reveal, to_spark = SharemindBackend.reveal, engine_mod.to_spark
+
+    def reveal_spy(self, rel):
+        pdf = reveal(self, rel)
+        revealed.append(pdf)
+        return pdf
+
+    def to_spark_spy(spark_, pdf):
+        loaded.append(pdf)
+        return to_spark(spark_, pdf)
+
+    monkeypatch.setattr(SharemindBackend, "reveal", reveal_spy)
+    monkeypatch.setattr(engine_mod, "to_spark", to_spark_spy)
+    spec = query.build()
+    plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
+    eng = Engine(spark, [p.name for p in spec.parties])
+    eng.run(plan, gen_to_spark(spark, gen())).collect()
+    assert revealed
+    assert len(loaded) == len(revealed)
+    assert all(a is b for a, b in zip(loaded, revealed))
 
 
 def test_hybrid_join_cheaper_than_mpc_join(spark):
@@ -199,6 +262,42 @@ def test_hybrid_agg_stp_sees_only_group_column(spark, monkeypatch):
         plan, {"ga": spark.createDataFrame(df()), "gb": spark.createDataFrame(df())}
     )
     assert revealed and all(col == "k" and party == "c" for col, party in revealed)
+
+
+def test_hybrid_agg_order_matches_spark_order_by(spark, monkeypatch):
+    """With duplicate group keys, the STP's clear sort reorders the rows
+    exactly as a Spark ``orderBy("k", "idx")`` of the revealed keys."""
+    keys, orders = [], []
+    reveal_col_to = SharemindBackend.reveal_col_to
+    reorder_public = SharemindBackend.reorder_public
+
+    def reveal_spy(self, rel, col, party):
+        out = reveal_col_to(self, rel, col, party)
+        keys.append(out)
+        return out
+
+    def reorder_spy(self, rel, order):
+        orders.append(order)
+        return reorder_public(self, rel, order)
+
+    monkeypatch.setattr(SharemindBackend, "reveal_col_to", reveal_spy)
+    monkeypatch.setattr(SharemindBackend, "reorder_public", reorder_spy)
+    plan, parties = _agg_plan("hybrid")
+    g = np.random.default_rng(6)
+    df = lambda: pd.DataFrame(  # noqa: E731
+        {"k": g.integers(0, 4, 40), "v": g.integers(0, 9, 40)}
+    ).astype(np.int64)
+    eng = Engine(spark, [p.name for p in parties])
+    eng.run(
+        plan, {"ga": spark.createDataFrame(df()), "gb": spark.createDataFrame(df())}
+    )
+    assert len(keys) == len(orders) == 1
+    kdf = spark.createDataFrame(
+        pd.DataFrame({"k": keys[0], "idx": np.arange(len(keys[0]))})
+    )
+    expected = kdf.orderBy("k", "idx").toPandas()["idx"].to_numpy()
+    assert len(np.unique(keys[0])) < len(keys[0])
+    np.testing.assert_array_equal(orders[0], expected)
 
 
 def test_hybrid_ops_require_secret_sharing_backend(spark):

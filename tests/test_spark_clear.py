@@ -7,12 +7,9 @@ import pytest
 from repro.core import dag as D
 from repro.core.columns import Column, Party
 from repro.core.lang import Rel, concat, newTable
-from repro.backends.spark_clear import (
-    exec_clear_node,
-    join_index_pairs,
-    run_query_clear,
-)
+from repro.backends.spark_clear import exec_clear_node, run_query_clear, to_spark
 from repro.oracle import assert_equivalent
+from repro.runtime.engine import join_index_pairs
 
 
 @pytest.fixture()
@@ -153,31 +150,32 @@ def test_exec_clear_node_rejects_unknown():
         exec_clear_node(Bogus([], []), [])
 
 
+#: left and right key arrays of each equi-join case
+_KEY_CASES = {
+    "many-to-many": lambda g: (g.integers(0, 40, 300), g.integers(0, 40, 250)),
+    "empty-left": lambda g: (np.zeros(0), g.integers(0, 5, 20)),
+    "empty-right": lambda g: (g.integers(0, 5, 20), np.zeros(0)),
+    "no-match": lambda g: ([1, 2], [3]),
+    "extreme-keys": lambda g: (
+        g.choice([-(2**62), -7, 0, 7, 2**62], 60),
+        g.choice([-(2**62), -7, 3, 2**62], 50),
+    ),
+}
+
+
 def test_join_index_pairs_match_spark_order_by(spark, unordered_joins):
-    """Many-to-many keys: the lexsort after the collect returns exactly the
-    pairs, in exactly the order, of a Spark ``orderBy`` on the join."""
+    """The driver-side equi-join returns exactly the position pairs, in
+    exactly the order, of a Spark ``orderBy`` on the same join: by (key,
+    left, right) and by (left, right)."""
     g = np.random.default_rng(8)
-    left = spark.createDataFrame(pd.DataFrame(
-        {"k": g.integers(0, 40, 300), "li": g.permutation(300)}
-    ))
-    right = spark.createDataFrame(pd.DataFrame(
-        {"k": g.integers(0, 40, 250), "ri": g.permutation(250)}
-    ))
-    joined = left.join(right, on="k").select("k", "li", "ri")
-    raw = joined.toPandas()
-    # precondition: Spark's own join output is not in key order
-    assert not raw["k"].is_monotonic_increasing
-    for by_key, order in ((True, ("k", "li", "ri")), (False, ("li", "ri"))):
-        expected = joined.orderBy(*order).toPandas()
-        li, ri = join_index_pairs(left, right, "k", "li", "ri", by_key=by_key)
-        assert li.dtype == ri.dtype == np.int64
-        np.testing.assert_array_equal(li, expected["li"].to_numpy())
-        np.testing.assert_array_equal(ri, expected["ri"].to_numpy())
-
-
-def test_join_index_pairs_no_match(spark):
-    left = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "li": [0, 1]}))
-    right = spark.createDataFrame(pd.DataFrame({"k": [3], "ri": [0]}))
-    li, ri = join_index_pairs(left, right, "k", "li", "ri")
-    assert len(li) == len(ri) == 0
-    assert li.dtype == ri.dtype == np.int64
+    for case, make in _KEY_CASES.items():
+        lk, rk = (np.asarray(a, np.int64) for a in make(g))
+        left = to_spark(spark, pd.DataFrame({"k": lk, "li": np.arange(len(lk))}))
+        right = to_spark(spark, pd.DataFrame({"k": rk, "ri": np.arange(len(rk))}))
+        joined = left.join(right, on="k").select("k", "li", "ri")
+        for by_key, order in ((True, ("k", "li", "ri")), (False, ("li", "ri"))):
+            expected = joined.orderBy(*order).toPandas()
+            li, ri = join_index_pairs(lk, rk, by_key=by_key)
+            assert li.dtype == ri.dtype == np.int64, case
+            np.testing.assert_array_equal(li, expected["li"].to_numpy(), case)
+            np.testing.assert_array_equal(ri, expected["ri"].to_numpy(), case)
