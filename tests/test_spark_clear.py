@@ -179,3 +179,12 @@ def test_join_index_pairs_match_spark_order_by(spark, unordered_joins):
             assert li.dtype == ri.dtype == np.int64, case
             np.testing.assert_array_equal(li, expected["li"].to_numpy(), case)
             np.testing.assert_array_equal(ri, expected["ri"].to_numpy(), case)
+
+
+def test_join_index_pairs_no_match():
+    for by_key in (True, False):
+        li, ri = join_index_pairs(
+            np.array([1, 2], np.int64), np.array([3], np.int64), by_key=by_key
+        )
+        assert len(li) == len(ri) == 0
+        assert li.dtype == ri.dtype == np.int64
