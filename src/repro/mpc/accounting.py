@@ -65,7 +65,6 @@ class Meter:
     rounds: int = 0
     bytes_sent: float = 0.0
     gc_and_gates: float = 0.0
-    gc_xor_gates: float = 0.0
     peak_mem_bytes: float = 0.0
     memory_cap_bytes: float = DEFAULT_MEMORY_CAP_BYTES
     #: Per-meter gate throughput: Obliv-C-class engines garble ~10M
@@ -85,11 +84,10 @@ class Meter:
         self.bytes_sent += bytes_sent
 
     # -- garbled-circuit style costs -----------------------------------
-    def charge_gates(self, *, and_gates: float, xor_gates: float = 0.0) -> None:
-        """Record garbling+evaluation of a circuit chunk (free-XOR: XORs
-        cost no cryptographic work or table bytes, ANDs do)."""
+    def charge_gates(self, *, and_gates: float) -> None:
+        """Record garbling+evaluation of a circuit chunk's AND gates
+        (free-XOR: XORs cost no cryptographic work or table bytes)."""
         self.gc_and_gates += and_gates
-        self.gc_xor_gates += xor_gates
         # Garbled tables cross the network once (garbler -> evaluator).
         self.bytes_sent += and_gates * GC_AND_TABLE_BYTES
 

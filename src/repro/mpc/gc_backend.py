@@ -9,12 +9,15 @@ wire-label state. Exceeding the simulated VM's memory cap raises
 "Obliv-C runs out of memory at 30k records (join) / 300k (projection)"
 observations (§2.3).
 
-:class:`GCBackend` is also the engine's Obliv-C backend for MPC stages
-(and, with a lower gate throughput, the ObliVM backend of the SMCQL
-baseline). A filter keeps every row and adds a ``__mask`` column that
-later operators honour and :meth:`GCBackend.reveal` applies. Hybrid
-operators are not supported here: the paper's hybrid protocols are built
-on the secret-sharing backend.
+:class:`GCBackend` is the engine's Obliv-C backend for MPC stages and,
+at ObliVM's gate rate, the MPC backend of the SMCQL baseline; T1 and T6
+reach it only through the engine's backend interface. A filter keeps
+every row and adds a ``__mask`` column that later operators honour and
+:meth:`GCBackend.reveal` applies. Hybrid operators are not supported
+here: the paper's hybrid protocols are built on the secret-sharing
+backend. Every sort is charged one compare-and-swap circuit per
+comparator of the padded Batcher network the secret-sharing backend
+runs (:func:`repro.mpc.protocols.sort_comparators`).
 
 Calibration constants (documented in DESIGN.md §2.1):
 
@@ -25,7 +28,6 @@ Calibration constants (documented in DESIGN.md §2.1):
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,7 @@ import pandas as pd
 
 from .accounting import GC_LABEL_BYTES, Meter
 from .circuits import gate_counts
+from .protocols import sort_comparators
 
 WIRE_BYTES = 4 * GC_LABEL_BYTES
 #: Bytes moved per evaluator input bit (oblivious transfer, ~3 labels).
@@ -43,22 +46,13 @@ OBLIVM_GATES_PER_SECOND = 1e5
 MASK = "__mask"
 
 
-def batcher_comparators(n: int) -> float:
-    """Closed-form comparator count of Batcher's odd-even mergesort,
-    ≈ (n/4)·log₂n·(log₂n + 1)."""
-    if n <= 1:
-        return 0.0
-    k = math.log2(max(2, n))
-    return (n / 4.0) * k * (k + 1)
-
-
 @dataclass
 class GCRelation:
     """A relation held inside the garbled computation.
 
     ``pdf`` is the semantic value (what the circuit wires encode); all
-    columns are int64. ``live_bits`` is the wire state the engine keeps
-    for it."""
+    columns are int64. Its wire-label memory is charged to the meter by
+    the operator that holds it."""
 
     pdf: pd.DataFrame
 
@@ -69,6 +63,11 @@ class GCRelation:
     @property
     def n_cols(self) -> int:
         return len(self.pdf.columns)
+
+    def kept(self) -> pd.DataFrame:
+        """The rows a filter kept (mask=1), without the mask column."""
+        pdf = self.pdf
+        return pdf[pdf[MASK] == 1].drop(columns=MASK) if MASK in pdf.columns else pdf
 
 
 class GCBackend:
@@ -103,10 +102,7 @@ class GCBackend:
         self.meter.charge_comm(
             rounds=1, bytes_sent=self._bits(rel.n_rows, rel.n_cols) / 8
         )
-        pdf = rel.pdf
-        if MASK in pdf.columns:
-            pdf = pdf[pdf[MASK] == 1].drop(columns=MASK)
-        return pdf.reset_index(drop=True)
+        return rel.kept().reset_index(drop=True)
 
     # ---------------------------------------------------------- operators
     def concat(self, rels: list[GCRelation]) -> GCRelation:
@@ -181,50 +177,39 @@ class GCBackend:
             merged[MASK] = merged.pop(f"{MASK}_x") * merged.pop(f"{MASK}_y")
         return GCRelation(merged.reset_index(drop=True))
 
-    def agg_sum_by_key(
-        self, rel: GCRelation, key: str, value: str, *, presorted: bool = False
-    ) -> GCRelation:
-        """Sort-based grouped sum (Jónsson et al. in circuits): a Batcher
-        sorting network over (key,value) records, then a linear oblivious
-        scan of eq + add + mux. Output is unpadded (leaks group count),
-        matching SMCQL/Conclave behaviour (§7.4)."""
-        n = rel.n_rows
-        eq_and, _ = gate_counts("eq", self.k)
-        add_and, _ = gate_counts("add", self.k)
-        mux_and, _ = gate_counts("mux", self.k)
-        swap_and, _ = gate_counts("cmp_swap", 2 * self.k)
-        gates = n * (eq_and + add_and + 2 * mux_and)
-        if not presorted:
-            gates += batcher_comparators(n) * swap_and
-        self.meter.charge_gates(and_gates=gates)
-        self._charge_live("gc aggregation", self._bits(n, 3) * 2)
-        pdf = rel.pdf
-        if MASK in pdf.columns:
-            pdf = pdf[pdf[MASK] == 1].drop(columns=MASK)
-        out = pdf.groupby(key, as_index=False)[value].sum()
-        return GCRelation(out.reset_index(drop=True))
-
     def aggregate(
         self, rel: GCRelation, group: list[str], agg_op: str, over: str | None,
         out_col: str, *, input_sorted: bool = False,
     ) -> GCRelation:
-        """SUM or COUNT of mask=1 rows, grouped by at most one column."""
+        """SUM or COUNT of mask=1 rows, grouped by at most one column.
+
+        Ungrouped, it is an adder chain. Grouped, it is a sort-based
+        grouped sum (Jónsson et al. in circuits) over the projected
+        (key, value) records: a Batcher sorting network, skipped when the
+        input is sorted, then a linear oblivious scan of eq + add + mux.
+        The output is unpadded (leaks the group count), matching
+        SMCQL/Conclave behaviour (§7.4)."""
         if agg_op == "count" or over is None:
             pdf = rel.pdf.copy()
             pdf["__ones"] = np.int64(1)
             rel, over = GCRelation(pdf), "__ones"
+        add_and, _ = gate_counts("add", self.k)
         if not group:
-            # scalar sum: an adder chain, linear gates
-            add_and, _ = gate_counts("add", self.k)
             self.meter.charge_gates(and_gates=rel.n_rows * add_and)
-            pdf = rel.pdf
-            work = pdf[pdf[MASK] == 1] if MASK in pdf.columns else pdf
-            return GCRelation(pd.DataFrame({out_col: [np.int64(work[over].sum())]}))
-        out = self.agg_sum_by_key(
-            self.project(rel, [group[0], over]), group[0], over,
-            presorted=input_sorted,
-        )
-        return GCRelation(out.pdf.rename(columns={over: out_col}))
+            return GCRelation(pd.DataFrame({out_col: [np.int64(rel.kept()[over].sum())]}))
+        key = group[0]
+        rel = self.project(rel, [key, over])
+        n = rel.n_rows
+        eq_and, _ = gate_counts("eq", self.k)
+        mux_and, _ = gate_counts("mux", self.k)
+        swap_and, _ = gate_counts("cmp_swap", 2 * self.k)
+        gates = n * (eq_and + add_and + 2 * mux_and)
+        if not input_sorted:
+            gates += sort_comparators(n) * swap_and
+        self.meter.charge_gates(and_gates=gates)
+        self._charge_live("gc aggregation", self._bits(n, 3) * 2)
+        out = rel.kept().groupby(key, as_index=False)[over].sum()
+        return GCRelation(out.rename(columns={over: out_col}))
 
     def distinct_count(
         self, rel: GCRelation, col: str, out_col: str, *, input_sorted: bool
@@ -237,19 +222,16 @@ class GCBackend:
         swap_and, _ = gate_counts("cmp_swap", self.k)
         gates = n * (eq_and + add_and)
         if not input_sorted:
-            gates += batcher_comparators(n) * swap_and
+            gates += sort_comparators(n) * swap_and
         self.meter.charge_gates(and_gates=gates)
         self._charge_live("gc distinct", self._bits(n, 2))
-        pdf = rel.pdf
-        if MASK in pdf.columns:
-            pdf = pdf[pdf[MASK] == 1]
-        return GCRelation(pd.DataFrame({out_col: [np.int64(pdf[col].nunique())]}))
+        return GCRelation(pd.DataFrame({out_col: [np.int64(rel.kept()[col].nunique())]}))
 
     def sort_by(self, rel: GCRelation, col: str, ascending: bool) -> GCRelation:
         """ORDER BY col: a full sorting network over the records."""
         n = rel.n_rows
         swap_and, _ = gate_counts("cmp_swap", 2 * self.k)
-        self.meter.charge_gates(and_gates=batcher_comparators(n) * swap_and)
+        self.meter.charge_gates(and_gates=sort_comparators(n) * swap_and)
         self._charge_live("gc sort", self._bits(n, rel.n_cols) * 2)
         out = rel.pdf.sort_values(col, ascending=ascending, kind="stable")
         return GCRelation(out.reset_index(drop=True))

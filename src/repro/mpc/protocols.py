@@ -66,6 +66,14 @@ def _batcher_pairs(n: int):
         p *= 2
 
 
+def sort_comparators(n: int) -> int:
+    """Compare-exchanges :func:`oblivious_sort` runs on ``n`` rows: those
+    of the network over ``n`` padded to a power of two."""
+    if n <= 1:
+        return 0
+    return sum(len(i) for i, _ in _batcher_pairs(1 << (n - 1).bit_length()))
+
+
 def _own(v: SharedVector) -> SharedVector:
     """A private copy of ``v`` that a protocol may update in place."""
     return SharedVector(tuple(s.copy() for s in v.shares))

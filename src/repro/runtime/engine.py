@@ -150,18 +150,20 @@ class Engine:
             return {val.party: val.df}
         raise TypeError("expected a cleartext relation")
 
-    def _stays_partitioned(self, dag: D.Dag, n: D.Concat) -> bool:
-        """A concat stays partitioned in the clear when it is cleartext
-        work feeding MPC (each part is shared at the MPC entry), or when
-        it feeds a public join, which shares only the matching rows. An
-        all-clear concat (insecure sub-plans only) is a Spark union."""
-        if n.site[0] == "clear":
-            return self._downstream_has_mpc(dag, n)
+    @staticmethod
+    def _stays_partitioned(dag: D.Dag, n: D.Concat) -> bool:
+        """An MPC concat stays partitioned in the clear when it feeds a
+        public join, which shares only the matching rows. A clear concat
+        is a Spark union at its party: all its parents sit at that party,
+        so a partitioned value would hold the same one part."""
         cons = dag.consumers().get(id(n), [])
         return n.site == ("mpc",) and any(isinstance(c, D.PublicJoin) for c in cons)
 
     @staticmethod
     def _downstream_has_mpc(dag: D.Dag, node: D.Node) -> bool:
+        """Whether an MPC or hybrid node consumes ``node``'s result,
+        directly or further down: a public join with none assembles its
+        result in the clear."""
         cons = dag.consumers()
         stack, seen = list(cons.get(id(node), [])), set()
         while stack:

@@ -1,6 +1,6 @@
 """§7.4 execution modes for the aspirin-count and comorbidity queries.
 
-Four runners, matching the paper's Figure 7 comparison:
+Three runners, matching the paper's Figure 7 comparison:
 
 * ``run_aspirin_smcql`` — SMCQL: slicing on the public patient ID, then
   one small garbled-circuit MPC *per shared slice* on the ObliVM
@@ -12,17 +12,18 @@ Four runners, matching the paper's Figure 7 comparison:
   join into one secret-sharing MPC, §5.4 sort elimination making the
   MPC distinct-count a linear scan). The slicing is applied by hand, as
   in the paper; the compiler has no slicing pass;
-* ``run_comorbidity_smcql`` — split aggregation (local Spark pre-agg) +
-  ObliVM garbled circuits for the combine/sort/limit;
-* ``run_comorbidity_conclave`` — the same plan on the Sharemind-style
-  secret-sharing backend (via the generic engine).
+* ``run_comorbidity`` — the compiled comorbidity plan (§5.2 split
+  aggregation: local Spark pre-counts, then the MPC combine, sort and
+  limit) on the MPC backend it is given. Conclave runs it on the
+  Sharemind-style secret-sharing backend; SMCQL runs the same plan on
+  the garbled-circuit backend with the ObliVM meter
+  (:func:`oblivm_meter`), so the two differ in the backend alone.
 
 Each runner returns ``(result, meter)``; runtimes are the meter's hybrid
 clock.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import SparkSession
@@ -31,7 +32,7 @@ from .. import synth_data
 from ..core.compiler import CompileOptions, compile_query
 from ..mpc.accounting import Meter
 from ..mpc.circuits import gate_counts
-from ..mpc.gc_backend import OBLIVM_GATES_PER_SECOND, WIRE_BYTES, GCBackend
+from ..mpc.gc_backend import OBLIVM_GATES_PER_SECOND, WIRE_BYTES
 from ..queries import aspirin, comorbidity
 from ..queries.base import gen_to_spark
 from ..runtime.engine import Engine
@@ -45,7 +46,7 @@ _GC_BITS = 32
 SMCQL_SLICE_SETUP_SECONDS = 1.0
 
 
-def _oblivm_meter(memory_cap_gib: int = 32) -> Meter:
+def oblivm_meter(memory_cap_gib: int = 32) -> Meter:
     """§7.4 setup: SMCQL experiments ran on 32 GB VMs."""
     m = Meter(gc_gates_per_second=OBLIVM_GATES_PER_SECOND)
     m.memory_cap_bytes = memory_cap_gib << 30
@@ -85,7 +86,7 @@ def _slice_aspirin(gen: dict[str, pd.DataFrame]):
 def run_aspirin_smcql(
     spark: SparkSession, gen: dict[str, pd.DataFrame], *, meter: Meter | None = None
 ) -> tuple[int, Meter]:
-    meter = meter or _oblivm_meter()
+    meter = meter or oblivm_meter()
     meter.restart_wall()
     dslice, mslice = _slice_aspirin(gen)
     # single-party slices: local cleartext Spark processing
@@ -154,37 +155,14 @@ def run_aspirin_conclave(
     return count + int(rx["rx_cnt"].iloc[0]), meter
 
 
-def run_comorbidity_smcql(
-    spark: SparkSession, gen: dict[str, pd.DataFrame], *, top_k: int = 10,
-    meter: Meter | None = None,
+def run_comorbidity(
+    spark: SparkSession, gen: dict[str, pd.DataFrame], *,
+    backend: str = "sharemind", meter: Meter | None = None,
 ) -> tuple[pd.DataFrame, Meter]:
-    meter = meter or _oblivm_meter()
-    meter.restart_wall()
-    # split aggregation: local pre-counts in Spark at each hospital
-    partials = []
-    for name in ("cdiag_h1", "cdiag_h2"):
-        pdf = (
-            spark.createDataFrame(gen[name])
-            .groupBy("diag")
-            .agg(F.count(F.lit(1)).alias("cnt"))
-            .toPandas()
-        )
-        partials.append(pdf)
-    combined = pd.concat(partials, ignore_index=True).astype(np.int64)
-    # MPC combine + sort + limit under ObliVM-style garbled circuits
-    be = GCBackend(meter)
-    rel = be.input_rel(combined)
-    agg = be.aggregate(rel, ["diag"], "sum", "cnt", "cnt")
-    top = be.limit(be.sort_by(agg, "cnt", ascending=False), top_k)
-    return be.reveal(top), meter
-
-
-def run_comorbidity_conclave(
-    spark: SparkSession, gen: dict[str, pd.DataFrame], *, meter: Meter | None = None
-) -> tuple[pd.DataFrame, Meter]:
+    """The compiled comorbidity plan on ``Engine(backend=backend)``."""
     spec = comorbidity.build()
     plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
-    eng = Engine(spark, [p.name for p in spec.parties],
-                 meter=meter or Meter())
+    eng = Engine(spark, [p.name for p in spec.parties], backend=backend,
+                 meter=meter)
     df = eng.run(plan, gen_to_spark(spark, gen))
     return df.toPandas(), eng.meter

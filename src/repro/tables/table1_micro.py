@@ -8,6 +8,11 @@ paper's observations: MPC aggregation/join die in the thousands-of-rows
 regime, Obliv-C OOMs (join ~tens of k, projection ~hundreds of k), and
 Spark handles millions of rows in seconds.
 
+Each MPC operator is written once against the backend interface the
+engine calls (``input_rel``, ``aggregate``, ``join``, ``project``,
+``reveal``) and runs on the backend an :class:`~repro.runtime.engine.Engine`
+builds for the system: Sharemind over three parties, or Obliv-C.
+
 :func:`repro.bench_util.sweep` drives :data:`SIZES` through :func:`point`.
 """
 from __future__ import annotations
@@ -17,11 +22,8 @@ import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import SparkSession
 
-from ..mpc import protocols as P
 from ..mpc.accounting import Meter
-from ..mpc.gc_backend import GCBackend
-from ..mpc.secret_sharing import SecretSharingVM
-from ..mpc.shared_rel import share_dataframe
+from ..runtime.engine import Engine
 
 
 def _keyed(n: int, seed: int = 0, n_keys: int | None = None) -> pd.DataFrame:
@@ -35,57 +37,23 @@ def _keyed(n: int, seed: int = 0, n_keys: int | None = None) -> pd.DataFrame:
     )
 
 
-# ------------------------------------------------------------- sharemind
-def _sharemind_agg(n: int) -> Meter:
-    meter = Meter()
-    vm = SecretSharingVM(3, meter, seed=1)
-    rel = share_dataframe(vm, _keyed(n, n_keys=max(1, n // 10)))
-    P.aggregate_sum_by_key(vm, rel, "k", "v", np.random.default_rng(1))
-    return meter
-
-
-def _sharemind_join(n: int) -> Meter:
-    meter = Meter()
-    vm = SecretSharingVM(3, meter, seed=2)
-    left = share_dataframe(vm, _keyed(n, seed=1, n_keys=n))
-    right = share_dataframe(vm, _keyed(n, seed=2, n_keys=n).rename(columns={"v": "w"}))
-    P.join_cartesian(vm, left, right, "k", "k", np.random.default_rng(2))
-    return meter
-
-
-def _sharemind_project(n: int) -> Meter:
-    meter = Meter()
-    vm = SecretSharingVM(3, meter, seed=3)
-    rel = share_dataframe(vm, _keyed(n))
-    out = rel.project(["k"])
-    vm.reveal(out.columns["k"])
-    return meter
-
-
-# --------------------------------------------------------------- oblivc
-def _oblivc_agg(n: int) -> Meter:
-    meter = Meter()
-    be = GCBackend(meter)
+# ------------------------------------------------------------------ mpc
+def _mpc_agg(be, n: int) -> None:
     rel = be.input_rel(_keyed(n, n_keys=max(1, n // 10)))
-    be.agg_sum_by_key(rel, "k", "v")
-    return meter
+    be.aggregate(rel, ["k"], "sum", "v", "s")
 
 
-def _oblivc_join(n: int) -> Meter:
-    meter = Meter()
-    be = GCBackend(meter)
+def _mpc_join(be, n: int) -> None:
     left = be.input_rel(_keyed(n, seed=1, n_keys=n))
     right = be.input_rel(_keyed(n, seed=2, n_keys=n).rename(columns={"v": "w"}))
     be.join(left, right, "k", "k")
-    return meter
 
 
-def _oblivc_project(n: int) -> Meter:
-    meter = Meter()
-    be = GCBackend(meter)
-    rel = be.input_rel(_keyed(n))
-    be.reveal(be.project(rel, ["k"]))
-    return meter
+def _mpc_project(be, n: int) -> None:
+    be.reveal(be.project(be.input_rel(_keyed(n)), ["k"]))
+
+
+_MPC_OPS = {"agg": _mpc_agg, "join": _mpc_join, "project": _mpc_project}
 
 
 # ---------------------------------------------------------------- spark
@@ -119,18 +87,11 @@ SIZES = {
     "spark/project": ([10_000, 100_000, 3_000_000], [10_000, 100_000]),
 }
 
-_MPC_KERNELS = {
-    "sharemind/agg": _sharemind_agg,
-    "sharemind/join": _sharemind_join,
-    "sharemind/project": _sharemind_project,
-    "oblivc/agg": _oblivc_agg,
-    "oblivc/join": _oblivc_join,
-    "oblivc/project": _oblivc_project,
-}
-
 
 def point(spark: SparkSession, system: str, n: int) -> Meter:
     backend, op = system.split("/")
     if backend == "spark":
         return _spark_op(spark, n, op)
-    return _MPC_KERNELS[system](n)
+    eng = Engine(spark, ["p1", "p2", "p3"], backend=backend)
+    _MPC_OPS[op](eng.backend, n)
+    return eng.meter

@@ -3,8 +3,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.mpc import protocols as P
 from repro.mpc.accounting import Meter, SimulatedOOM
-from repro.mpc.gc_backend import GCBackend, GCRelation, batcher_comparators
+from repro.mpc.circuits import gate_counts
+from repro.mpc.gc_backend import GCBackend, GCRelation
+from repro.mpc.secret_sharing import SecretSharingVM
+from repro.mpc.shared_rel import share_dataframe
 
 
 def _backend(cap_bytes=None, rate=10e6) -> GCBackend:
@@ -99,7 +103,7 @@ def test_filter_and_join_mask_propagation():
 def test_agg_sum_by_key():
     be = _backend()
     rel = _rel(be, k=[1, 2, 1, 2, 3], v=[10, 20, 30, 40, 50])
-    out = be.agg_sum_by_key(rel, "k", "v").pdf.sort_values("k")
+    out = be.aggregate(rel, ["k"], "sum", "v", "v").pdf.sort_values("k")
     np.testing.assert_array_equal(out["v"], [40, 60, 50])
 
 
@@ -107,7 +111,7 @@ def test_agg_respects_filter_mask():
     be = _backend()
     rel = _rel(be, k=[1, 1, 2], v=[5, 7, 9], f=[0, 1, 1])
     rel = be.filter_eq(rel, "f", 1)
-    out = be.agg_sum_by_key(rel, "k", "v").pdf.sort_values("k")
+    out = be.aggregate(rel, ["k"], "sum", "v", "v").pdf.sort_values("k")
     np.testing.assert_array_equal(out["v"], [7, 9])
 
 
@@ -118,7 +122,7 @@ def test_agg_presorted_cheaper():
         rel = _rel(be, k=np.sort(np.random.default_rng(1).integers(0, 50, 500)),
                    v=np.ones(500, np.int64))
         g0 = be.meter.gc_and_gates
-        be.agg_sum_by_key(rel, "k", "v", presorted=presorted)
+        be.aggregate(rel, ["k"], "sum", "v", "v", input_sorted=presorted)
         gates.append(be.meter.gc_and_gates - g0)
     assert gates[1] < gates[0] / 2
 
@@ -145,15 +149,26 @@ def test_top_k_by():
     np.testing.assert_array_equal(out["k"], [2, 3])
 
 
-def test_batcher_comparator_formula():
-    assert batcher_comparators(1) == 0
-    # growth is n log^2 n-ish: doubling n grows cost by > 2x
-    assert batcher_comparators(2048) > 2 * batcher_comparators(1024)
+@pytest.mark.parametrize("n", [2, 3, 100, 1000, 4096])
+def test_sort_by_charges_the_secret_sharing_sort_network(n, monkeypatch):
+    """GC ``sort_by`` charges one 64-bit compare-and-swap circuit per
+    comparison the secret-sharing backend's oblivious sort makes on the
+    same n: both backends sort with the same padded Batcher network."""
+    keys = np.random.default_rng(n).integers(0, 1000, n)
+    vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=1)
+    compared = []
+    lt = vm.lt
+    monkeypatch.setattr(vm, "lt", lambda a, b: compared.append(len(a)) or lt(a, b))
+    P.oblivious_sort(vm, share_dataframe(vm, pd.DataFrame({"k": keys})), "k")
+    be = _backend()
+    be.sort_by(_rel(be, k=keys, v=keys), "k", ascending=True)
+    swap_and, _ = gate_counts("cmp_swap", 64)
+    assert be.meter.gc_and_gates / swap_and == sum(compared) > 0
 
 
 def test_slow_backend_rate_increases_time():
     fast, slow = _backend(rate=10e6), _backend(rate=1e5)
     for be in (fast, slow):
         rel = _rel(be, k=np.arange(2000), v=np.arange(2000))
-        be.agg_sum_by_key(rel, "k", "v")
+        be.aggregate(rel, ["k"], "sum", "v", "v")
     assert slow.meter.gate_seconds() > 50 * fast.meter.gate_seconds()

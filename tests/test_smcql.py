@@ -1,5 +1,6 @@
-"""Tests for the SMCQL baseline: slicing semantics and the four §7.4
-runners, all checked against DuckDB on the cleartext union."""
+"""Tests for the SMCQL baseline: slicing semantics and the §7.4 runners
+(comorbidity on both MPC backends), all checked against DuckDB on the
+cleartext union."""
 import time
 
 import numpy as np
@@ -16,8 +17,8 @@ from repro.runtime.engine import Engine
 from repro.smcql.runners import (
     run_aspirin_conclave,
     run_aspirin_smcql,
-    run_comorbidity_conclave,
-    run_comorbidity_smcql,
+    oblivm_meter,
+    run_comorbidity,
 )
 from repro.smcql.slicing import key_locations, slice_by_key
 
@@ -168,20 +169,20 @@ def _comorbidity_oracle_counts(gen) -> list[int]:
 
 def test_comorbidity_smcql_matches_oracle(spark):
     gen = comorbidity.gen_inputs(n_per_party=400, distinct_key_frac=0.05, seed=2)
-    got, meter = run_comorbidity_smcql(spark, gen)
+    got, meter = run_comorbidity(spark, gen, backend="oblivc", meter=oblivm_meter())
     assert sorted(got["cnt"].tolist(), reverse=True) == _comorbidity_oracle_counts(gen)
 
 
 def test_comorbidity_conclave_matches_oracle(spark):
     gen = comorbidity.gen_inputs(n_per_party=400, distinct_key_frac=0.05, seed=2)
-    got, meter = run_comorbidity_conclave(spark, gen)
+    got, meter = run_comorbidity(spark, gen)
     assert sorted(got["cnt"].tolist(), reverse=True) == _comorbidity_oracle_counts(gen)
 
 
 def test_comorbidity_backends_agree(spark):
     gen = comorbidity.gen_inputs(n_per_party=300, distinct_key_frac=0.08, seed=7)
-    smcql, _ = run_comorbidity_smcql(spark, gen)
-    conclave, _ = run_comorbidity_conclave(spark, gen)
+    smcql, _ = run_comorbidity(spark, gen, backend="oblivc", meter=oblivm_meter())
+    conclave, _ = run_comorbidity(spark, gen)
     assert sorted(smcql["cnt"]) == sorted(conclave["cnt"].astype(int))
 
 
@@ -189,8 +190,8 @@ def test_comorbidity_conclave_faster_backend(spark):
     """Same plan, different MPC backend: Sharemind-style secret sharing
     beats ObliVM-style garbled circuits (§7.4, Figure 7b)."""
     gen = comorbidity.gen_inputs(n_per_party=2000, distinct_key_frac=0.1, seed=5)
-    _, m_smcql = run_comorbidity_smcql(spark, gen)
-    _, m_conclave = run_comorbidity_conclave(spark, gen)
+    _, m_smcql = run_comorbidity(spark, gen, backend="oblivc", meter=oblivm_meter())
+    _, m_conclave = run_comorbidity(spark, gen)
     sim_smcql = m_smcql.network_seconds() + m_smcql.gate_seconds()
     sim_conclave = m_conclave.network_seconds() + m_conclave.gate_seconds()
     assert sim_conclave < sim_smcql / 2

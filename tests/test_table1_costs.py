@@ -15,8 +15,10 @@ PINNED = {
     ("sharemind/join", 1000): (54, 243393187.52428943, 0.0, 24_000_000.0),
     ("sharemind/project", 100): (3, 8_000.0, 0.0, 0.0),
     ("sharemind/project", 1000): (3, 80_000.0, 0.0, 0.0),
-    ("oblivc/agg", 100): (1, 13831622.912590465, 422638.216018452, 1_228_800.0),
-    ("oblivc/agg", 1000): (1, 287135037.92319536, 8876969.935099855, 12_288_000.0),
+    # GC sorts charge the padded network the secret-sharing backend runs,
+    # and the aggregate stages its projected input (8 × n·32·64 B)
+    ("oblivc/agg", 100): (1, 15_880_896.0, 486_678.0, 1_638_400.0),
+    ("oblivc/agg", 1000): (1, 253_985_088.0, 7_841_034.0, 16_384_000.0),
     ("oblivc/join", 100): (2, 41_254_400.0, 1_270_000.0, 1_459_200.0),
     ("oblivc/join", 1000): (2, 4_070_144_000.0, 127_000_000.0, 72_192_000.0),
     ("oblivc/project", 100): (2, 307_600.0, 0.0, 1_433_600.0),
