@@ -30,6 +30,6 @@ _BACKENDS = {"conclave": ("sharemind", Meter), "smcql": ("oblivc", oblivm_meter)
 
 def point(spark: SparkSession, system: str, n_per_party: int) -> Meter:
     gen = Q.gen_inputs(n_per_party=n_per_party, distinct_key_frac=0.1, seed=1)
-    backend, meter = _BACKENDS[system]
-    _, m = run_comorbidity(spark, gen, backend=backend, meter=meter())
-    return m
+    backend, new_meter = _BACKENDS[system]
+    _, meter = run_comorbidity(spark, gen, backend=backend, meter=new_meter())
+    return meter
