@@ -171,6 +171,8 @@ class SharemindBackend:
         return r.with_columns({c: self.vm.take(v, idx) for c, v in r.columns.items()})
 
     def limit(self, r: SharedRelation, n: int) -> SharedRelation:
+        if MASK in r.columns:
+            raise NotImplementedError("limit over filtered MPC relations")
         return self.take(r, slice(0, n))
 
     # ------------------------------------------------ hybrid sub-protocols

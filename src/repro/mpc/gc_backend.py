@@ -13,11 +13,14 @@ observations (§2.3).
 at ObliVM's gate rate, the MPC backend of the SMCQL baseline; T1 and T6
 reach it only through the engine's backend interface. A filter keeps
 every row and adds a ``__mask`` column that later operators honour and
-:meth:`GCBackend.reveal` applies. Hybrid operators are not supported
-here: the paper's hybrid protocols are built on the secret-sharing
-backend. Every sort is charged one compare-and-swap circuit per
-comparator of the padded Batcher network the secret-sharing backend
-runs (:func:`repro.mpc.protocols.sort_comparators`).
+:meth:`GCBackend.reveal` applies; a sort or limit over a filtered
+relation, and a group-by on more than one column, raise
+``NotImplementedError`` as on the secret-sharing backend. Hybrid
+operators are not supported here: the paper's hybrid protocols are
+built on the secret-sharing backend. Every sort is charged one
+compare-and-swap circuit per comparator of the padded Batcher network
+the secret-sharing backend runs
+(:func:`repro.mpc.protocols.sort_comparators`).
 
 Calibration constants (documented in DESIGN.md §2.1):
 
@@ -197,6 +200,8 @@ class GCBackend:
         if not group:
             self.meter.charge_gates(and_gates=rel.n_rows * add_and)
             return GCRelation(pd.DataFrame({out_col: [np.int64(rel.kept()[over].sum())]}))
+        if len(group) != 1:
+            raise NotImplementedError("multi-column group-by")
         key = group[0]
         rel = self.project(rel, [key, over])
         n = rel.n_rows
@@ -229,6 +234,8 @@ class GCBackend:
 
     def sort_by(self, rel: GCRelation, col: str, ascending: bool) -> GCRelation:
         """ORDER BY col: a full sorting network over the records."""
+        if MASK in rel.pdf.columns:
+            raise NotImplementedError("sort over filtered MPC relations")
         n = rel.n_rows
         swap_and, _ = gate_counts("cmp_swap", 2 * self.k)
         self.meter.charge_gates(and_gates=sort_comparators(n) * swap_and)
@@ -238,4 +245,6 @@ class GCBackend:
 
     def limit(self, rel: GCRelation, n: int) -> GCRelation:
         """The first ``n`` positions: public, no ANDs."""
+        if MASK in rel.pdf.columns:
+            raise NotImplementedError("limit over filtered MPC relations")
         return GCRelation(rel.pdf.head(n).reset_index(drop=True))

@@ -20,12 +20,17 @@ paper's deployment model:
   rows re-enter MPC (or, when nothing downstream needs MPC, the result
   is assembled in the clear).
 
+All parties' ``inputToMPC`` collects for one node run concurrently
+(:meth:`Engine._collect`, one thread per frame), as the parties' own
+clusters would, and the batch finishes before that node's first MPC step.
+
 The engine itself holds only Spark and cleartext work: every step under
 MPC is a call on one backend object, which owns the format of its MPC
 relations. All MPC/communication work is charged to one :class:`Meter`.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
@@ -116,18 +121,42 @@ class Engine:
     def _charge_transfer(self, n_rows: int, n_cols: int) -> None:
         self.meter.charge_comm(rounds=1, bytes_sent=float(n_rows) * n_cols * 8)
 
-    def _ensure_mpc(self, val):
-        """inputToMPC: secret-share a clear (or partitioned) relation."""
+    @staticmethod
+    def _collect(dfs: list[DataFrame]) -> list[pd.DataFrame]:
+        """``toPandas`` of each frame, in order. Two or more frames are
+        collected concurrently, one thread each, as the parties' clusters
+        would; the pool is closed before this returns."""
+        if len(dfs) < 2:
+            return [df.toPandas() for df in dfs]
+        with ThreadPoolExecutor(len(dfs)) as pool:
+            return list(pool.map(lambda df: df.toPandas(), dfs))
+
+    @staticmethod
+    def _frames(val) -> list[DataFrame]:
+        """The clear frames of a value, parts in party order; none for an
+        MPC value."""
         if isinstance(val, ClearVal):
-            pdf = val.df.toPandas()
-            return self.backend.input_rel(pdf.astype(np.int64))
+            return [val.df]
         if isinstance(val, PartVal):
-            shared = [
-                self.backend.input_rel(df.toPandas().astype(np.int64))
-                for _, df in sorted(val.parts.items())
-            ]
-            return self.backend.concat(shared)
-        return val
+            return [df for _, df in sorted(val.parts.items())]
+        return []
+
+    def _ensure_mpc_all(self, vals: list) -> list:
+        """inputToMPC for every parent of a node: collect all their clear
+        frames in one batch, then secret-share them in parent and party
+        order. A partitioned value is shared part by part and
+        concatenated; an MPC value passes through."""
+        frames = [self._frames(v) for v in vals]
+        pdfs = iter(self._collect([df for fs in frames for df in fs]))
+        out = []
+        for v, fs in zip(vals, frames):
+            shared = [self.backend.input_rel(next(pdfs).astype(np.int64)) for _ in fs]
+            if isinstance(v, ClearVal):
+                v = shared[0]
+            elif isinstance(v, PartVal):
+                v = self.backend.concat(shared)
+            out.append(v)
+        return out
 
     def _reveal_to(self, val, party: str) -> ClearVal:
         """revealTo: open an MPC value at one party as a Spark DataFrame."""
@@ -220,37 +249,32 @@ class Engine:
     # --------------------------------------------------------------- mpc
     def _exec_mpc(self, n: D.Node, pvals):
         be = self.backend
+        args = self._ensure_mpc_all(pvals)
         if isinstance(n, D.Concat):
-            return be.concat([self._ensure_mpc(v) for v in pvals])
+            return be.concat(args)
         if isinstance(n, D.Project):
-            return be.project(self._ensure_mpc(pvals[0]), n.cols)
+            return be.project(args[0], n.cols)
         if isinstance(n, D.Filter):
             if n.op != "==":
                 raise NotImplementedError(f"MPC filter op {n.op}")
-            return be.filter_eq(self._ensure_mpc(pvals[0]), n.col, n.value)
+            return be.filter_eq(args[0], n.col, n.value)
         if isinstance(n, D.Arith):
-            return be.arith(
-                self._ensure_mpc(pvals[0]), n.out_col, n.left, n.op, n.right
-            )
+            return be.arith(args[0], n.out_col, n.left, n.op, n.right)
         if isinstance(n, D.Aggregate):
             return be.aggregate(
-                self._ensure_mpc(pvals[0]), n.group_cols, n.agg_op, n.over,
-                n.out_col, input_sorted=n.input_sorted,
-            )
-        if isinstance(n, D.Join):
-            return be.join(
-                self._ensure_mpc(pvals[0]), self._ensure_mpc(pvals[1]),
-                n.left_key, n.right_key,
-            )
-        if isinstance(n, D.DistinctCount):
-            return be.distinct_count(
-                self._ensure_mpc(pvals[0]), n.col, n.out_col,
+                args[0], n.group_cols, n.agg_op, n.over, n.out_col,
                 input_sorted=n.input_sorted,
             )
+        if isinstance(n, D.Join):
+            return be.join(args[0], args[1], n.left_key, n.right_key)
+        if isinstance(n, D.DistinctCount):
+            return be.distinct_count(
+                args[0], n.col, n.out_col, input_sorted=n.input_sorted
+            )
         if isinstance(n, D.SortBy):
-            return be.sort_by(self._ensure_mpc(pvals[0]), n.col, n.ascending)
+            return be.sort_by(args[0], n.col, n.ascending)
         if isinstance(n, D.Limit):
-            return be.limit(self._ensure_mpc(pvals[0]), n.n)
+            return be.limit(args[0], n.n)
         raise NotImplementedError(type(n))  # pragma: no cover
 
     # ------------------------------------------------------- public join
@@ -262,12 +286,14 @@ class Engine:
         sort-eliminated consumer sees its key in order. Only matching rows
         then re-enter MPC (or, with no MPC downstream, the result is
         assembled in the clear)."""
-        parts_l = {p: df.toPandas() for p, df in sorted(self._as_parts(pvals[0]).items())}
-        parts_r = {p: df.toPandas() for p, df in sorted(self._as_parts(pvals[1]).items())}
+        # every part of both sides in one batch, each side in party order
+        lframes, rframes = (self._frames(v) for v in pvals)
+        pdfs = self._collect(lframes + rframes)
+        parts_l, parts_r = pdfs[:len(lframes)], pdfs[len(lframes):]
 
         # the parts' key columns in part order: a key's position is its row id
         lkeys, rkeys = (
-            np.concatenate([pdf[key].to_numpy(np.int64) for pdf in parts.values()])
+            np.concatenate([pdf[key].to_numpy(np.int64) for pdf in parts])
             for parts, key in ((parts_l, n.left_key), (parts_r, n.right_key))
         )
         # the key columns cross the network in the clear
@@ -280,8 +306,8 @@ class Engine:
         if not self._downstream_has_mpc(dag, n):
             # assemble the join result in the clear at `n.at` (reaches
             # the recipient anyway; §7.2 "public join avoids MPC")
-            lfull = pd.concat(parts_l.values(), ignore_index=True)
-            rfull = pd.concat(parts_r.values(), ignore_index=True)
+            lfull = pd.concat(parts_l, ignore_index=True)
+            rfull = pd.concat(parts_r, ignore_index=True)
             self._charge_transfer(len(lfull), len(lfull.columns))
             self._charge_transfer(len(rfull), len(rfull.columns))
             left_sel = lfull.iloc[lgid].reset_index(drop=True)
@@ -298,9 +324,9 @@ class Engine:
             """Share the rows ``gids`` names, each once, in row-id order;
             also return each pair's position among the shared rows."""
             needed, pos = np.unique(gids, return_inverse=True)
-            cols = [c for c in next(iter(parts.values())).columns if c != drop_col]
+            cols = [c for c in parts[0].columns if c != drop_col]
             shared, offset = [], 0
-            for pdf in parts.values():
+            for pdf in parts:
                 local = needed[(needed >= offset) & (needed < offset + len(pdf))]
                 if len(local):
                     rows = pdf.iloc[local - offset][cols]
@@ -327,8 +353,7 @@ class Engine:
         be = self.backend
         if not isinstance(be, SharemindBackend):
             raise NotImplementedError("hybrid operators need the secret-sharing backend")
-        left = be.shuffle(self._ensure_mpc(pvals[0]))
-        right = be.shuffle(self._ensure_mpc(pvals[1]))
+        left, right = (be.shuffle(r) for r in self._ensure_mpc_all(pvals))
         # reveal key-only projections to the STP
         lk = be.reveal_col_to(left, n.left_key, n.stp)
         rk = be.reveal_col_to(right, n.right_key, n.stp)
@@ -354,7 +379,8 @@ class Engine:
         be = self.backend
         if not isinstance(be, SharemindBackend):
             raise NotImplementedError("hybrid operators need the secret-sharing backend")
-        rel = be.shuffle(self._ensure_mpc(pvals[0]))
+        (rel,) = self._ensure_mpc_all(pvals)
+        rel = be.shuffle(rel)
         group = n.group_cols[0]
         keys = be.reveal_col_to(rel, group, n.stp)
         # STP: sort the rows by key in the clear; stability breaks ties

@@ -1,8 +1,11 @@
 """Compiled plans whose MPC steps run on either engine backend
-(``sharemind`` or ``oblivc``), checked against DuckDB, and the traced
-benchmark's tracer run over a compiled plan."""
+(``sharemind`` or ``oblivc``), checked against DuckDB; plans neither
+backend can run raise instead of returning wrong rows; the concurrent
+collect at the MPC boundary; and the traced benchmark's tracer run over
+a compiled plan."""
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from repro.core import dag as D
 from repro.core.columns import Column, Party
 from repro.core.compiler import CompileOptions, compile_query
-from repro.core.lang import newTable
+from repro.core.lang import concat, newTable
 from repro.oracle import assert_equivalent
 from repro.queries.base import gen_to_spark
 from repro.runtime.engine import Engine
@@ -88,6 +91,106 @@ def test_public_join_on_gc_backend(spark):
     plan, df = _run(spark, spec.output, spec.parties, gen, "oblivc")
     assert plan.dag.nodes_of_type(D.PublicJoin)
     assert_equivalent(df, spec.oracle_sql, **gen)
+
+
+# ------------------------------------------- plans no backend can run
+_FILTERED = {"l": _pdf(k=[1, 2, 3, 4], f=[0, 0, 1, 1]),
+             "r": _pdf(k=[1, 2, 3, 4], v=[5, 6, 7, 8])}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_limit_over_mpc_filter_raises(spark, backend):
+    """A limit after an MPC filter would count masked-out rows among its
+    first positions (DuckDB gives 2 rows here; the backends gave 1 and 0),
+    so both backends refuse it."""
+    parties, joined = _join(["k", "f"], ["k", "v"])
+    out = joined.filter("f", "==", 1).limit(2).collect(to=[parties[0]])
+    with pytest.raises(NotImplementedError, match="limit over filtered"):
+        _run(spark, out, parties, _FILTERED, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sort_over_mpc_filter_raises(spark, backend):
+    """A sort after an MPC filter would sort masked-out rows in with the
+    kept ones, so both backends refuse it."""
+    parties, joined = _join(["k", "f"], ["k", "v"])
+    out = joined.filter("f", "==", 1).sort_by("v").collect(to=[parties[0]])
+    with pytest.raises(NotImplementedError, match="sort over filtered"):
+        _run(spark, out, parties, _FILTERED, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_two_column_group_by_raises(spark, backend):
+    """An MPC SUM grouped by two columns is refused, not grouped by the
+    first column alone (which gave x=[1, 2], s=[60, 60] on oblivc)."""
+    a, b = Party("a"), Party("b")
+    t1, t2 = (newTable([Column("x"), Column("y"), Column("v")], at=p, name=f"t{i}")
+              for i, p in ((1, a), (2, b)))
+    out = (concat([t1, t2]).aggregate("s", D.SUM, group=["x", "y"], over="v")
+           .collect(to=[a]))
+    plan = compile_query(
+        out, CompileOptions(parties=[a, b], allow_cardinality_leaking_pushdown=False)
+    )
+    assert [n.site for n in plan.dag.nodes_of_type(D.Aggregate)] == [("mpc",)]
+    rows = _pdf(x=[1, 1, 2], y=[1, 2, 1], v=[10, 20, 30])
+    eng = Engine(spark, ["a", "b"], backend=backend)
+    with pytest.raises(NotImplementedError, match="multi-column group-by"):
+        eng.run(plan, gen_to_spark(spark, {"t1": rows, "t2": rows}))
+
+
+# ------------------------------------------ concurrent boundary collect
+def _three_party_public_join(downstream: str):
+    """Left and right tables partitioned over parties a, b, c with a
+    public key; the join's result is collected, or summed under MPC."""
+    parties = [Party(p) for p in "abc"]
+    left = concat([newTable([Column("k", public=True), Column("v")], at=p,
+                            name=f"l{p.name}") for p in parties])
+    right = concat([newTable([Column("k", public=True), Column("w")], at=p,
+                             name=f"r{p.name}") for p in parties])
+    joined = left.join(right, left="k", right="k")
+    if downstream == "mpc":
+        joined = joined.aggregate("s", D.SUM, group=["v"], over="w")
+    opts = CompileOptions(parties=parties, allow_cardinality_leaking_pushdown=False)
+    return compile_query(joined.collect(to=[parties[0]]), opts), parties
+
+
+def _three_party_inputs():
+    """Unequal part sizes, one empty part per side; ``v`` and ``w`` are
+    unique, so a collected part handed to the wrong side or position
+    shifts the row ids and changes the joined pairs."""
+    g = np.random.default_rng(5)
+    sizes = {"la": 7, "lb": 0, "lc": 3, "ra": 2, "rb": 5, "rc": 0}
+    gen, base = {}, 0
+    for name, n in sizes.items():
+        col = "v" if name[0] == "l" else "w"
+        gen[name] = _pdf(k=g.integers(0, 4, n), **{col: np.arange(base, base + n)})
+        base += n
+    return gen
+
+
+@pytest.mark.parametrize("downstream", ["clear", "mpc"])
+def test_three_party_public_join_matches_duckdb(spark, downstream):
+    plan, parties = _three_party_public_join(downstream)
+    assert plan.dag.nodes_of_type(D.PublicJoin)
+    gen = _three_party_inputs()
+    df = Engine(spark, [p.name for p in parties]).run(plan, gen_to_spark(spark, gen))
+    union = ("(SELECT * FROM {0}a UNION ALL SELECT * FROM {0}b "
+             "UNION ALL SELECT * FROM {0}c)")
+    joined = f"{union.format('l')} l JOIN {union.format('r')} r ON l.k = r.k"
+    sql = (f"SELECT l.k AS k, l.v AS v, r.w AS w FROM {joined}" if downstream == "clear"
+           else f"SELECT l.v AS v, SUM(r.w) AS s FROM {joined} GROUP BY l.v")
+    assert_equivalent(df, sql, **gen)
+
+
+def test_boundary_collect_leaves_no_thread_behind(spark):
+    """The public join collects its six parts from a pool of threads; the
+    pool is closed when the node is done."""
+    plan, parties = _three_party_public_join("mpc")
+    data = gen_to_spark(spark, _three_party_inputs())
+    eng = Engine(spark, [p.name for p in parties])
+    before = threading.active_count()
+    eng.run(plan, data).toPandas()
+    assert threading.active_count() == before
 
 
 # ------------------------------------------------------ benchmark tracer

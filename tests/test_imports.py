@@ -1,6 +1,7 @@
-"""Import smoke test: every module under ``repro`` imports, and every
+"""Import smoke test: every module under ``repro`` imports, every
 ``jobs/table*.py`` entry point compiles and names a table module that
-:func:`repro.bench_util.sweep` can drive."""
+:func:`repro.bench_util.sweep` can drive, and every archived
+``results/table*.txt`` holds its job's table without Spark log lines."""
 import ast
 import importlib
 import pkgutil
@@ -10,7 +11,9 @@ import pytest
 
 import repro
 
-JOBS = sorted((Path(__file__).resolve().parents[1] / "jobs").glob("table*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+JOBS = sorted((ROOT / "jobs").glob("table*.py"))
+RESULTS = sorted((ROOT / "results").glob("table*.txt"))
 MODULES = sorted(
     m.name for m in pkgutil.walk_packages(repro.__path__, prefix="repro.")
 )
@@ -42,3 +45,13 @@ def test_job_names_a_sweepable_table(job):
     for system, (full, quick) in mod.SIZES.items():
         assert isinstance(system, str) and full and quick
         assert all(isinstance(n, int) for n in full + quick)
+
+
+@pytest.mark.parametrize("path", RESULTS, ids=lambda p: p.name)
+def test_results_hold_no_spark_log_lines(path):
+    """No Spark WARN line and no stage progress bar in an archived table."""
+    bad = [
+        line for line in path.read_text().splitlines()
+        if " WARN " in line or "[Stage " in line
+    ]
+    assert not bad, bad[:3]
