@@ -42,12 +42,19 @@ def to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     return spark.createDataFrame(pdf, schema)
 
 
+def select_cols(df: DataFrame, cols: list[str]) -> DataFrame:
+    """``df`` projected to ``cols``: the frame itself when it already has
+    exactly those columns in that order, so no new Spark plan is made
+    (Spark would analyse and optimise it again at every action)."""
+    return df if df.columns == list(cols) else df.select(*cols)
+
+
 def exec_clear_node(node: D.Node, inputs: list[DataFrame]) -> DataFrame:
     """Execute one operator on already-clear Spark DataFrames."""
     if isinstance(node, D.Concat):
         return reduce(DataFrame.unionByName, inputs)
     if isinstance(node, D.Project):
-        return inputs[0].select(*node.cols)
+        return select_cols(inputs[0], node.cols)
     if isinstance(node, D.Filter):
         return inputs[0].where(f"{node.col} {_OPS[node.op]} {node.value}")
     if isinstance(node, D.Arith):
@@ -105,7 +112,7 @@ def run_query_clear(
     values: dict[int, DataFrame] = {}
     for n in dag.topo_order():
         if isinstance(n, D.Input):
-            values[id(n)] = data[n.name].select(*n.out_cols)
+            values[id(n)] = select_cols(data[n.name], n.out_cols)
         else:
             values[id(n)] = exec_clear_node(n, [values[id(p)] for p in n.parents])
     return values[id(output)]

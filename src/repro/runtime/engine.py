@@ -20,9 +20,14 @@ paper's deployment model:
   rows re-enter MPC (or, when nothing downstream needs MPC, the result
   is assembled in the clear).
 
-All parties' ``inputToMPC`` collects for one node run concurrently
-(:meth:`Engine._collect`, one thread per frame), as the parties' own
-clusters would, and the batch finishes before that node's first MPC step.
+Inputs enter as they were loaded: an ``Input`` node, or a clear
+``Project`` that keeps the columns as they are, hands on the frame itself
+and makes no new Spark plan. Every clear frame an MPC, hybrid or public
+node will collect is noted as it is made, and the first collect of a run
+takes all noted frames in one concurrent batch (:meth:`Engine._collect`,
+one thread per frame), as the parties' own clusters would send their
+``inputToMPC`` at once; the batch finishes before the backend call of
+the node that asked for it.
 
 The engine itself holds only Spark and cleartext work: every step under
 MPC is a call on one backend object, which owns the format of its MPC
@@ -39,7 +44,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from ..backends.sharemind_sim import SharemindBackend
-from ..backends.spark_clear import exec_clear_node, to_spark
+from ..backends.spark_clear import exec_clear_node, select_cols, to_spark
 from ..core import dag as D
 from ..core.compiler import Plan
 from ..mpc.accounting import Meter
@@ -111,6 +116,12 @@ class Engine:
             self.backend = GCBackend(self.meter)
         else:  # pragma: no cover
             raise ValueError(backend)
+        # state of one run: the plan's consumer map; boundary frames made
+        # but not collected yet, and collected frames no node has asked
+        # for yet, both by id of the Spark frame
+        self._cons: dict[int, list[D.Node]] = {}
+        self._noted: dict[int, DataFrame] = {}
+        self._held: dict[int, pd.DataFrame] = {}
 
     # ------------------------------------------------------------ helpers
     def _to_spark(self, pdf: pd.DataFrame) -> DataFrame:
@@ -121,15 +132,25 @@ class Engine:
     def _charge_transfer(self, n_rows: int, n_cols: int) -> None:
         self.meter.charge_comm(rounds=1, bytes_sent=float(n_rows) * n_cols * 8)
 
-    @staticmethod
-    def _collect(dfs: list[DataFrame]) -> list[pd.DataFrame]:
-        """``toPandas`` of each frame, in order. Two or more frames are
-        collected concurrently, one thread each, as the parties' clusters
-        would; the pool is closed before this returns."""
-        if len(dfs) < 2:
-            return [df.toPandas() for df in dfs]
-        with ThreadPoolExecutor(len(dfs)) as pool:
-            return list(pool.map(lambda df: df.toPandas(), dfs))
+    def _collect(self, dfs: list[DataFrame]) -> list[pd.DataFrame]:
+        """``toPandas`` of each frame, in order; a frame listed twice is
+        collected once. Frames not yet collected go in one batch with
+        every noted boundary frame, one thread per frame (the pool is
+        closed before this returns); results not asked for now are held
+        for the node that will ask."""
+        todo = {id(df): df for df in dfs if id(df) not in self._held}
+        if todo:
+            todo.update(self._noted)
+            self._noted.clear()
+            frames = list(todo.values())
+            if len(frames) < 2:
+                pdfs = [df.toPandas() for df in frames]
+            else:
+                with ThreadPoolExecutor(len(frames)) as pool:
+                    pdfs = list(pool.map(lambda df: df.toPandas(), frames))
+            self._held.update(zip(todo, pdfs))
+        got = {k: self._held.pop(k) for k in {id(df) for df in dfs}}
+        return [got[id(df)] for df in dfs]
 
     @staticmethod
     def _frames(val) -> list[DataFrame]:
@@ -150,13 +171,23 @@ class Engine:
         pdfs = iter(self._collect([df for fs in frames for df in fs]))
         out = []
         for v, fs in zip(vals, frames):
-            shared = [self.backend.input_rel(next(pdfs).astype(np.int64)) for _ in fs]
+            shared = [self._share(next(pdfs)) for _ in fs]
             if isinstance(v, ClearVal):
                 v = shared[0]
             elif isinstance(v, PartVal):
                 v = self.backend.concat(shared)
             out.append(v)
         return out
+
+    def _share(self, pdf: pd.DataFrame):
+        """inputToMPC of one collected frame. MPC holds integers, so a
+        fractional column is refused rather than truncated."""
+        for col, dtype in pdf.dtypes.items():
+            if dtype.kind == "f":
+                raise NotImplementedError(
+                    f"fractional column {col!r} ({dtype}) cannot enter MPC"
+                )
+        return self.backend.input_rel(pdf.astype(np.int64))
 
     def _reveal_to(self, val, party: str) -> ClearVal:
         """revealTo: open an MPC value at one party as a Spark DataFrame."""
@@ -179,22 +210,25 @@ class Engine:
             return {val.party: val.df}
         raise TypeError("expected a cleartext relation")
 
-    @staticmethod
-    def _stays_partitioned(dag: D.Dag, n: D.Concat) -> bool:
+    def _stays_partitioned(self, n: D.Node) -> bool:
         """An MPC concat stays partitioned in the clear when it feeds a
         public join, which shares only the matching rows. A clear concat
         is a Spark union at its party: all its parents sit at that party,
         so a partitioned value would hold the same one part."""
-        cons = dag.consumers().get(id(n), [])
-        return n.site == ("mpc",) and any(isinstance(c, D.PublicJoin) for c in cons)
+        cons = self._cons.get(id(n), [])
+        return (isinstance(n, D.Concat) and n.site == ("mpc",)
+                and any(isinstance(c, D.PublicJoin) for c in cons))
 
-    @staticmethod
-    def _downstream_has_mpc(dag: D.Dag, node: D.Node) -> bool:
+    def _collects(self, n: D.Node) -> bool:
+        """Whether ``n`` collects its clear parents' frames (inputToMPC,
+        or the public join's parts)."""
+        return n.site[0] != "clear" and not self._stays_partitioned(n)
+
+    def _downstream_has_mpc(self, node: D.Node) -> bool:
         """Whether an MPC or hybrid node consumes ``node``'s result,
         directly or further down: a public join with none assembles its
         result in the clear."""
-        cons = dag.consumers()
-        stack, seen = list(cons.get(id(node), [])), set()
+        stack, seen = list(self._cons.get(id(node), [])), set()
         while stack:
             n = stack.pop()
             if id(n) in seen:
@@ -202,7 +236,7 @@ class Engine:
             seen.add(id(n))
             if n.site and n.site[0] in ("mpc", "hybrid"):
                 return True
-            stack.extend(cons.get(id(n), []))
+            stack.extend(self._cons.get(id(n), []))
         return False
 
     # ---------------------------------------------------------------- run
@@ -210,26 +244,32 @@ class Engine:
         """Execute the plan; returns the recipient's result DataFrame."""
         self.meter.restart_wall()
         dag = plan.dag
+        self._cons = dag.consumers()
         values: dict[int, object] = {}
-        for n in dag.topo_order():
-            values[id(n)] = self._exec_node(dag, n, inputs, values)
+        try:
+            for n in dag.topo_order():
+                val = values[id(n)] = self._exec_node(n, inputs, values)
+                if any(self._collects(c) for c in self._cons.get(id(n), [])):
+                    self._noted.update((id(df), df) for df in self._frames(val))
+        finally:
+            self._noted.clear()
+            self._held.clear()
         out = values[id(dag.outputs[0])]
         assert isinstance(out, ClearVal)
         return out.df
 
     # ----------------------------------------------------------- dispatch
-    def _exec_node(self, dag, n: D.Node, inputs, values):
+    def _exec_node(self, n: D.Node, inputs, values):
         pvals = [values[id(p)] for p in n.parents]
         if isinstance(n, D.Input):
-            df = inputs[n.name]
-            return ClearVal(n.party.name, df.select(*n.out_cols))
+            return ClearVal(n.party.name, select_cols(inputs[n.name], n.out_cols))
         if isinstance(n, D.Output):
             party = n.recipients[0].name
             df = self._as_clear_at(pvals[0], party)
             return ClearVal(party, df)
         site = n.site
         assert site is not None, f"uncompiled node {n.name}"
-        if isinstance(n, D.Concat) and self._stays_partitioned(dag, n):
+        if self._stays_partitioned(n):
             parts: dict[str, DataFrame] = {}
             for v in pvals:
                 for p, df in self._as_parts(v).items():
@@ -239,7 +279,7 @@ class Engine:
             dfs = [self._as_clear_at(v, site[1]) for v in pvals]
             return ClearVal(site[1], exec_clear_node(n, dfs))
         if site[0] == "public":
-            return self._exec_public_join(dag, n, pvals)
+            return self._exec_public_join(n, pvals)
         if site[0] == "hybrid":
             if isinstance(n, D.HybridJoin):
                 return self._exec_hybrid_join(n, pvals)
@@ -278,7 +318,7 @@ class Engine:
         raise NotImplementedError(type(n))  # pragma: no cover
 
     # ------------------------------------------------------- public join
-    def _exec_public_join(self, dag, n: D.PublicJoin, pvals):
+    def _exec_public_join(self, n: D.PublicJoin, pvals):
         """§5.3 public join. Key columns are public: they travel in the
         clear to ``n.at``, which computes matching row-id pairs with a
         numpy equi-join on the driver (:func:`join_index_pairs`), ordered
@@ -303,7 +343,7 @@ class Engine:
         # index pairs go back to every party
         self._charge_transfer(len(lgid) * len(self.parties), 2)
 
-        if not self._downstream_has_mpc(dag, n):
+        if not self._downstream_has_mpc(n):
             # assemble the join result in the clear at `n.at` (reaches
             # the recipient anyway; §7.2 "public join avoids MPC")
             lfull = pd.concat(parts_l, ignore_index=True)
@@ -330,7 +370,7 @@ class Engine:
                 local = needed[(needed >= offset) & (needed < offset + len(pdf))]
                 if len(local):
                     rows = pdf.iloc[local - offset][cols]
-                    shared.append(self.backend.input_rel(rows.astype(np.int64)))
+                    shared.append(self._share(rows))
                 offset += len(pdf)
             if not shared:
                 empty = pd.DataFrame({c: np.zeros(0, np.int64) for c in cols})

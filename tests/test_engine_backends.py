@@ -1,8 +1,8 @@
 """Compiled plans whose MPC steps run on either engine backend
 (``sharemind`` or ``oblivc``), checked against DuckDB; plans neither
-backend can run raise instead of returning wrong rows; the concurrent
-collect at the MPC boundary; and the traced benchmark's tracer run over
-a compiled plan."""
+backend can run raise instead of returning wrong rows; inputs handed on
+as loaded and the one concurrent collect batch at the MPC boundary; and
+the traced benchmark's tracer run over a compiled plan."""
 import importlib.util
 import sys
 import threading
@@ -138,6 +138,123 @@ def test_two_column_group_by_raises(spark, backend):
         eng.run(plan, gen_to_spark(spark, {"t1": rows, "t2": rows}))
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("leaking", [True, False])
+def test_fractional_column_into_mpc_raises(spark, backend, leaking):
+    """A clear division makes a double column; sharing it would truncate
+    it (this plan returned s = 2 where DuckDB gives 3.0), so inputToMPC
+    refuses it and names the column: ``h``, or the parties' local sums
+    ``s`` when the leaking push-down splits the aggregation."""
+    a, b = Party("a"), Party("b")
+    ta, tb = (newTable([Column("x")], at=p, name=f"t{p.name}") for p in (a, b))
+    out = (concat([ta, tb]).divide("h", "x", by=2).aggregate("s", D.SUM, over="h")
+           .collect(to=[a]))
+    opts = CompileOptions(parties=[a, b], allow_cardinality_leaking_pushdown=leaking)
+    plan = compile_query(out, opts)
+    eng = Engine(spark, ["a", "b"], backend=backend)
+    gen = {"ta": _pdf(x=[1, 2]), "tb": _pdf(x=[1, 2])}
+    with pytest.raises(NotImplementedError, match="fractional column '[hs]'"):
+        eng.run(plan, gen_to_spark(spark, gen))
+
+
+# ----------------------------------------------- inputs as they were loaded
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_input_with_extra_and_reordered_columns_is_projected(spark, backend):
+    """A loaded frame with an extra (fractional) column and its columns in
+    another order is projected to the plan's columns before it enters
+    MPC; a frame that already has them enters as it is."""
+    a, b = Party("a"), Party("b")
+    ta, tb = (newTable([Column("k"), Column("v")], at=p, name=f"t{p.name}")
+              for p in (a, b))
+    out = concat([ta, tb]).aggregate("s", D.SUM, group=["k"], over="v").collect(to=[a])
+    opts = CompileOptions(parties=[a, b], allow_cardinality_leaking_pushdown=False)
+    plan = compile_query(out, opts)
+    assert [n.site for n in plan.dag.nodes_of_type(D.Aggregate)] == [("mpc",)]
+    gen = {"ta": _pdf(k=[1, 2, 1], v=[3, 4, 5]),
+           "tb": pd.DataFrame({"v": np.asarray([6, 7], np.int64),
+                               "note": [0.5, 1.5],
+                               "k": np.asarray([2, 3], np.int64)})}
+    df = Engine(spark, ["a", "b"], backend=backend).run(plan, gen_to_spark(spark, gen))
+    assert_equivalent(
+        df,
+        "SELECT k, SUM(v) AS s FROM (SELECT k, v FROM ta UNION ALL "
+        "SELECT k, v FROM tb) GROUP BY k",
+        **gen,
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_frame_listed_twice_in_one_batch(spark, backend):
+    """``concat([ta, ta, tb])`` lists one frame twice in the boundary
+    batch: it is collected once and shared for both uses (k=1→7, 2→4,
+    3→7)."""
+    a, b = Party("a"), Party("b")
+    ta, tb = (newTable([Column("k"), Column("v")], at=p, name=f"t{p.name}")
+              for p in (a, b))
+    out = (concat([ta, ta, tb]).aggregate("s", D.SUM, group=["k"], over="v")
+           .collect(to=[a]))
+    opts = CompileOptions(parties=[a, b], allow_cardinality_leaking_pushdown=False)
+    plan = compile_query(out, opts)
+    (cat,) = plan.dag.nodes_of_type(D.Concat)
+    assert cat.site == ("mpc",) and cat.parents[0] is cat.parents[1]
+    gen = {"ta": _pdf(k=[1, 2], v=[3, 2]), "tb": _pdf(k=[1, 3, 3], v=[1, 3, 4])}
+    df = Engine(spark, ["a", "b"], backend=backend).run(plan, gen_to_spark(spark, gen))
+    assert_equivalent(
+        df,
+        "SELECT k, SUM(v) AS s FROM (SELECT * FROM ta UNION ALL SELECT * FROM ta "
+        "UNION ALL SELECT * FROM tb) GROUP BY k",
+        **gen,
+    )
+
+
+#: frames in the one boundary batch of each benchmark plan
+_BATCH_FRAMES = {"hhi-mpc": 3, "aspirin-public": 4, "credit-hybrid": 3}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_FRAMES))
+def test_benchmark_plans_make_one_boundary_batch(spark, monkeypatch, name):
+    """The benchmark's three plans at small sizes, with its compiler
+    options: one boundary batch per run, of every party's frame, and no
+    Spark ``select`` over a loaded input that already has the plan's
+    columns (a new plan that Spark analyses again at every run)."""
+    from pyspark.sql.classic.dataframe import DataFrame
+
+    w = _load_perfbench("workloads").WORKLOADS[name]
+    spec = w.module().build()
+    plan = compile_query(spec.output, CompileOptions(parties=spec.parties, **w.options))
+    data = gen_to_spark(spark, w.gen(seed=2, scale=0.01))
+    as_loaded = [data[n.name] for n in plan.dag.nodes_of_type(D.Input)
+                 if data[n.name].columns == n.out_cols]
+    assert as_loaded
+
+    collected, selected, batches = [], [], []
+    to_pandas, select, collect = DataFrame.toPandas, DataFrame.select, Engine._collect
+
+    def spy_to_pandas(df, *a, **kw):
+        collected.append(df)
+        return to_pandas(df, *a, **kw)
+
+    def spy_select(df, *a, **kw):
+        selected.append(df)
+        return select(df, *a, **kw)
+
+    def spy_collect(eng, dfs):
+        before = len(collected)
+        out = collect(eng, dfs)
+        if len(collected) > before:
+            batches.append(len(collected) - before)
+        return out
+
+    monkeypatch.setattr(DataFrame, "toPandas", spy_to_pandas)
+    monkeypatch.setattr(DataFrame, "select", spy_select)
+    monkeypatch.setattr(Engine, "_collect", spy_collect)
+    for _ in range(2):
+        batches.clear()
+        Engine(spark, [p.name for p in spec.parties]).run(plan, data)
+        assert batches == [_BATCH_FRAMES[name]]
+    assert not any(df is loaded for df in selected for loaded in as_loaded)
+
+
 # ------------------------------------------ concurrent boundary collect
 def _three_party_public_join(downstream: str):
     """Left and right tables partitioned over parties a, b, c with a
@@ -194,9 +311,9 @@ def test_boundary_collect_leaves_no_thread_behind(spark):
 
 
 # ------------------------------------------------------ benchmark tracer
-def _load_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def _load_perfbench(module: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{module}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{module}", path)
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # its dataclass looks the module up
     spec.loader.exec_module(mod)
@@ -209,7 +326,7 @@ def test_tracer_wraps_a_compiled_credit_run(spark):
     from repro.core import compiler
     from repro.queries import credit_card
 
-    tracer = _load_tracer().Tracer()
+    tracer = _load_perfbench("tracer").Tracer()
     gen = credit_card.gen_inputs(n_holders=30, seed=1)
     spec = credit_card.build()
     tracer.install()

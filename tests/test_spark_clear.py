@@ -41,6 +41,18 @@ def test_project(spark, data, rel):
     assert_equivalent(df, "SELECT v FROM t", t=data)
 
 
+def test_identity_project_hands_on_the_frame(spark, data, rel):
+    """A Project that keeps the columns as they are returns its input
+    frame (no new Spark plan); one that reorders or drops columns still
+    selects."""
+    t, _ = rel
+    df = spark.createDataFrame(data)
+    assert exec_clear_node(t.project(["k", "v"]).node, [df]) is df
+    for cols in (["v", "k"], ["v"]):
+        out = exec_clear_node(t.project(cols).node, [df])
+        assert out is not df and out.columns == cols
+
+
 @pytest.mark.parametrize("op,sql_op", [("==", "="), (">", ">"), ("<=", "<=")])
 def test_filter_ops(spark, data, rel, op, sql_op):
     t, p = rel
