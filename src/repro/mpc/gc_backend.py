@@ -18,8 +18,8 @@ relation, and a group-by on more than one column, raise
 ``NotImplementedError`` as on the secret-sharing backend. Hybrid
 operators are not supported here: the paper's hybrid protocols are
 built on the secret-sharing backend. Every sort is charged one
-compare-and-swap circuit per comparator of the padded Batcher network
-the secret-sharing backend runs
+compare-and-swap circuit per comparator of the Batcher network the
+secret-sharing backend runs on the real rows
 (:func:`repro.mpc.protocols.sort_comparators`).
 
 Calibration constants (documented in DESIGN.md §2.1):

@@ -26,8 +26,6 @@ import numpy as np
 from .secret_sharing import SecretSharingVM, SharedVector, _from_ring
 from .shared_rel import SharedRelation
 
-_SENTINEL = np.int64(2**62)  # sort padding key, larger than any data value
-
 
 # ----------------------------------------------------------------- shuffle
 def oblivious_shuffle(
@@ -48,11 +46,14 @@ def oblivious_shuffle(
 
 # -------------------------------------------------------------------- sort
 def _batcher_pairs(n: int):
-    """Compare-exchange layers of Batcher's odd-even mergesort for n a
-    power of two. Yields (i_idx, j_idx) index arrays per layer.
+    """Compare-exchange layers of Batcher's odd-even mergesort on n rows.
+    Yields (i_idx, j_idx) index arrays per layer, with i < j.
 
     Layer (p, k) pairs x with x + k for every x in [k % p, n - k) that
-    starts a k-block at offset k % p and stays inside its 2p-block."""
+    starts a k-block at offset k % p and stays inside its 2p-block. For n
+    not a power of two these are the pairs with j < n of the network over
+    n padded to one, and a layer left empty is dropped: a padded row would
+    hold a key no real key passes, so no comparator touching one swaps."""
     p = 1
     while p < n:
         k = p
@@ -67,11 +68,8 @@ def _batcher_pairs(n: int):
 
 
 def sort_comparators(n: int) -> int:
-    """Compare-exchanges :func:`oblivious_sort` runs on ``n`` rows: those
-    of the network over ``n`` padded to a power of two."""
-    if n <= 1:
-        return 0
-    return sum(len(i) for i, _ in _batcher_pairs(1 << (n - 1).bit_length()))
+    """Compare-exchanges :func:`oblivious_sort` runs on ``n`` rows."""
+    return sum(len(i) for i, _ in _batcher_pairs(n))
 
 
 def _own(v: SharedVector) -> SharedVector:
@@ -89,18 +87,10 @@ def oblivious_sort(
     """Sort a shared relation by one column with a Batcher network of
     oblivious compare-exchanges: O(n log² n) comparisons, each followed by
     two Beaver multiplications per column to swap conditionally."""
-    n = rel.n_rows
-    if n <= 1:
+    if rel.n_rows <= 1:
         return rel
-    n2 = 1 << (n - 1).bit_length()
-    cols = dict(rel.columns)
-    if n2 != n:
-        pad_key = np.full(n2 - n, _SENTINEL if not descending else -_SENTINEL)
-        for name, v in cols.items():
-            pad = vm.share(pad_key if name == key else np.zeros(n2 - n, np.int64))
-            cols[name] = vm.concat([v, pad])
-    cols = {name: _own(v) for name, v in cols.items()}
-    for i_idx, j_idx in _batcher_pairs(n2):
+    cols = {name: _own(v) for name, v in rel.columns.items()}
+    for i_idx, j_idx in _batcher_pairs(rel.n_rows):
         ki = vm.take(cols[key], i_idx)
         kj = vm.take(cols[key], j_idx)
         # swap if out of order
@@ -114,7 +104,7 @@ def oblivious_sort(
             for s, d in zip(v.shares, delta.shares):
                 s[i_idx] += d
                 s[j_idx] -= d
-    return rel.with_columns({name: vm.take(v, slice(0, n)) for name, v in cols.items()})
+    return rel.with_columns(cols)
 
 
 # ------------------------------------------------------ segmented log-scan

@@ -153,7 +153,7 @@ def test_top_k_by():
 def test_sort_by_charges_the_secret_sharing_sort_network(n, monkeypatch):
     """GC ``sort_by`` charges one 64-bit compare-and-swap circuit per
     comparison the secret-sharing backend's oblivious sort makes on the
-    same n: both backends sort with the same padded Batcher network."""
+    same n: both backends sort with the same pruned Batcher network."""
     keys = np.random.default_rng(n).integers(0, 1000, n)
     vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=1)
     compared = []

@@ -50,15 +50,15 @@ def test_beaver_mul_matches_numpy(vals):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=33))
-def test_oblivious_sort_sorts_anything(keys):
+@given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=70), st.booleans())
+def test_oblivious_sort_sorts_anything(keys, descending):
     vm = _vm(3)
     rel = share_dataframe(
         vm, pd.DataFrame({"k": np.array(keys, np.int64),
                           "v": np.arange(len(keys), dtype=np.int64)})
     )
-    got = reveal_relation(vm, P.oblivious_sort(vm, rel, "k"))
-    assert got["k"].tolist() == sorted(keys)
+    got = reveal_relation(vm, P.oblivious_sort(vm, rel, "k", descending=descending))
+    assert got["k"].tolist() == sorted(keys, reverse=descending)
     assert set(zip(got["k"], got["v"])) == set(
         zip(keys, range(len(keys)))
     )

@@ -100,6 +100,74 @@ def test_batcher_pairs_match_reference(n):
         np.testing.assert_array_equal(gj, wj)
 
 
+def _compare_exchange(keys, rows, layers, descending):
+    """Run compare-exchange ``layers`` over ``keys`` in the clear, as
+    ``P.oblivious_sort`` does (swap only when strictly out of order), and
+    return the row ids in their final order."""
+    keys, rows = keys.copy(), rows.copy()
+    for i, j in layers:
+        swap = keys[i] < keys[j] if descending else keys[j] < keys[i]
+        si, sj = i[swap], j[swap]
+        keys[si], keys[sj] = keys[sj], keys[si]
+        rows[si], rows[sj] = rows[sj], rows[si]
+    return rows
+
+
+def _padded_network_rows(keys, descending):
+    """Row order of the padded network: ``keys`` padded to a power of two
+    with a sentinel no real key passes, the full network run, the padding
+    dropped. ``P.oblivious_sort`` ran this before the padding was pruned."""
+    n = len(keys)
+    n2 = 1 << (n - 1).bit_length()
+    sentinel = -(2**62) if descending else 2**62
+    padded = np.concatenate([keys, np.full(n2 - n, sentinel, np.int64)])
+    rows = _compare_exchange(
+        padded, np.arange(n2), _batcher_pairs_reference(n2), descending
+    )
+    assert (rows[n:] >= n).all()  # the sentinels never moved up
+    return rows[:n]
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_pruned_network_sorts_like_the_padded_one(descending):
+    """For any n, the pruned network sorts (checked against ``np.sort``)
+    and leaves the rows, ties included, in the padded network's order."""
+    g = np.random.default_rng(7 + descending)
+    for _ in range(300):
+        n = int(g.integers(2, 301))
+        keys = g.integers(-int(g.integers(1, 2 * n)), int(g.integers(1, 2 * n)), n)
+        rows = _compare_exchange(keys, np.arange(n), P._batcher_pairs(n), descending)
+        want = np.sort(keys)[::-1] if descending else np.sort(keys)
+        np.testing.assert_array_equal(keys[rows], want)
+        np.testing.assert_array_equal(rows, _padded_network_rows(keys, descending))
+
+
+@pytest.mark.parametrize("n", [3, 5, 100, 257, 300])
+@pytest.mark.parametrize("descending", [False, True])
+def test_oblivious_sort_order_equals_padded_network(vm, n, descending):
+    g = np.random.default_rng(n)
+    keys = g.integers(-20, 20, n)  # many ties
+    got = reveal_relation(
+        vm, P.oblivious_sort(vm, _share(vm, k=keys, v=np.arange(n)), "k",
+                             descending=descending)
+    )
+    want = _padded_network_rows(keys, descending)
+    np.testing.assert_array_equal(got["v"], want)
+    np.testing.assert_array_equal(got["k"], keys[want])
+
+
+def test_sort_comparators_counts_the_pruned_network():
+    for n in (0, 1, 2, 3, 100, 1000, 1024, 11_744):
+        pairs = [len(i) for i, _ in P._batcher_pairs(n)]
+        assert P.sort_comparators(n) == sum(pairs)
+        assert all(pairs)  # no empty layer
+    # fewer than over n padded to a power of two, unless n is one already
+    assert P.sort_comparators(11_744) == 540_146 < P.sort_comparators(16_384)
+    assert P.sort_comparators(1024) == sum(
+        len(i) for i, _ in _batcher_pairs_reference(1024)
+    )
+
+
 def test_protocol_costs_are_pinned():
     """Simulated rounds and bytes of sort, grouped sum and masked distinct
     count on fixed inputs. Any change here is a cost-model change."""
@@ -115,10 +183,10 @@ def test_protocol_costs_are_pinned():
         fn()
         return vm.meter.rounds - r0, vm.meter.bytes_sent - b0
 
-    assert cost(lambda: P.oblivious_sort(vm, rel, "k")) == (552, 10_395_984)
+    assert cost(lambda: P.oblivious_sort(vm, rel, "k")) == (550, 10_161_072)
     assert cost(
         lambda: P.aggregate_sum_by_key(vm, rel, "k", "v", np.random.default_rng(1))
-    ) == (593, 12_567_360)
+    ) == (591, 12_332_448)
     key = vm.share(np.sort(g.integers(0, 37, 1000)))
     mask = vm.share(g.integers(0, 2, 1000))
     assert cost(lambda: P.distinct_count_sorted(vm, key, mask)) == (43, 3_033_168)

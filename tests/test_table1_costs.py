@@ -9,16 +9,16 @@ from repro.tables import table1_micro
 
 #: (system, n) -> (rounds, bytes_sent, gc_and_gates, peak_mem_bytes)
 PINNED = {
-    ("sharemind/agg", 100): (319, 794_176.0, 0.0, 0.0),
-    ("sharemind/agg", 1000): (595, 12_599_360.0, 0.0, 0.0),
+    ("sharemind/agg", 100): (317, 634_736.0, 0.0, 0.0),
+    ("sharemind/agg", 1000): (593, 12_364_448.0, 0.0, 0.0),
     ("sharemind/join", 100): (45, 2630801.5659797546, 0.0, 240_000.0),
     ("sharemind/join", 1000): (54, 243393187.52428943, 0.0, 24_000_000.0),
     ("sharemind/project", 100): (3, 8_000.0, 0.0, 0.0),
     ("sharemind/project", 1000): (3, 80_000.0, 0.0, 0.0),
-    # GC sorts charge the padded network the secret-sharing backend runs,
+    # GC sorts charge the pruned network the secret-sharing backend runs,
     # and the aggregate stages its projected input (8 × n·32·64 B)
-    ("oblivc/agg", 100): (1, 15_880_896.0, 486_678.0, 1_638_400.0),
-    ("oblivc/agg", 1000): (1, 253_985_088.0, 7_841_034.0, 16_384_000.0),
+    ("oblivc/agg", 100): (1, 12_146_304.0, 369_972.0, 1_638_400.0),
+    ("oblivc/agg", 1000): (1, 248_469_696.0, 7_668_678.0, 16_384_000.0),
     ("oblivc/join", 100): (2, 41_254_400.0, 1_270_000.0, 1_459_200.0),
     ("oblivc/join", 1000): (2, 4_070_144_000.0, 127_000_000.0, 72_192_000.0),
     ("oblivc/project", 100): (2, 307_600.0, 0.0, 1_433_600.0),
