@@ -85,8 +85,10 @@ def oblivious_sort(
     descending: bool = False,
 ) -> SharedRelation:
     """Sort a shared relation by one column with a Batcher network of
-    oblivious compare-exchanges: O(n log² n) comparisons, each followed by
-    two Beaver multiplications per column to swap conditionally."""
+    oblivious compare-exchanges over its n rows: O(n log² n) comparisons.
+    Each layer compares its pairs' keys in one batch, then swaps every
+    column of every out-of-order pair with one batched Beaver
+    multiplication, so one round per layer, whatever the column count."""
     if rel.n_rows <= 1:
         return rel
     cols = {name: _own(v) for name, v in rel.columns.items()}
@@ -95,15 +97,20 @@ def oblivious_sort(
         kj = vm.take(cols[key], j_idx)
         # swap if out of order
         swap = vm.lt(kj, ki) if not descending else vm.lt(ki, kj)
+        diffs = [
+            vm.sub(kj, ki) if name == key
+            else vm.sub(vm.take(v, j_idx), vm.take(v, i_idx))
+            for name, v in cols.items()
+        ]
+        delta = vm.mul(vm.concat([swap] * len(diffs)), vm.concat(diffs))
         # the comparators of one layer are disjoint, so updating in place
         # reads no value this layer has already written
-        for v in cols.values():
-            vi = vm.take(v, i_idx)
-            vj = vm.take(v, j_idx)
-            delta = vm.mul(swap, vm.sub(vj, vi))
+        m = len(i_idx)
+        for c, v in enumerate(cols.values()):
+            part = slice(c * m, (c + 1) * m)
             for s, d in zip(v.shares, delta.shares):
-                s[i_idx] += d
-                s[j_idx] -= d
+                s[i_idx] += d[part]
+                s[j_idx] -= d[part]
     return rel.with_columns(cols)
 
 

@@ -168,6 +168,22 @@ def test_sort_comparators_counts_the_pruned_network():
     )
 
 
+@pytest.mark.parametrize("n_cols", [1, 2, 5])
+def test_oblivious_sort_swaps_all_columns_in_one_round(n_cols):
+    """A layer costs one batched comparison and one Beaver round, however
+    many columns it swaps; the bytes still grow with the columns."""
+    vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=1)
+    g = np.random.default_rng(n_cols)
+    rel = _share(vm, **{f"c{c}": g.integers(0, 9, 100) for c in range(n_cols)})
+    r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
+    P.oblivious_sort(vm, rel, "c0")
+    layers = list(P._batcher_pairs(100))
+    assert vm.meter.rounds - r0 == len(layers) * (8 + 1)
+    comparators = P.sort_comparators(100)
+    # a comparison moves 5 words per party pair, a Beaver mul opens 2
+    assert vm.meter.bytes_sent - b0 == comparators * (5 + 2 * n_cols) * 8 * 3 * 2
+
+
 def test_protocol_costs_are_pinned():
     """Simulated rounds and bytes of sort, grouped sum and masked distinct
     count on fixed inputs. Any change here is a cost-model change."""
@@ -183,10 +199,10 @@ def test_protocol_costs_are_pinned():
         fn()
         return vm.meter.rounds - r0, vm.meter.bytes_sent - b0
 
-    assert cost(lambda: P.oblivious_sort(vm, rel, "k")) == (550, 10_161_072)
+    assert cost(lambda: P.oblivious_sort(vm, rel, "k")) == (495, 10_161_072)
     assert cost(
         lambda: P.aggregate_sum_by_key(vm, rel, "k", "v", np.random.default_rng(1))
-    ) == (591, 12_332_448)
+    ) == (536, 12_332_448)
     key = vm.share(np.sort(g.integers(0, 37, 1000)))
     mask = vm.share(g.integers(0, 2, 1000))
     assert cost(lambda: P.distinct_count_sorted(vm, key, mask)) == (43, 3_033_168)
