@@ -94,7 +94,7 @@ class SharemindBackend:
                 rv = r.columns[right]
                 rs = r.scale_of(right)
             else:
-                rv = self.vm.share(np.full(r.n_rows, int(right), np.int64))
+                rv = self.vm.public(np.full(r.n_rows, int(right), np.int64))
                 rs = 0
             cols[out] = self.vm.div_fixed(lv, rv, 1 << FP_BITS)
             scales[out] = ls - rs + FP_BITS
@@ -109,7 +109,7 @@ class SharemindBackend:
         for COUNT — multiplied by the filter mask if present, and the
         scale the aggregate keeps (the `over` column's, for SUM)."""
         if agg_op == "count" or over is None:
-            v = self.vm.share(np.ones(r.n_rows, np.int64))
+            v = self.vm.public(np.ones(r.n_rows, np.int64))
             scale = 0
         else:
             v = r.columns[over]

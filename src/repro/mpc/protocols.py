@@ -164,9 +164,9 @@ def _same_key_flags(vm: SecretSharingVM, key: SharedVector) -> SharedVector:
     """same[i] = [key[i] == key[i-1]] (shared), same[0] = 0."""
     n = len(key)
     if n == 1:
-        return vm.share(np.zeros(1, np.int64))
+        return vm.public(np.zeros(1, np.int64))
     inner = vm.eq(vm.take(key, np.arange(1, n)), vm.take(key, np.arange(0, n - 1)))
-    zero = vm.share(np.zeros(1, np.int64))
+    zero = vm.public(np.zeros(1, np.int64))
     return vm.concat([zero, inner])
 
 
@@ -196,11 +196,11 @@ def aggregate_sum_by_key(
     # group end: next row starts a new group (or last row)
     if n > 1:
         next_same = vm.concat(
-            [vm.take(same, np.arange(1, n)), vm.share(np.zeros(1, np.int64))]
+            [vm.take(same, np.arange(1, n)), vm.public(np.zeros(1, np.int64))]
         )
     else:
-        next_same = vm.share(np.zeros(1, np.int64))
-    one = vm.share(np.ones(n, np.int64))
+        next_same = vm.public(np.zeros(1, np.int64))
+    one = vm.public(np.ones(n, np.int64))
     is_end = vm.sub(one, next_same)
     return keep_group_ends(
         vm, work.with_columns({key: work.columns[key], value: sums}), is_end, rng
@@ -282,7 +282,7 @@ def filter_eq_flags(
 ) -> SharedVector:
     """Shared 0/1 flags [col == constant] for a public constant."""
     n = len(col)
-    const = vm.share(np.full(n, constant, np.int64))
+    const = vm.public(np.full(n, constant, np.int64))
     return vm.eq(col, const)
 
 
@@ -301,7 +301,7 @@ def distinct_count_sorted(
     n = len(key)
     same = _same_key_flags(vm, key)
     if mask is None:
-        one = vm.share(np.ones(n, np.int64))
+        one = vm.public(np.ones(n, np.int64))
         # first row of each group contributes 1
         contrib = vm.sub(one, same)
         return vm.sum(contrib)
@@ -310,11 +310,11 @@ def distinct_count_sorted(
     # = (scan shifted by one within segment) = same[i] * scan[i-1]
     if n > 1:
         shifted = vm.concat(
-            [vm.share(np.zeros(1, np.int64)), vm.take(scan, np.arange(0, n - 1))]
+            [vm.public(np.zeros(1, np.int64)), vm.take(scan, np.arange(0, n - 1))]
         )
     else:
-        shifted = vm.share(np.zeros(1, np.int64))
+        shifted = vm.public(np.zeros(1, np.int64))
     seen_before = vm.mul(same, shifted)
-    one = vm.share(np.ones(n, np.int64))
+    one = vm.public(np.ones(n, np.int64))
     contrib = vm.mul(mask, vm.sub(one, seen_before))
     return vm.sum(contrib)

@@ -97,6 +97,15 @@ class SecretSharingVM:
         )
         return shared
 
+    def public(self, values: np.ndarray) -> SharedVector:
+        """The trivial sharing of a public vector: party 0's share is the
+        values, every other party's is zero. Every party knows the values
+        already, so this is share-local and costs nothing."""
+        ring = _as_ring(values)
+        return SharedVector(
+            (ring,) + tuple(np.zeros_like(ring) for _ in range(self.n_parties - 1))
+        )
+
     def _reshare(self, cleartext_ring: np.ndarray) -> SharedVector:
         """Produce a fresh sharing of an internally-computed result
         (ideal-functionality output). No communication charge here; the
@@ -141,10 +150,8 @@ class SecretSharingVM:
         return SharedVector(tuple(x - y for x, y in zip(a.shares, b.shares)))
 
     def add_public(self, a: SharedVector, c: np.ndarray | int) -> SharedVector:
-        cr = _as_ring(np.broadcast_to(np.asarray(c, dtype=np.int64), (len(a),)))
-        shares = list(s.copy() for s in a.shares)
-        shares[0] = shares[0] + cr
-        return SharedVector(tuple(shares))
+        c = np.broadcast_to(np.asarray(c, dtype=np.int64), (len(a),))
+        return self.add(a, self.public(c))
 
     def mul_public(self, a: SharedVector, c: np.ndarray | int) -> SharedVector:
         cr = _as_ring(np.broadcast_to(np.asarray(c, dtype=np.int64), (len(a),)))

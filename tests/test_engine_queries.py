@@ -202,12 +202,12 @@ def test_boundary_operator_costs_are_pinned(spark):
     assert plan.dag.nodes_of_type(D.PublicJoin)
     assert all(n.input_sorted for n in plan.dag.nodes_of_type(D.DistinctCount))
     assert df.toPandas()["rx_cnt"].tolist() == [49]
-    assert (eng.meter.rounds, eng.meter.bytes_sent) == (71, 900_008.0)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (66, 882_784.0)
 
     plan, eng = _check_credit(spark, credit_card.gen_inputs(n_holders=150, seed=1))
     assert plan.dag.nodes_of_type(D.HybridJoin)
     assert plan.dag.nodes_of_type(D.HybridAggregate)
-    assert (eng.meter.rounds, eng.meter.bytes_sent) == (189, 916_054.3750300453)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (188, 913_654.3750300453)
 
 
 # ---------------------------------------------------------- comorbidity

@@ -202,10 +202,10 @@ def test_protocol_costs_are_pinned():
     assert cost(lambda: P.oblivious_sort(vm, rel, "k")) == (495, 10_161_072)
     assert cost(
         lambda: P.aggregate_sum_by_key(vm, rel, "k", "v", np.random.default_rng(1))
-    ) == (536, 12_332_448)
+    ) == (533, 12_316_416)
     key = vm.share(np.sort(g.integers(0, 37, 1000)))
     mask = vm.share(g.integers(0, 2, 1000))
-    assert cost(lambda: P.distinct_count_sorted(vm, key, mask)) == (43, 3_033_168)
+    assert cost(lambda: P.distinct_count_sorted(vm, key, mask)) == (40, 3_017_136)
 
 
 # ------------------------------------------------------------------- scans

@@ -58,6 +58,7 @@ def test_linear_ops_cost_no_communication(vm):
     vm.mul_public(av, 17)
     vm.add_public(av, 5)
     vm.sum(av)
+    vm.public(np.array([1, -1], dtype=np.int64))
     assert vm.meter.rounds == before_rounds
     assert vm.meter.bytes_sent == before_bytes
 
@@ -69,6 +70,15 @@ def test_add_public_mul_public(vm):
     np.testing.assert_array_equal(
         vm.reveal(vm.mul_public(av, np.array([1, 2, 3]))), [5, -4, 300]
     )
+
+
+def test_public_constant_is_a_trivial_sharing(vm):
+    c = vm.public(np.array([7, -1, 0], dtype=np.int64))
+    assert c.n_parties == 3
+    assert all((s == 0).all() for s in c.shares[1:])
+    np.testing.assert_array_equal(vm.reveal(c), [7, -1, 0])
+    av = vm.share(np.array([1, 2, 3], dtype=np.int64))
+    np.testing.assert_array_equal(vm.reveal(vm.mul(av, c)), [7, -2, 0])
 
 
 def test_beaver_multiplication_correct(vm):
