@@ -194,12 +194,9 @@ def aggregate_sum_by_key(
     sums = segmented_scan_sum(vm, work.columns[value], same)
     n = work.n_rows
     # group end: next row starts a new group (or last row)
-    if n > 1:
-        next_same = vm.concat(
-            [vm.take(same, np.arange(1, n)), vm.public(np.zeros(1, np.int64))]
-        )
-    else:
-        next_same = vm.public(np.zeros(1, np.int64))
+    next_same = vm.concat(
+        [vm.take(same, np.arange(1, n)), vm.public(np.zeros(1, np.int64))]
+    )
     one = vm.public(np.ones(n, np.int64))
     is_end = vm.sub(one, next_same)
     return keep_group_ends(
@@ -308,12 +305,9 @@ def distinct_count_sorted(
     scan = segmented_scan_or(vm, mask, same)
     # seen-before(i) = OR of mask over earlier rows in the segment
     # = (scan shifted by one within segment) = same[i] * scan[i-1]
-    if n > 1:
-        shifted = vm.concat(
-            [vm.public(np.zeros(1, np.int64)), vm.take(scan, np.arange(0, n - 1))]
-        )
-    else:
-        shifted = vm.public(np.zeros(1, np.int64))
+    shifted = vm.concat(
+        [vm.public(np.zeros(1, np.int64)), vm.take(scan, np.arange(0, n - 1))]
+    )
     seen_before = vm.mul(same, shifted)
     one = vm.public(np.ones(n, np.int64))
     contrib = vm.mul(mask, vm.sub(one, seen_before))
