@@ -52,8 +52,9 @@ def _batcher_pairs(n: int):
     Layer (p, k) pairs x with x + k for every x in [k % p, n - k) that
     starts a k-block at offset k % p and stays inside its 2p-block. For n
     not a power of two these are the pairs with j < n of the network over
-    n padded to one, and a layer left empty is dropped: a padded row would
-    hold a key no real key passes, so no comparator touching one swaps."""
+    n rounded up to a power of two, and a layer left empty is dropped: a
+    padded row would hold a key no real key passes, so no comparator
+    touching one would swap."""
     p = 1
     while p < n:
         k = p
