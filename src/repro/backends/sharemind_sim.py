@@ -59,6 +59,11 @@ class SharemindBackend:
         for r in rels[1:]:
             if r.scales != scales:
                 raise ValueError("concat scale mismatch")
+        if any(MASK in r.columns for r in rels):
+            # an unfiltered part keeps every row: a free all-ones mask
+            rels = [r if MASK in r.columns else r.with_columns(
+                {**r.columns, MASK: self.vm.public(np.ones(r.n_rows, np.int64))}
+            ) for r in rels]
         return rels[0].with_columns({
             n: self.vm.concat([r.columns[n] for r in rels])
             for n in rels[0].column_names

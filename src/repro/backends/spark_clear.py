@@ -68,7 +68,7 @@ def exec_clear_node(node: D.Node, inputs: list[DataFrame]) -> DataFrame:
         else:  # pragma: no cover
             raise ValueError(node.op)
         return df.withColumn(node.out_col, expr)
-    if isinstance(node, (D.Aggregate, D.HybridAggregate)):
+    if isinstance(node, D.Aggregate):
         df = inputs[0]
         if node.agg_op == D.SUM:
             agg = F.sum(node.over).alias(node.out_col)
@@ -79,7 +79,7 @@ def exec_clear_node(node: D.Node, inputs: list[DataFrame]) -> DataFrame:
         if node.group_cols:
             return df.groupBy(*node.group_cols).agg(agg)
         return df.agg(agg)
-    if isinstance(node, (D.Join, D.HybridJoin, D.PublicJoin)):
+    if isinstance(node, D.Join):
         left, right = inputs
         if not node.left_key:  # cross join (scalar broadcast)
             return left.crossJoin(right)

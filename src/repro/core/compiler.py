@@ -7,11 +7,13 @@
    (§5.2) — cardinality-leaking splits only with party consent;
 3. trust-set propagation (§5.1 pass 2);
 4. hybrid-operator rewrites where trust annotations authorize them
-   (§5.3);
+   (§5.3): a join or aggregation is pinned to ``("hybrid", stp)`` or
+   ``("public", party)`` in place;
 5. push-up of reversible leaf operators (§5.2) and sort-order tracking /
    oblivious-sort elimination (§5.4);
 6. site assignment — every node is pinned to ``("clear", party)``,
-   ``("mpc",)``, ``("hybrid", stp)`` or ``("public", party)``; the
+   ``("mpc",)``, ``("hybrid", stp)`` or ``("public", party)``: a site
+   pinned by step 4 or 5 first, else ``("clear", owner)``, else MPC; the
    runtime engine interprets the annotated DAG in topological order,
    entering/leaving MPC at site transitions.
 
@@ -53,15 +55,6 @@ class Plan:
     def nodes(self) -> list[D.Node]:
         return self.dag.topo_order()
 
-    def describe(self) -> str:
-        lines = []
-        for n in self.nodes():
-            extra = ""
-            if n.input_sorted:
-                extra += " [sort-eliminated]"
-            lines.append(f"{n.op_name():<16} {n.name:<28} site={n.site}{extra}")
-        return "\n".join(lines)
-
 
 def _assign_sites(dag: D.Dag) -> None:
     for n in dag.topo_order():
@@ -71,10 +64,6 @@ def _assign_sites(dag: D.Dag) -> None:
             n.site = ("clear", n.recipients[0].name)
         elif n.forced_site is not None:
             n.site = n.forced_site
-        elif isinstance(n, (D.HybridJoin, D.HybridAggregate)):
-            n.site = ("hybrid", n.stp)
-        elif isinstance(n, D.PublicJoin):
-            n.site = ("public", n.at)
         elif n.owner is not None:
             n.site = ("clear", n.owner)
         else:
@@ -112,8 +101,6 @@ def compile_query(
         enable_hybrid=options.enable_hybrid,
         enable_public_join=options.enable_public_join,
     )
-    propagate_ownership(dag)
-    propagate_trust(dag, options.parties)
 
     # 5: push-up + sort tracking
     if options.enable_push_up:

@@ -8,11 +8,16 @@ Nodes carry the results of the analysis passes:
 * ``site`` — where the compiled plan executes the node:
   ``("clear", party)``, ``("mpc",)``, ``("hybrid", stp)`` or
   ``("public", party)``;
+* ``forced_site`` — a site a rewrite pinned, which site assignment
+  takes over ownership;
 * ``sorted_by`` / ``input_sorted`` — sort-order tracking for the §5.4
   sort-elimination optimization.
 
-Rewrites (§5.2, §5.3) replace nodes; the physical plan is simply the
-annotated DAG in topological order, interpreted by the runtime engine.
+The §5.2 push-down rewrites replace nodes. The §5.3 hybrid rewrites and
+the §5.2 push-up only pin sites: a hybrid or public join is a ``Join``
+and a hybrid aggregation an ``Aggregate`` whose site says how it runs.
+The physical plan is simply the annotated DAG in topological order,
+interpreted by the runtime engine.
 """
 from __future__ import annotations
 
@@ -39,8 +44,9 @@ class Node:
     owner: str | None = None
     trust: dict[str, frozenset[str]] = field(default_factory=dict)
     site: tuple | None = None
-    #: set by the §5.2 push-up pass to pin a node to clear execution at a
-    #: recipient even though its owner differs
+    #: pinned by a rewrite, ahead of ownership: ``("public", party)`` or
+    #: ``("hybrid", stp)`` on a join or aggregation by the §5.3 hybrid
+    #: rewrites, ``("clear", recipient)`` by the §5.2 push-up
     forced_site: tuple | None = None
     sorted_by: str | None = None
     input_sorted: bool = False
@@ -48,9 +54,6 @@ class Node:
     def __post_init__(self):
         if not self.name:
             self.name = f"{type(self).__name__.lower()}_{next(_ids)}"
-
-    def op_name(self) -> str:
-        return type(self).__name__
 
 
 @dataclass(eq=False)
@@ -93,7 +96,8 @@ class Arith(Node):
 
 @dataclass(eq=False)
 class Aggregate(Node):
-    """Grouped or scalar SUM/COUNT. Output schema: group_cols + [out_col]."""
+    """Grouped or scalar SUM/COUNT. Output schema: group_cols + [out_col].
+    Under MPC, site ``("hybrid", stp)`` runs the §5.3 hybrid aggregation."""
 
     group_cols: list[str] = field(default_factory=list)
     agg_op: str = SUM
@@ -101,50 +105,17 @@ class Aggregate(Node):
     out_col: str = ""
     # set by the §5.2 aggregation-split rewrite on the MPC-side combiner
     secondary: bool = False
-    # set by the §5.2 push-up leaf-count rewrite: run the count in the
-    # clear at the recipient over an MPC projection of the group column
-    clear_count_at: str | None = None
 
 
 @dataclass(eq=False)
 class Join(Node):
     """Inner equi-join on single key columns; output key column keeps the
-    left name. Empty keys = cross join (used for scalar broadcast)."""
+    left name. Empty keys = cross join (used for scalar broadcast). Under
+    MPC, site ``("hybrid", stp)`` runs the §5.3 hybrid join and
+    ``("public", party)`` the public join."""
 
     left_key: str = ""
     right_key: str = ""
-
-
-@dataclass(eq=False)
-class HybridJoin(Node):
-    """§5.3 hybrid join: key columns revealed to the STP, who joins in
-    the clear; rows reconstructed under MPC via oblivious indexing."""
-
-    left_key: str = ""
-    right_key: str = ""
-    stp: str = ""
-
-
-@dataclass(eq=False)
-class PublicJoin(Node):
-    """§5.3 public join: key columns public, join computed in the clear
-    at a chosen party; only matching rows re-enter MPC."""
-
-    left_key: str = ""
-    right_key: str = ""
-    at: str = ""
-
-
-@dataclass(eq=False)
-class HybridAggregate(Node):
-    """§5.3 hybrid aggregation: shuffled group-by column revealed to the
-    STP, which sorts in the clear; accumulation stays under MPC."""
-
-    group_cols: list[str] = field(default_factory=list)
-    agg_op: str = SUM
-    over: str | None = None
-    out_col: str = ""
-    stp: str = ""
 
 
 @dataclass(eq=False)

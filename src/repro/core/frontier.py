@@ -78,7 +78,7 @@ def split_aggregations(dag: D.Dag) -> int:
     while changed:
         changed = False
         for agg in dag.nodes_of_type(D.Aggregate):
-            if agg.secondary or agg.clear_count_at:
+            if agg.secondary or agg.forced_site is not None:
                 continue
             parent = agg.parents[0]
             if not isinstance(parent, D.Concat):
@@ -137,12 +137,12 @@ def push_up(dag: D.Dag) -> int:
                 and cur.agg_op == D.COUNT
                 and cur.group_cols
                 and not cur.secondary
+                and cur.forced_site is None  # not a §5.3 hybrid aggregation
             ):
                 proj = D.Project(
                     [cur.parents[0]], list(cur.group_cols), cols=list(cur.group_cols)
                 )
                 cur.parents = [proj]
-                cur.clear_count_at = recipient
                 cur.forced_site = ("clear", recipient)
                 applied += 1
                 break

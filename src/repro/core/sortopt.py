@@ -15,12 +15,17 @@ from __future__ import annotations
 from . import dag as D
 
 
+def _pinned(n: D.Node, kind: str) -> bool:
+    """Whether a §5.3 rewrite pinned ``n`` to run as ``kind``."""
+    return n.forced_site is not None and n.forced_site[0] == kind
+
+
 def track_sort_orders(dag: D.Dag, *, enabled: bool = True) -> None:
     for n in dag.topo_order():
         n.input_sorted = False
         if isinstance(n, D.Input):
             n.sorted_by = None
-        elif isinstance(n, D.PublicJoin):
+        elif isinstance(n, D.Join) and _pinned(n, "public"):
             n.sorted_by = n.left_key if enabled else None
         elif isinstance(n, (D.Filter, D.Arith, D.Limit, D.Output)):
             n.sorted_by = n.parents[0].sorted_by
@@ -33,16 +38,17 @@ def track_sort_orders(dag: D.Dag, *, enabled: bool = True) -> None:
             p = n.parents[0].sorted_by
             if (
                 enabled
+                and not _pinned(n, "hybrid")
                 and len(n.group_cols) == 1
                 and p == n.group_cols[0]
             ):
                 n.input_sorted = True
             # sort-based MPC aggregation shuffles its output; local clear
-            # aggregation gives no order guarantee either
+            # and hybrid aggregation give no order guarantee either
             n.sorted_by = None
         elif isinstance(n, D.DistinctCount):
             if enabled and n.parents[0].sorted_by == n.col:
                 n.input_sorted = True
             n.sorted_by = None
-        else:  # Concat, Join, HybridJoin, HybridAggregate
+        else:  # Concat, MPC or hybrid Join
             n.sorted_by = None

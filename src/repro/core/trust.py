@@ -41,7 +41,7 @@ def propagate_trust(dag: D.Dag, parties: list[Party]) -> None:
                 t = t & pt[n.right]
             n.trust = dict(pt)
             n.trust[n.out_col] = t
-        elif isinstance(n, (D.Aggregate, D.HybridAggregate)):
+        elif isinstance(n, D.Aggregate):
             pt = n.parents[0].trust
             gsets = [pt[g] for g in n.group_cols]
             n.trust = {g: pt[g] for g in n.group_cols}
@@ -53,7 +53,7 @@ def propagate_trust(dag: D.Dag, parties: list[Party]) -> None:
             for gs in gsets:
                 agg_t = agg_t & gs
             n.trust[n.out_col] = agg_t
-        elif isinstance(n, (D.Join, D.HybridJoin, D.PublicJoin)):
+        elif isinstance(n, D.Join):
             lt, rt = n.parents[0].trust, n.parents[1].trust
             if n.left_key:
                 key_t = lt[n.left_key] & rt[n.right_key]

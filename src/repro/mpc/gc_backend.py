@@ -109,7 +109,10 @@ class GCBackend:
 
     # ---------------------------------------------------------- operators
     def concat(self, rels: list[GCRelation]) -> GCRelation:
-        return GCRelation(pd.concat([r.pdf for r in rels], ignore_index=True))
+        pdf = pd.concat([r.pdf for r in rels], ignore_index=True)
+        if MASK in pdf.columns:  # an unfiltered part keeps every row
+            pdf[MASK] = pdf[MASK].fillna(1).astype(np.int64)
+        return GCRelation(pdf)
 
     def take(self, rel: GCRelation, idx: np.ndarray) -> GCRelation:
         """Rows at public positions ``idx``: wire selection, no ANDs."""

@@ -23,7 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .secret_sharing import SecretSharingVM, SharedVector, _from_ring
+from .secret_sharing import (
+    _CMP_ROUNDS, _CMP_WORDS_PER_ELEM, SecretSharingVM, SharedVector, _from_ring,
+)
 from .shared_rel import SharedRelation
 
 
@@ -250,7 +252,8 @@ def join_cartesian(
     # internally; charged at full O(n·m) comparison cost.
     lk = _from_ring(vm._reconstruct_ring(left.columns[left_key]))
     rk = _from_ring(vm._reconstruct_ring(right.columns[right_key]))
-    vm._abb(np.zeros(0, np.int64), rounds=8, words_per_elem=5, n_elems=n * m)
+    vm._abb(np.zeros(0, np.int64), rounds=_CMP_ROUNDS,
+            words_per_elem=_CMP_WORDS_PER_ELEM, n_elems=n * m)
     li, ri = np.nonzero(lk[:, None] == rk[None, :])
     out: dict[str, SharedVector] = {left_key: vm.gather(left.columns[left_key], li)}
     for name, v in left.columns.items():

@@ -217,7 +217,7 @@ class Engine:
         so a partitioned value would hold the same one part."""
         cons = self._cons.get(id(n), [])
         return (isinstance(n, D.Concat) and n.site == ("mpc",)
-                and any(isinstance(c, D.PublicJoin) for c in cons))
+                and any(c.site[0] == "public" for c in cons))
 
     def _collects(self, n: D.Node) -> bool:
         """Whether ``n`` collects its clear parents' frames (inputToMPC,
@@ -281,7 +281,7 @@ class Engine:
         if site[0] == "public":
             return self._exec_public_join(n, pvals)
         if site[0] == "hybrid":
-            if isinstance(n, D.HybridJoin):
+            if isinstance(n, D.Join):
                 return self._exec_hybrid_join(n, pvals)
             return self._exec_hybrid_agg(n, pvals)
         return self._exec_mpc(n, pvals)
@@ -318,11 +318,11 @@ class Engine:
         raise NotImplementedError(type(n))  # pragma: no cover
 
     # ------------------------------------------------------- public join
-    def _exec_public_join(self, n: D.PublicJoin, pvals):
+    def _exec_public_join(self, n: D.Join, pvals):
         """§5.3 public join. Key columns are public: they travel in the
-        clear to ``n.at``, which computes matching row-id pairs with a
-        numpy equi-join on the driver (:func:`join_index_pairs`), ordered
-        by (key, left row id, right row id) so that a §5.4
+        clear to the site's party, which computes matching row-id pairs
+        with a numpy equi-join on the driver (:func:`join_index_pairs`),
+        ordered by (key, left row id, right row id) so that a §5.4
         sort-eliminated consumer sees its key in order. Only matching rows
         then re-enter MPC (or, with no MPC downstream, the result is
         assembled in the clear)."""
@@ -344,8 +344,8 @@ class Engine:
         self._charge_transfer(len(lgid) * len(self.parties), 2)
 
         if not self._downstream_has_mpc(n):
-            # assemble the join result in the clear at `n.at` (reaches
-            # the recipient anyway; §7.2 "public join avoids MPC")
+            # assemble the join result in the clear at the site's party
+            # (reaches the recipient anyway; §7.2 "public join avoids MPC")
             lfull = pd.concat(parts_l, ignore_index=True)
             rfull = pd.concat(parts_r, ignore_index=True)
             self._charge_transfer(len(lfull), len(lfull.columns))
@@ -357,7 +357,7 @@ class Engine:
                 .reset_index(drop=True)
             )
             out = pd.concat([left_sel, right_sel], axis=1)
-            return ClearVal(n.at, self._to_spark(out[n.out_cols]))
+            return ClearVal(n.site[1], self._to_spark(out[n.out_cols]))
 
         # share only the matching rows of each partition into MPC
         def matched_shared(parts, gids: np.ndarray, drop_col: str | None):
@@ -385,7 +385,7 @@ class Engine:
         return self.backend.concat_columns(left_sel, right_sel)
 
     # ------------------------------------------------------- hybrid join
-    def _exec_hybrid_join(self, n: D.HybridJoin, pvals):
+    def _exec_hybrid_join(self, n: D.Join, pvals):
         """§5.3 hybrid join (Figure 3): oblivious shuffles, key columns
         revealed to the STP, clear join + enumeration at the STP (a numpy
         equi-join on the driver), oblivious indexing to rebuild the result
@@ -395,8 +395,8 @@ class Engine:
             raise NotImplementedError("hybrid operators need the secret-sharing backend")
         left, right = (be.shuffle(r) for r in self._ensure_mpc_all(pvals))
         # reveal key-only projections to the STP
-        lk = be.reveal_col_to(left, n.left_key, n.stp)
-        rk = be.reveal_col_to(right, n.right_key, n.stp)
+        lk = be.reveal_col_to(left, n.left_key, n.site[1])
+        rk = be.reveal_col_to(right, n.right_key, n.site[1])
         # STP: enumerate + clear join
         li, ri = join_index_pairs(lk, rk, by_key=False)
         # STP secret-shares the index relations (inputToMPC)
@@ -411,7 +411,7 @@ class Engine:
         return be.shuffle(res)
 
     # ------------------------------------------------ hybrid aggregation
-    def _exec_hybrid_agg(self, n: D.HybridAggregate, pvals):
+    def _exec_hybrid_agg(self, n: D.Aggregate, pvals):
         """§5.3 hybrid aggregation: shuffle, reveal the group-by column
         to the STP, clear sort at the STP (a stable ``np.argsort`` on the
         driver), public reorder, oblivious accumulation with STP-shared
@@ -422,7 +422,7 @@ class Engine:
         (rel,) = self._ensure_mpc_all(pvals)
         rel = be.shuffle(rel)
         group = n.group_cols[0]
-        keys = be.reveal_col_to(rel, group, n.stp)
+        keys = be.reveal_col_to(rel, group, n.site[1])
         # STP: sort the rows by key in the clear; stability breaks ties
         # by row position
         order = np.argsort(keys, kind="stable")

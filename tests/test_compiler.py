@@ -14,6 +14,11 @@ def _compile(spec, **kw):
     return compile_query(spec.output, CompileOptions(parties=spec.parties, **kw))
 
 
+def _run_as(plan, cls, kind):
+    """The plan's nodes of type ``cls`` whose site is ``(kind, party)``."""
+    return [n for n in plan.dag.nodes_of_type(cls) if n.site[0] == kind]
+
+
 # ------------------------------------------------------------- ownership
 def test_ownership_inputs_and_unary():
     p = Party("x")
@@ -118,18 +123,18 @@ def test_market_no_hybrid_without_annotations():
     spec = market_concentration.build()
     plan = _compile(spec)
     assert plan.rewrites["hybrid"] == 0
-    assert not plan.dag.nodes_of_type(D.HybridJoin)
-    assert not plan.dag.nodes_of_type(D.HybridAggregate)
+    assert not _run_as(plan, D.Join, "hybrid")
+    assert not _run_as(plan, D.Aggregate, "hybrid")
 
 
 # --------------------------------------------------------------- hybrid
 def test_credit_hybrid_join_and_aggregations():
     spec = credit_card.build()
     plan = _compile(spec)
-    hj = plan.dag.nodes_of_type(D.HybridJoin)
-    ha = plan.dag.nodes_of_type(D.HybridAggregate)
-    assert hj and all(j.stp == "a" for j in hj)
-    assert ha and all(a.stp == "a" for a in ha)
+    hj = _run_as(plan, D.Join, "hybrid")
+    ha = _run_as(plan, D.Aggregate, "hybrid")
+    assert hj and all(j.site[1] == "a" for j in hj)
+    assert ha and all(a.site[1] == "a" for a in ha)
     # the ssn join must be hybrid (regulator is the STP)
     assert any(j.left_key == "ssn" for j in hj)
 
@@ -137,7 +142,7 @@ def test_credit_hybrid_join_and_aggregations():
 def test_credit_without_trust_annotations_stays_mpc():
     spec = credit_card.build(with_trust=False)
     plan = _compile(spec)
-    assert not plan.dag.nodes_of_type(D.HybridJoin)
+    assert not _run_as(plan, D.Join, "hybrid")
     joins = plan.dag.nodes_of_type(D.Join)
     assert any(j.left_key == "ssn" and j.site == ("mpc",) for j in joins)
 
@@ -145,8 +150,8 @@ def test_credit_without_trust_annotations_stays_mpc():
 def test_hybrid_disabled_by_option():
     spec = credit_card.build()
     plan = _compile(spec, enable_hybrid=False)
-    assert not plan.dag.nodes_of_type(D.HybridJoin)
-    assert not plan.dag.nodes_of_type(D.HybridAggregate)
+    assert not _run_as(plan, D.Join, "hybrid")
+    assert not _run_as(plan, D.Aggregate, "hybrid")
 
 
 @pytest.mark.parametrize(
@@ -164,15 +169,14 @@ def test_hybrid_aggregation_only_for_one_group_column(group, hybrid):
         out,
         CompileOptions(parties=[pa, pb, pc], allow_cardinality_leaking_pushdown=False),
     )
-    assert bool(plan.dag.nodes_of_type(D.HybridAggregate)) == hybrid
+    assert bool(_run_as(plan, D.Aggregate, "hybrid")) == hybrid
 
 
 def test_aspirin_public_join():
     spec = aspirin.build()
     plan = _compile(spec)
-    pj = plan.dag.nodes_of_type(D.PublicJoin)
+    pj = _run_as(plan, D.Join, "public")
     assert len(pj) == 1
-    assert pj[0].site[0] == "public"
     # private filters remain under MPC
     for f in plan.dag.nodes_of_type(D.Filter):
         assert f.site == ("mpc",)
@@ -182,7 +186,7 @@ def test_public_join_disabled_falls_back_to_hybrid():
     spec = aspirin.build()
     plan = _compile(spec, enable_public_join=False)
     # keys are public so *some* party qualifies as STP
-    assert plan.dag.nodes_of_type(D.HybridJoin)
+    assert _run_as(plan, D.Join, "hybrid")
 
 
 # -------------------------------------------------------------- push-up
@@ -204,7 +208,7 @@ def test_leaf_count_rewritten_to_projection_plus_clear_count():
         ),
     )
     counts = [
-        n for n in plan.dag.nodes_of_type(D.Aggregate) if n.clear_count_at
+        n for n in plan.dag.nodes_of_type(D.Aggregate) if n.forced_site
     ]
     assert len(counts) == 1
     assert counts[0].site == ("clear", "a")
@@ -287,7 +291,53 @@ def test_comorbidity_plan_shape():
     assert [n.site for n in plan.dag.nodes_of_type(D.Limit)] == [("mpc",)]
 
 
-def test_describe_mentions_sites():
-    plan = _compile(market_concentration.build())
-    text = plan.describe()
-    assert "mpc" in text and "clear" in text
+# ------------------------------------------------------------- plan pins
+_MARKET_LOCAL = ["Input clear:{0}", "Filter clear:{0}", "Project clear:{0}",
+                 "Aggregate clear:{0}"]
+_MARKET = [s.format(p) for p in "abc" for s in _MARKET_LOCAL] + [
+    "Concat mpc", "Aggregate mpc", "Aggregate mpc", "Join mpc", "Arith mpc",
+    "Arith mpc", "Aggregate mpc", "Output clear:a",
+]
+_COMORBIDITY = [
+    "Input clear:h1", "Aggregate clear:h1", "Input clear:h2", "Aggregate clear:h2",
+    "Concat mpc", "Aggregate mpc", "SortBy mpc", "Limit mpc", "Output clear:h1",
+]
+_ASPIRIN_INPUTS = ["Input clear:h1", "Input clear:h2", "Concat mpc"] * 2
+_CREDIT_INPUTS = ["Input clear:a", "Input clear:b", "Input clear:c", "Concat mpc"]
+_NO_HYBRID = {"enable_hybrid": False, "enable_public_join": False}
+PLAN_PINS = [
+    (market_concentration, {}, _MARKET),
+    (market_concentration, _NO_HYBRID, _MARKET),
+    (credit_card, {}, _CREDIT_INPUTS + [
+        "Join hybrid:a", "Aggregate hybrid:a", "Aggregate hybrid:a",
+        "Join hybrid:a", "Arith mpc", "Output clear:a",
+    ]),
+    (credit_card, _NO_HYBRID, _CREDIT_INPUTS + [
+        "Join mpc", "Aggregate mpc", "Aggregate mpc", "Join mpc", "Arith mpc",
+        "Output clear:a",
+    ]),
+    (aspirin, {}, _ASPIRIN_INPUTS + [
+        "Join public:h1", "Filter mpc", "Filter mpc", "DistinctCount mpc sorted",
+        "Output clear:h1",
+    ]),
+    (aspirin, _NO_HYBRID, _ASPIRIN_INPUTS + [
+        "Join mpc", "Filter mpc", "Filter mpc", "DistinctCount mpc", "Output clear:h1",
+    ]),
+    (comorbidity, {}, _COMORBIDITY),
+    (comorbidity, _NO_HYBRID, _COMORBIDITY),
+]
+
+
+@pytest.mark.parametrize(
+    "query, options, pins", PLAN_PINS,
+    ids=[f"{q.__name__.rsplit('.', 1)[1]}-{'no-hybrid' if o else 'default'}"
+         for q, o, _ in PLAN_PINS],
+)
+def test_paper_query_plans_are_pinned(query, options, pins):
+    """Every node's type, site and sort elimination, in topological order:
+    a change to placement has to show itself here."""
+    plan = _compile(query.build(), **options)
+    assert [
+        f"{type(n).__name__} {':'.join(n.site)}" + (" sorted" if n.input_sorted else "")
+        for n in plan.nodes()
+    ] == pins

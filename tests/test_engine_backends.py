@@ -89,8 +89,65 @@ def test_public_join_on_gc_backend(spark):
     gen = aspirin.gen_inputs(n_per_party=200, overlap_frac=0.2, seed=1)
     spec = aspirin.build()
     plan, df = _run(spark, spec.output, spec.parties, gen, "oblivc")
-    assert plan.dag.nodes_of_type(D.PublicJoin)
+    assert any(j.site[0] == "public" for j in plan.dag.nodes_of_type(D.Join))
     assert_equivalent(df, spec.oracle_sql, **gen)
+
+
+# -------------------------------------- MPC concat of filtered relations
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("filtered_first", [True, False])
+def test_mpc_concat_of_filtered_and_unfiltered_parts(spark, backend, filtered_first):
+    """An MPC concat keeps the rows its filtered part's mask keeps and
+    every row of its unfiltered part, in either order."""
+    a, b, c = Party("a"), Party("b"), Party("c")
+
+    def part(i, lp, rp):
+        left = newTable([Column("k"), Column("f")], at=lp, name=f"l{i}")
+        right = newTable([Column("k"), Column("v")], at=rp, name=f"r{i}")
+        return left.join(right, left="k", right="k")
+
+    parts = [part(1, a, b).filter("f", "==", 1), part(2, b, c)]
+    out = concat(parts if filtered_first else parts[::-1]).collect(to=[a])
+    gen = {"l1": _pdf(k=[1, 2, 3], f=[1, 0, 1]), "r1": _pdf(k=[1, 2, 3], v=[10, 20, 30]),
+           "l2": _pdf(k=[4], f=[0]), "r2": _pdf(k=[4, 5], v=[40, 50])}
+    plan, df = _run(spark, out, [a, b, c], gen, backend)
+    assert [n.site for n in plan.dag.nodes_of_type(D.Concat)] == [("mpc",)]
+    assert_equivalent(
+        df,
+        "SELECT l1.k, l1.f, r1.v FROM l1 JOIN r1 ON l1.k = r1.k WHERE l1.f = 1 "
+        "UNION ALL SELECT l2.k, l2.f, r2.v FROM l2 JOIN r2 ON l2.k = r2.k",
+        **gen,
+    )
+
+
+# ------------------------------------------ public keys, MPC-computed side
+@pytest.mark.parametrize("backend,hybrid", [("sharemind", True), ("sharemind", False),
+                                            ("oblivc", False)])
+def test_public_keys_over_an_mpc_input_do_not_make_a_public_join(spark, backend, hybrid):
+    """A join whose keys are public but whose left side is an MPC
+    aggregation has no clear rows to join in public: it runs as a hybrid
+    join, or under MPC with the hybrid operators off."""
+    a, b, c = Party("a"), Party("b"), Party("c")
+    mk = lambda: [Column("k", public=True), Column("v")]  # noqa: E731
+    sums = concat([newTable(mk(), at=a, name="s1"), newTable(mk(), at=b, name="s2")])
+    s3 = newTable([Column("k", public=True), Column("w")], at=c, name="s3")
+    out = (sums.aggregate("s", D.SUM, group=["k"], over="v")
+           .join(s3, left="k", right="k").collect(to=[a]))
+    plan = compile_query(out, CompileOptions(
+        parties=[a, b, c], allow_cardinality_leaking_pushdown=False, enable_hybrid=hybrid,
+    ))
+    gen = {"s1": _pdf(k=[1, 2, 2], v=[1, 2, 3]), "s2": _pdf(k=[2, 3], v=[4, 5]),
+           "s3": _pdf(k=[2, 3, 4], w=[7, 8, 9])}
+    df = Engine(spark, ["a", "b", "c"], backend=backend).run(plan, gen_to_spark(spark, gen))
+    assert_equivalent(
+        df,
+        "SELECT g.k, g.s, s3.w FROM (SELECT k, SUM(v) AS s FROM "
+        "(SELECT * FROM s1 UNION ALL SELECT * FROM s2) GROUP BY k) g "
+        "JOIN s3 ON g.k = s3.k",
+        **gen,
+    )
+    (join,) = plan.dag.nodes_of_type(D.Join)
+    assert join.site == (("hybrid", "a") if hybrid else ("mpc",))
 
 
 # ------------------------------------------- plans no backend can run
@@ -288,7 +345,7 @@ def _three_party_inputs():
 @pytest.mark.parametrize("downstream", ["clear", "mpc"])
 def test_three_party_public_join_matches_duckdb(spark, downstream):
     plan, parties = _three_party_public_join(downstream)
-    assert plan.dag.nodes_of_type(D.PublicJoin)
+    assert any(j.site[0] == "public" for j in plan.dag.nodes_of_type(D.Join))
     gen = _three_party_inputs()
     df = Engine(spark, [p.name for p in parties]).run(plan, gen_to_spark(spark, gen))
     union = ("(SELECT * FROM {0}a UNION ALL SELECT * FROM {0}b "

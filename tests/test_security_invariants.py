@@ -28,17 +28,22 @@ ALL_SPECS = [
 ]
 
 
+def _run_as(plan, cls, kind):
+    """The plan's nodes of type ``cls`` whose site is ``(kind, party)``."""
+    return [n for n in plan.dag.nodes_of_type(cls) if n.site[0] == kind]
+
+
 @pytest.mark.parametrize("build", ALL_SPECS)
 def test_hybrid_ops_only_with_authorization(build):
     spec = build()
     plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
-    for j in plan.dag.nodes_of_type(D.HybridJoin):
+    for j in _run_as(plan, D.Join, "hybrid"):
         lt = j.parents[0].trust[j.left_key]
         rt = j.parents[1].trust[j.right_key]
-        assert j.stp in (lt & rt), "STP not authorized for both key columns"
-    for a in plan.dag.nodes_of_type(D.HybridAggregate):
-        assert a.stp in a.parents[0].trust[a.group_cols[0]]
-    for p in plan.dag.nodes_of_type(D.PublicJoin):
+        assert j.site[1] in (lt & rt), "STP not authorized for both key columns"
+    for a in _run_as(plan, D.Aggregate, "hybrid"):
+        assert a.site[1] in a.parents[0].trust[a.group_cols[0]]
+    for p in _run_as(plan, D.Join, "public"):
         all_parties = {q.name for q in spec.parties}
         assert p.parents[0].trust[p.left_key] == all_parties
         assert p.parents[1].trust[p.right_key] == all_parties
@@ -75,9 +80,9 @@ def test_no_stp_no_hybrid_anywhere():
         .collect(to=[pa])
     )
     plan = compile_query(out, CompileOptions(parties=[pa, pb]))
-    assert not plan.dag.nodes_of_type(D.HybridJoin)
-    assert not plan.dag.nodes_of_type(D.HybridAggregate)
-    assert not plan.dag.nodes_of_type(D.PublicJoin)
+    assert not _run_as(plan, D.Join, "hybrid")
+    assert not _run_as(plan, D.Aggregate, "hybrid")
+    assert not _run_as(plan, D.Join, "public")
 
 
 def test_annotating_one_side_only_is_not_enough():
@@ -87,7 +92,7 @@ def test_annotating_one_side_only_is_not_enough():
     right = newTable([Column("k"), Column("w")], at=pb, name="r")
     out = left.join(right, left="k", right="k").collect(to=[pa])
     plan = compile_query(out, CompileOptions(parties=[pa, pb, pc]))
-    assert not plan.dag.nodes_of_type(D.HybridJoin)
+    assert not _run_as(plan, D.Join, "hybrid")
 
 
 def test_filter_narrows_downstream_trust():
