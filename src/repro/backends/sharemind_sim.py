@@ -127,16 +127,34 @@ class SharemindBackend:
         self, r: SharedRelation, group: list[str], agg_op: str, over: str | None,
         out_col: str, *, input_sorted: bool = False,
     ) -> SharedRelation:
-        val, scale = self._masked_value(r, over, agg_op)
-        scales = {out_col: scale} if scale else {}
         if not group:
-            return SharedRelation({out_col: self.vm.sum(val)}, scales)
+            val, scale = self._masked_value(r, over, agg_op)
+            return SharedRelation({out_col: self.vm.sum(val)},
+                                  {out_col: scale} if scale else {})
         if len(group) != 1:
             raise NotImplementedError("multi-column group-by")
-        work = SharedRelation({group[0]: r.columns[group[0]], out_col: val}, scales)
+        work, count = self._grouped_input(r, group[0], agg_op, over, out_col)
         return P.aggregate_sum_by_key(
-            self.vm, work, group[0], out_col, self.rng, input_sorted=input_sorted
-        )
+            self.vm, work, group[0], out_col, self.rng,
+            input_sorted=input_sorted, count=count,
+        ).project([group[0], out_col])
+
+    def _grouped_input(
+        self, r: SharedRelation, group: str, agg_op: str, over: str | None,
+        out_col: str,
+    ) -> tuple[SharedRelation, str | None]:
+        """The relation a grouped aggregation sums per group — the group
+        column, the masked value as ``out_col`` and, for a filtered SUM,
+        the mask — and the column whose group sum counts the rows the
+        filter kept: the masked ones themselves for COUNT, the mask for
+        SUM, None without a filter."""
+        val, scale = self._masked_value(r, over, agg_op)
+        cols = {group: r.columns[group], out_col: val}
+        count = None
+        if MASK in r.columns:
+            count = out_col if agg_op == "count" or over is None else MASK
+            cols.setdefault(count, r.columns[MASK])
+        return SharedRelation(cols, {out_col: scale} if scale else {}), count
 
     def join(
         self, left: SharedRelation, right: SharedRelation, lk: str, rk: str
@@ -197,7 +215,12 @@ class SharemindBackend:
         )
 
     def concat_columns(self, a: SharedRelation, b: SharedRelation) -> SharedRelation:
-        return SharedRelation({**a.columns, **b.columns}, {**a.scales, **b.scales})
+        """The columns of ``a`` and ``b`` (same row count) side by side; a
+        row is kept only where both sides' filter masks keep it."""
+        cols = {**a.columns, **b.columns}
+        if MASK in a.columns and MASK in b.columns:
+            cols[MASK] = self.vm.mul(a.columns[MASK], b.columns[MASK])
+        return SharedRelation(cols, {**a.scales, **b.scales})
 
     def hybrid_aggregate(
         self, r: SharedRelation, group: str, agg_op: str, over: str | None,
@@ -207,18 +230,13 @@ class SharemindBackend:
         the STP's clear sort by ``group``, and ``same[i]`` is the STP's flag
         [row i has the key of row i-1]; the STP secret-shares it and the
         group-end flags. An oblivious segmented scan sums each group into
-        its last row, and the group ends are kept."""
+        its last row, and the group ends of the groups a filter left rows
+        in are kept."""
         shared_same = self.vm.share(same)
-        val, scale = self._masked_value(r, over, agg_op)
-        sums = P.segmented_scan_sum(self.vm, val, shared_same)
+        work, count = self._grouped_input(r, group, agg_op, over, out_col)
+        sums = P.sum_groups(self.vm, work, group, shared_same)
         is_end = np.ones(len(same), dtype=np.int64)
         is_end[:-1] = 1 - same[1:]
         return P.keep_group_ends(
-            self.vm,
-            SharedRelation(
-                {group: r.columns[group], out_col: sums},
-                {out_col: scale} if scale else {},
-            ),
-            self.vm.share(is_end),
-            self.rng,
-        )
+            self.vm, sums, self.vm.share(is_end), self.rng, count=count
+        ).project([group, out_col])

@@ -7,7 +7,7 @@ These implement the sub-protocols the paper's operators rely on (§5.3,
 * oblivious sort — a real Batcher odd-even mergesort network executed
   with oblivious compare-exchanges (``lt`` + Beaver multiplications),
 * sort-based grouped aggregation (Jónsson et al. [39]) with an oblivious
-  segmented log-scan,
+  work-efficient segmented scan,
 * Cartesian-product join (the paper's standard MPC join, O(n·m)
   nonlinear operations; leaks output size, as the paper's Sharemind
   baseline does),
@@ -117,31 +117,52 @@ def oblivious_sort(
     return rel.with_columns(cols)
 
 
-# ------------------------------------------------------ segmented log-scan
+# ---------------------------------------------------------- segmented scan
 def segmented_scan(
     vm: SecretSharingVM,
-    vals: SharedVector,
+    cols: list[SharedVector],
     same_seg: SharedVector,
     combine: Callable[[SecretSharingVM, SharedVector, SharedVector], SharedVector],
-) -> SharedVector:
-    """Inclusive segmented scan (Hillis–Steele, O(log n) levels of
-    vectorized Beaver muls). ``same_seg[i] = [row i is in the same segment
-    as row i-1]`` (``same_seg[0] = 0``). At level d, each row i >= d sets
-    ``v[i] = combine(vm, v[i], f[i] * v[i-d])`` and ``f[i] = f[i] * f[i-d]``,
-    with ``f`` starting as ``same_seg``."""
-    n = len(vals)
-    v, f = _own(vals), _own(same_seg)
-    d = 1
-    while d < n:
-        hi, lo = slice(d, n), slice(0, n - d)
+) -> list[SharedVector]:
+    """Inclusive segmented scan of each of ``cols`` (Brent–Kung, work-
+    efficient: about 2n Beaver products per column and n for the flags,
+    in about 2 log n steps). ``same_seg[i] = [row i is in the same segment as row i-1]``
+    (``same_seg[0] = 0``).
+
+    A step folds row ``i - d`` into row ``i`` with the pair operator
+    (f₁, v₁)∘(f₂, v₂) = (f₁f₂, combine(v₂, f₂·v₁)), ``f`` starting as
+    ``same_seg``. The up-sweep folds every row i ≡ 2d−1 (mod 2d), for
+    d = 1, 2, 4, …, updating ``f`` too; the down-sweep then folds every row
+    i ≡ d−1 (mod 2d) with i ≥ 3d−1, from the top d down, updating the
+    values only. A step's products, for every column, are one batched
+    Beaver multiplication; a step with no rows costs nothing."""
+    n = len(same_seg)
+    vs, f = [_own(c) for c in cols], _own(same_seg)
+
+    def fold(hi: slice, lo: slice, with_f: bool) -> None:
         f_hi = vm.take(f, hi)
-        carried = vm.mul(f_hi, vm.take(v, lo))
-        v_new = combine(vm, vm.take(v, hi), carried)
-        f_new = vm.mul(f_hi, vm.take(f, lo))
-        for s, new in zip(v.shares + f.shares, v_new.shares + f_new.shares):
-            s[hi] = new
+        m = len(f_hi)
+        if not m:
+            return
+        targets = vs + [f] if with_f else vs
+        prods = vm.mul(vm.concat([f_hi] * len(targets)),
+                       vm.concat([vm.take(t, lo) for t in targets]))
+        new = [vm.take(prods, slice(c * m, (c + 1) * m)) for c in range(len(targets))]
+        new[:len(vs)] = [combine(vm, vm.take(v, hi), p) for v, p in zip(vs, new)]
+        # every new value is computed before the first write
+        for t, x in zip(targets, new):
+            for s, xs in zip(t.shares, x.shares):
+                s[hi] = xs
+
+    d = 1
+    while 2 * d <= n:
+        fold(slice(2 * d - 1, n, 2 * d), slice(d - 1, n - d, 2 * d), True)
         d *= 2
-    return v
+    d //= 2
+    while d:
+        fold(slice(3 * d - 1, n, 2 * d), slice(2 * d - 1, n - d, 2 * d), False)
+        d //= 2
+    return vs
 
 
 def _or(vm: SecretSharingVM, a: SharedVector, b: SharedVector) -> SharedVector:
@@ -150,17 +171,19 @@ def _or(vm: SecretSharingVM, a: SharedVector, b: SharedVector) -> SharedVector:
 
 
 def segmented_scan_sum(
-    vm: SecretSharingVM, vals: SharedVector, same_seg: SharedVector
-) -> SharedVector:
-    """Inclusive segmented prefix sum."""
-    return segmented_scan(vm, vals, same_seg, SecretSharingVM.add)
+    vm: SecretSharingVM, cols: list[SharedVector], same_seg: SharedVector
+) -> list[SharedVector]:
+    """Inclusive segmented prefix sum of each of ``cols``, all scanned in
+    the same multiplications (one round per step)."""
+    return segmented_scan(vm, cols, same_seg, SecretSharingVM.add)
 
 
 def segmented_scan_or(
     vm: SecretSharingVM, bits: SharedVector, same_seg: SharedVector
 ) -> SharedVector:
-    """Inclusive segmented prefix OR over shared 0/1 values."""
-    return segmented_scan(vm, bits, same_seg, _or)
+    """Inclusive segmented prefix OR over shared 0/1 values (two rounds
+    per step: the OR multiplies by the carried product)."""
+    return segmented_scan(vm, [bits], same_seg, _or)[0]
 
 
 def _same_key_flags(vm: SecretSharingVM, key: SharedVector) -> SharedVector:
@@ -182,6 +205,7 @@ def aggregate_sum_by_key(
     rng: np.random.Generator,
     *,
     input_sorted: bool = False,
+    count: str | None = None,
 ) -> SharedRelation:
     """Sort-based grouped SUM (Jónsson et al.): sort by key, obliviously
     accumulate each group into its last row, shuffle, reveal group-end
@@ -189,12 +213,15 @@ def aggregate_sum_by_key(
     protocol does not pad either, §7.4 comorbidity).
 
     With ``input_sorted=True`` the oblivious sort is skipped — the §5.4
-    sort-elimination optimization."""
-    work = rel.project([key, value])
+    sort-elimination optimization. ``count`` names a 0/1 column (a filter
+    mask, or ``value`` itself): it is summed in the same multiplications
+    as ``value``, and a group whose sum of it is 0 is dropped (see
+    :func:`keep_group_ends`)."""
+    work = rel.project([key, value] + ([count] if count not in (None, value) else []))
     if not input_sorted and work.n_rows > 1:
         work = oblivious_sort(vm, work, key)
     same = _same_key_flags(vm, work.columns[key])
-    sums = segmented_scan_sum(vm, work.columns[value], same)
+    sums = sum_groups(vm, work, key, same)
     n = work.n_rows
     # group end: next row starts a new group (or last row)
     next_same = vm.concat(
@@ -202,9 +229,18 @@ def aggregate_sum_by_key(
     )
     one = vm.public(np.ones(n, np.int64))
     is_end = vm.sub(one, next_same)
-    return keep_group_ends(
-        vm, work.with_columns({key: work.columns[key], value: sums}), is_end, rng
-    )
+    return keep_group_ends(vm, sums, is_end, rng, count=count)
+
+
+def sum_groups(
+    vm: SecretSharingVM, rel: SharedRelation, key: str, same: SharedVector
+) -> SharedRelation:
+    """``rel`` with every column but ``key`` replaced by its running sum
+    within the groups of rows that ``same`` flags, each group's total in
+    its last row: one segmented scan for all the columns."""
+    summed = [c for c in rel.column_names if c != key]
+    sums = segmented_scan_sum(vm, [rel.columns[c] for c in summed], same)
+    return rel.with_columns({key: rel.columns[key], **dict(zip(summed, sums))})
 
 
 def keep_group_ends(
@@ -212,18 +248,28 @@ def keep_group_ends(
     rel: SharedRelation,
     is_end: SharedVector,
     rng: np.random.Generator,
+    *,
+    count: str | None = None,
 ) -> SharedRelation:
     """Last step of a sort-based aggregation: shuffle the rows together
     with their shared group-end flags, reveal the flags and keep the
     group-end rows. The shuffle hides which sorted position (so which
-    group) each kept row came from; the number of groups is revealed."""
+    group) each kept row came from; the number of groups is revealed.
+
+    With ``count`` (the column holding each group's number of rows a
+    filter kept), a group whose count is 0 is dropped too: one batched
+    equality and one reveal over the kept rows. They are shuffled, so this
+    reveals only how many groups the filter emptied."""
     staged = rel.with_columns({**rel.columns, "__end": is_end})
     shuffled, _ = oblivious_shuffle(vm, staged, rng)
     flags = vm.reveal(shuffled.columns["__end"])
     keep = np.nonzero(flags == 1)[0]
-    return rel.with_columns(
-        {n: vm.take(shuffled.columns[n], keep) for n in rel.columns}
-    )
+    kept = {n: vm.take(shuffled.columns[n], keep) for n in rel.columns}
+    if count is not None:
+        zero = vm.public(np.zeros(len(keep), np.int64))
+        empty = vm.reveal(vm.eq(kept[count], zero))
+        kept = {n: vm.take(v, np.nonzero(empty == 0)[0]) for n, v in kept.items()}
+    return rel.with_columns(kept)
 
 
 # -------------------------------------------------------------------- join

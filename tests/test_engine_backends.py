@@ -64,6 +64,66 @@ def test_grouped_aggregate_after_mpc_filter(spark, backend, agg_op, sql_agg):
     )
 
 
+@pytest.mark.parametrize("backend,site", [("sharemind", "mpc"), ("sharemind", "hybrid"),
+                                          ("oblivc", "mpc")])
+@pytest.mark.parametrize("agg_op,sql_agg", [(D.SUM, "SUM(r.v)"), (D.COUNT, "COUNT(*)")])
+def test_group_the_mpc_filter_empties_is_dropped(spark, backend, site, agg_op, sql_agg):
+    """No row of group g=2 passes the filter, so the result has no g=2
+    row (the secret-sharing backend returned it with s=0). With the keys,
+    ``g`` and the filter column trusted to party c, the aggregation is the
+    §5.3 hybrid one; push-up is off, so COUNT is not lifted to party a."""
+    a, b, c = Party("a"), Party("b"), Party("c")
+    trust = (c,) if site == "hybrid" else ()
+    left = newTable([Column("k", trust=trust), Column("g", trust=trust)], at=a, name="l")
+    right = newTable([Column("k", trust=trust), Column("x", trust=trust), Column("v")],
+                     at=b, name="r")
+    over = "v" if agg_op == D.SUM else None
+    out = (left.join(right, left="k", right="k").filter("x", "==", 5)
+           .aggregate("s", agg_op, group=["g"], over=over).collect(to=[a]))
+    gen = {"l": _pdf(k=[1, 2, 3, 4], g=[1, 1, 2, 2]),
+           "r": _pdf(k=[1, 2, 3, 4], x=[5, 6, 6, 7], v=[10, 20, 30, 40])}
+    plan = compile_query(out, CompileOptions(parties=[a, b, c], enable_push_up=False))
+    assert [n.site[0] for n in plan.dag.nodes_of_type(D.Aggregate)] == [site]
+    eng = Engine(spark, ["a", "b", "c"], backend=backend)
+    df = eng.run(plan, gen_to_spark(spark, gen))
+    assert_equivalent(
+        df,
+        f"SELECT l.g AS g, {sql_agg} AS s FROM l JOIN r ON l.k = r.k "
+        "WHERE r.x = 5 GROUP BY l.g",
+        **gen,
+    )
+
+
+def test_hybrid_join_keeps_both_sides_filters(spark):
+    """A hybrid join of two MPC-filtered relations keeps a row only where
+    both filters do (the right side's mask used to replace the left's, so
+    the row with x=6 was returned too). Party c is trusted with the keys
+    and the filter columns, so all three joins are hybrid."""
+    a, b, c = Party("a"), Party("b"), Party("c")
+
+    def cols(*names):
+        return [Column(n, trust=(c,)) for n in names]
+
+    left = (newTable(cols("k", "j", "x"), at=a, name="la")
+            .join(newTable(cols("k"), at=b, name="lb"), left="k", right="k")
+            .filter("x", "==", 5))
+    right = (newTable(cols("m", "j", "z"), at=a, name="ra")
+             .join(newTable(cols("m"), at=b, name="rb"), left="m", right="m")
+             .filter("z", "==", 1))
+    out = left.join(right, left="j", right="j").collect(to=[a])
+    gen = {"la": _pdf(k=[1, 2, 3], j=[1, 1, 2], x=[5, 6, 5]), "lb": _pdf(k=[1, 2, 3]),
+           "ra": _pdf(m=[1, 2, 3], j=[1, 2, 1], z=[1, 1, 0]), "rb": _pdf(m=[1, 2, 3])}
+    plan, df = _run(spark, out, [a, b, c], gen, "sharemind")
+    assert [n.site for n in plan.dag.nodes_of_type(D.Join)] == [("hybrid", "c")] * 3
+    assert_equivalent(
+        df,
+        "SELECT l.k, l.j, l.x, r.m, r.z FROM "
+        "(SELECT la.* FROM la JOIN lb ON la.k = lb.k WHERE la.x = 5) l JOIN "
+        "(SELECT ra.* FROM ra JOIN rb ON ra.m = rb.m WHERE ra.z = 1) r ON l.j = r.j",
+        **gen,
+    )
+
+
 # ---------------------------------------------------- empty MPC result
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_mpc_join_with_no_match_reveals_empty_frame(spark, backend):

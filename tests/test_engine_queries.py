@@ -202,12 +202,12 @@ def test_boundary_operator_costs_are_pinned(spark):
     assert any(j.site[0] == "public" for j in plan.dag.nodes_of_type(D.Join))
     assert all(n.input_sorted for n in plan.dag.nodes_of_type(D.DistinctCount))
     assert df.toPandas()["rx_cnt"].tolist() == [49]
-    assert (eng.meter.rounds, eng.meter.bytes_sent) == (66, 882_784.0)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (70, 406_176.0)
 
     plan, eng = _check_credit(spark, credit_card.gen_inputs(n_holders=150, seed=1))
     assert any(j.site[0] == "hybrid" for j in plan.dag.nodes_of_type(D.Join))
     assert any(a.site[0] == "hybrid" for a in plan.dag.nodes_of_type(D.Aggregate))
-    assert (eng.meter.rounds, eng.meter.bytes_sent) == (188, 913_654.3750300453)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (182, 634_102.3750300453)
 
 
 # ---------------------------------------------------------- comorbidity

@@ -9,8 +9,8 @@ from repro.tables import table1_micro
 
 #: (system, n) -> (rounds, bytes_sent, gc_and_gates, peak_mem_bytes)
 PINNED = {
-    ("sharemind/agg", 100): (286, 633_104.0, 0.0, 0.0),
-    ("sharemind/agg", 1000): (535, 12_348_416.0, 0.0, 0.0),
+    ("sharemind/agg", 100): (284, 550_640.0, 0.0, 0.0),
+    ("sharemind/agg", 1000): (533, 10_910_720.0, 0.0, 0.0),
     ("sharemind/join", 100): (45, 2630801.5659797546, 0.0, 240_000.0),
     ("sharemind/join", 1000): (54, 243393187.52428943, 0.0, 24_000_000.0),
     ("sharemind/project", 100): (3, 8_000.0, 0.0, 0.0),
