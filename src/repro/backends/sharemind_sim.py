@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 
 from ..mpc import protocols as P
-from ..mpc.secret_sharing import SecretSharingVM, SharedVector
+from ..mpc.secret_sharing import SecretSharingVM
 from ..mpc.shared_rel import SharedRelation, share_dataframe
 
 #: fixed-point fraction bits for secret-shared division
@@ -22,7 +22,12 @@ MASK = "__mask"
 
 
 class SharemindBackend:
-    """One MPC session across the parties, Sharemind-style."""
+    """One MPC session across the parties, Sharemind-style.
+
+    Every MPC aggregation is one :meth:`aggregate` call; the §5.3 hybrid
+    aggregation is the same call with the STP named. The hybrid join's
+    steps (shuffle, reveal to the STP, oblivious indexing) are methods the
+    engine calls in turn."""
 
     name = "sharemind"
 
@@ -107,54 +112,56 @@ class SharemindBackend:
             raise ValueError(op)
         return SharedRelation(cols, scales)
 
-    def _masked_value(
-        self, r: SharedRelation, over: str | None, agg_op: str
-    ) -> tuple[SharedVector, int]:
-        """The value vector to aggregate — the `over` column for SUM, ones
-        for COUNT — multiplied by the filter mask if present, and the
-        scale the aggregate keeps (the `over` column's, for SUM)."""
-        if agg_op == "count" or over is None:
-            v = self.vm.public(np.ones(r.n_rows, np.int64))
-            scale = 0
-        else:
-            v = r.columns[over]
-            scale = r.scale_of(over)
-        if MASK in r.columns:
-            v = self.vm.mul(v, r.columns[MASK])
-        return v, scale
-
     def aggregate(
         self, r: SharedRelation, group: list[str], agg_op: str, over: str | None,
-        out_col: str, *, input_sorted: bool = False,
+        out_col: str, *, input_sorted: bool = False, stp: str | None = None,
     ) -> SharedRelation:
-        if not group:
-            val, scale = self._masked_value(r, over, agg_op)
-            return SharedRelation({out_col: self.vm.sum(val)},
-                                  {out_col: scale} if scale else {})
-        if len(group) != 1:
-            raise NotImplementedError("multi-column group-by")
-        work, count = self._grouped_input(r, group[0], agg_op, over, out_col)
-        return P.aggregate_sum_by_key(
-            self.vm, work, group[0], out_col, self.rng,
-            input_sorted=input_sorted, count=count,
-        ).project([group[0], out_col])
+        """SUM or COUNT of the rows a filter kept, grouped by at most one
+        column. Ungrouped, a share-local sum; grouped, the sort-based
+        aggregation (:func:`P.aggregate_sum_by_key`), which sums the filter
+        mask in the same scan to drop the groups a filter emptied.
 
-    def _grouped_input(
-        self, r: SharedRelation, group: str, agg_op: str, over: str | None,
-        out_col: str,
-    ) -> tuple[SharedRelation, str | None]:
-        """The relation a grouped aggregation sums per group — the group
-        column, the masked value as ``out_col`` and, for a filtered SUM,
-        the mask — and the column whose group sum counts the rows the
-        filter kept: the masked ones themselves for COUNT, the mask for
-        SUM, None without a filter."""
-        val, scale = self._masked_value(r, over, agg_op)
-        cols = {group: r.columns[group], out_col: val}
-        count = None
-        if MASK in r.columns:
-            count = out_col if agg_op == "count" or over is None else MASK
-            cols.setdefault(count, r.columns[MASK])
-        return SharedRelation(cols, {out_col: scale} if scale else {}), count
+        With ``stp`` it is the §5.3 hybrid aggregation: the rows are
+        shuffled, their group column is revealed to the STP, and the STP's
+        clear sort and same-key flags replace the oblivious sort and the
+        equality flags. The STP sends the sort order in the clear (each
+        party reorders its shares locally) and secret-shares the flags."""
+        if len(group) > 1:
+            raise NotImplementedError("multi-column group-by")
+        same = None
+        if stp is not None:
+            r = self.shuffle(r)
+            keys = self.reveal_col_to(r, group[0], stp)
+            # STP: sort in the clear; stability breaks ties by row position
+            order = np.argsort(keys, kind="stable")
+            self.vm.meter.charge_comm(
+                rounds=1, bytes_sent=float(len(order)) * self.vm.n_parties * 8
+            )
+            r = self.reorder_public(r, order)
+            flags = np.zeros(len(keys), np.int64)
+            flags[1:] = keys[order][1:] == keys[order][:-1]
+            same = self.vm.share(flags)
+        mask = r.columns.get(MASK)
+        counting = agg_op == "count" or over is None
+        if counting:
+            val, scale = self.vm.public(np.ones(r.n_rows, np.int64)), 0
+        else:
+            val, scale = r.columns[over], r.scale_of(over)
+        if mask is not None:
+            val = self.vm.mul(val, mask)
+        scales = {out_col: scale} if scale else {}
+        if not group:
+            return SharedRelation({out_col: self.vm.sum(val)}, scales)
+        key = group[0]
+        cols = {key: r.columns[key], out_col: val}
+        # the column whose group sum counts the rows a filter kept
+        count = None if mask is None else out_col if counting else MASK
+        if count == MASK:
+            cols[MASK] = mask
+        return P.aggregate_sum_by_key(
+            self.vm, SharedRelation(cols, scales), key, out_col, self.rng,
+            input_sorted=input_sorted, count=count, same=same,
+        ).project([key, out_col])
 
     def join(
         self, left: SharedRelation, right: SharedRelation, lk: str, rk: str
@@ -221,22 +228,3 @@ class SharemindBackend:
         if MASK in a.columns and MASK in b.columns:
             cols[MASK] = self.vm.mul(a.columns[MASK], b.columns[MASK])
         return SharedRelation(cols, {**a.scales, **b.scales})
-
-    def hybrid_aggregate(
-        self, r: SharedRelation, group: str, agg_op: str, over: str | None,
-        out_col: str, same: np.ndarray,
-    ) -> SharedRelation:
-        """MPC half of the §5.3 hybrid aggregation. ``r`` is in the order of
-        the STP's clear sort by ``group``, and ``same[i]`` is the STP's flag
-        [row i has the key of row i-1]; the STP secret-shares it and the
-        group-end flags. An oblivious segmented scan sums each group into
-        its last row, and the group ends of the groups a filter left rows
-        in are kept."""
-        shared_same = self.vm.share(same)
-        work, count = self._grouped_input(r, group, agg_op, over, out_col)
-        sums = P.sum_groups(self.vm, work, group, shared_same)
-        is_end = np.ones(len(same), dtype=np.int64)
-        is_end[:-1] = 1 - same[1:]
-        return P.keep_group_ends(
-            self.vm, sums, self.vm.share(is_end), self.rng, count=count
-        ).project([group, out_col])

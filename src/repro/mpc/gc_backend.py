@@ -185,7 +185,7 @@ class GCBackend:
 
     def aggregate(
         self, rel: GCRelation, group: list[str], agg_op: str, over: str | None,
-        out_col: str, *, input_sorted: bool = False,
+        out_col: str, *, input_sorted: bool = False, stp: str | None = None,
     ) -> GCRelation:
         """SUM or COUNT of mask=1 rows, grouped by at most one column.
 
@@ -194,7 +194,10 @@ class GCBackend:
         (key, value) records: a Batcher sorting network, skipped when the
         input is sorted, then a linear oblivious scan of eq + add + mux.
         The output is unpadded (leaks the group count), matching
-        SMCQL/Conclave behaviour (§7.4)."""
+        SMCQL/Conclave behaviour (§7.4). The §5.3 hybrid aggregation
+        (``stp``) needs the secret-sharing backend."""
+        if stp is not None:
+            raise NotImplementedError("hybrid operators need the secret-sharing backend")
         if agg_op == "count" or over is None:
             pdf = rel.pdf.copy()
             pdf["__ones"] = np.int64(1)

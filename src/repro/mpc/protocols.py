@@ -206,6 +206,7 @@ def aggregate_sum_by_key(
     *,
     input_sorted: bool = False,
     count: str | None = None,
+    same: SharedVector | None = None,
 ) -> SharedRelation:
     """Sort-based grouped SUM (Jónsson et al.): sort by key, obliviously
     accumulate each group into its last row, shuffle, reveal group-end
@@ -213,34 +214,28 @@ def aggregate_sum_by_key(
     protocol does not pad either, §7.4 comorbidity).
 
     With ``input_sorted=True`` the oblivious sort is skipped — the §5.4
-    sort-elimination optimization. ``count`` names a 0/1 column (a filter
-    mask, or ``value`` itself): it is summed in the same multiplications
-    as ``value``, and a group whose sum of it is 0 is dropped (see
-    :func:`keep_group_ends`)."""
+    sort-elimination optimization. With ``same`` (shared flags [row i has
+    the key of row i-1] of rows already in key order, as the §5.3 hybrid
+    aggregation's STP sends them) the sort and the equality flags are both
+    skipped. ``count`` names a 0/1 column (a filter mask, or ``value``
+    itself): it is summed in the same multiplications as ``value``, and a
+    group whose sum of it is 0 is dropped (see :func:`keep_group_ends`)."""
     work = rel.project([key, value] + ([count] if count not in (None, value) else []))
-    if not input_sorted and work.n_rows > 1:
-        work = oblivious_sort(vm, work, key)
-    same = _same_key_flags(vm, work.columns[key])
-    sums = sum_groups(vm, work, key, same)
+    if same is None:
+        if not input_sorted and work.n_rows > 1:
+            work = oblivious_sort(vm, work, key)
+        same = _same_key_flags(vm, work.columns[key])
+    summed = [c for c in work.column_names if c != key]
+    sums = segmented_scan_sum(vm, [work.columns[c] for c in summed], same)
     n = work.n_rows
-    # group end: next row starts a new group (or last row)
-    next_same = vm.concat(
-        [vm.take(same, np.arange(1, n)), vm.public(np.zeros(1, np.int64))]
+    # group end: the next row starts a new group; same[0] = 0, so rolling
+    # the flags by one gives the last row 0 and makes it an end
+    next_same = vm.take(same, np.roll(np.arange(n), -1))
+    is_end = vm.sub(vm.public(np.ones(n, np.int64)), next_same)
+    return keep_group_ends(
+        vm, work.with_columns({key: work.columns[key], **dict(zip(summed, sums))}),
+        is_end, rng, count=count,
     )
-    one = vm.public(np.ones(n, np.int64))
-    is_end = vm.sub(one, next_same)
-    return keep_group_ends(vm, sums, is_end, rng, count=count)
-
-
-def sum_groups(
-    vm: SecretSharingVM, rel: SharedRelation, key: str, same: SharedVector
-) -> SharedRelation:
-    """``rel`` with every column but ``key`` replaced by its running sum
-    within the groups of rows that ``same`` flags, each group's total in
-    its last row: one segmented scan for all the columns."""
-    summed = [c for c in rel.column_names if c != key]
-    sums = segmented_scan_sum(vm, [rel.columns[c] for c in summed], same)
-    return rel.with_columns({key: rel.columns[key], **dict(zip(summed, sums))})
 
 
 def keep_group_ends(

@@ -11,10 +11,11 @@ paper's deployment model:
   secret sharing or Obliv-C-style garbled circuits) over secret-shared
   state, entered via ``inputToMPC`` (``DataFrame.toPandas`` → share) and
   left via ``revealTo`` (reveal → ``spark.createDataFrame``);
-* ``("hybrid", stp)`` nodes execute the §5.3 hybrid join / hybrid
-  aggregation protocols. The STP's key join and sort run on the driver
-  in numpy (:func:`join_index_pairs`, ``np.argsort``) over the key
-  arrays it was revealed;
+* a ``("hybrid", stp)`` join executes the §5.3 hybrid join: the STP's
+  key join runs on the driver in numpy (:func:`join_index_pairs`) over
+  the key arrays it was revealed. A ``("hybrid", stp)`` aggregation is
+  an MPC step like any other, the backend's ``aggregate`` with the STP
+  named (it sorts the revealed group column with ``np.argsort``);
 * ``("public", party)`` nodes execute the public join: key columns move
   in the clear and are joined in numpy on the driver, and only matching
   rows re-enter MPC (or, when nothing downstream needs MPC, the result
@@ -280,10 +281,8 @@ class Engine:
             return ClearVal(site[1], exec_clear_node(n, dfs))
         if site[0] == "public":
             return self._exec_public_join(n, pvals)
-        if site[0] == "hybrid":
-            if isinstance(n, D.Join):
-                return self._exec_hybrid_join(n, pvals)
-            return self._exec_hybrid_agg(n, pvals)
+        if site[0] == "hybrid" and isinstance(n, D.Join):
+            return self._exec_hybrid_join(n, pvals)
         return self._exec_mpc(n, pvals)
 
     # --------------------------------------------------------------- mpc
@@ -304,6 +303,7 @@ class Engine:
             return be.aggregate(
                 args[0], n.group_cols, n.agg_op, n.over, n.out_col,
                 input_sorted=n.input_sorted,
+                stp=n.site[1] if n.site[0] == "hybrid" else None,
             )
         if isinstance(n, D.Join):
             return be.join(args[0], args[1], n.left_key, n.right_key)
@@ -409,31 +409,3 @@ class Engine:
         )
         res = be.concat_columns(left_rows, right_rows)
         return be.shuffle(res)
-
-    # ------------------------------------------------ hybrid aggregation
-    def _exec_hybrid_agg(self, n: D.Aggregate, pvals):
-        """§5.3 hybrid aggregation: shuffle, reveal the group-by column
-        to the STP, clear sort at the STP (a stable ``np.argsort`` on the
-        driver), public reorder, oblivious accumulation with STP-shared
-        equality flags, shuffle + flag reveal to drop non-group-end rows."""
-        be = self.backend
-        if not isinstance(be, SharemindBackend):
-            raise NotImplementedError("hybrid operators need the secret-sharing backend")
-        (rel,) = self._ensure_mpc_all(pvals)
-        rel = be.shuffle(rel)
-        group = n.group_cols[0]
-        keys = be.reveal_col_to(rel, group, n.site[1])
-        # STP: sort the rows by key in the clear; stability breaks ties
-        # by row position
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        eq = np.zeros(len(keys), dtype=np.int64)
-        if len(keys) > 1:
-            eq[1:] = (sorted_keys[1:] == sorted_keys[:-1]).astype(np.int64)
-        # indexes travel in the clear; parties reorder locally (free)
-        self._charge_transfer(len(order) * len(self.parties), 1)
-        reordered = be.reorder_public(rel, order)
-        # STP secret-shares the equality and group-end flags
-        return be.hybrid_aggregate(
-            reordered, group, n.agg_op, n.over, n.out_col, eq
-        )

@@ -166,12 +166,8 @@ _OTHER = _pdf(k=[1, 2], w=[10, 20])
 
 
 def _hybrid_sum(be, r):
-    """The MPC half of a hybrid SUM of q by k, with the STP's clear sort
-    done here."""
-    keys = _ROWS["k"].to_numpy()
-    order = np.argsort(keys, kind="stable")
-    same = np.r_[0, (np.diff(keys[order]) == 0).astype(np.int64)]
-    return be.hybrid_aggregate(be.reorder_public(r, order), "k", "sum", "q", "s", same)
+    """A hybrid SUM of q by k, party p0 being the STP."""
+    return be.aggregate(r, ["k"], "sum", "q", "s", stp="p0")
 
 
 _SCALED_OPS = {

@@ -456,6 +456,13 @@ def test_tracer_wraps_a_compiled_credit_run(spark):
     names = [s.name for s in tracer.spans]
     assert names.count("core.compile") == 1
     assert "sharemind.shuffle" in names and "protocols.oblivious_shuffle" in names
+    # each hybrid aggregation is one traced backend call that runs the
+    # STP's reveal and reorder
+    aggs = [i for i, s in enumerate(tracer.spans) if s.name == "sharemind.aggregate"]
+    assert len(aggs) == 2
+    for i in aggs:
+        kids = {s.name for s in tracer.spans if s.parent == i}
+        assert {"sharemind.reveal_col_to", "sharemind.reorder_public"} <= kids
     (run,) = [s for s in tracer.spans if s.name == "engine.run"]
     assert run.rounds == eng.meter.rounds > 0
     assert run.bytes == eng.meter.bytes_sent

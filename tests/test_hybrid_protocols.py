@@ -10,6 +10,7 @@ from repro.core import dag as D
 from repro.core.columns import Column, Party
 from repro.core.compiler import CompileOptions, compile_query
 from repro.core.lang import concat, newTable
+from repro.mpc.secret_sharing import SecretSharingVM
 from repro.queries import aspirin, credit_card
 from repro.queries.base import gen_to_spark
 from repro.runtime import engine as engine_mod
@@ -205,6 +206,14 @@ def _agg_plan(mode: str):
     return plan, [pa, pb, pc]
 
 
+def _agg_data(spark, seed, n=30):
+    g = np.random.default_rng(seed)
+    df = lambda: pd.DataFrame(  # noqa: E731
+        {"k": g.integers(0, 5, n), "v": g.integers(0, 9, n)}
+    ).astype(np.int64)
+    return {"ga": spark.createDataFrame(df()), "gb": spark.createDataFrame(df())}
+
+
 @pytest.mark.parametrize("mode", ["mpc", "hybrid"])
 def test_agg_modes_agree_with_pandas(spark, mode):
     plan, parties = _agg_plan(mode)
@@ -254,14 +263,8 @@ def test_hybrid_agg_stp_sees_only_group_column(spark, monkeypatch):
 
     monkeypatch.setattr(SharemindBackend, "reveal_col_to", spy)
     plan, parties = _agg_plan("hybrid")
-    g = np.random.default_rng(2)
-    df = lambda: pd.DataFrame(  # noqa: E731
-        {"k": g.integers(0, 5, 30), "v": g.integers(0, 9, 30)}
-    ).astype(np.int64)
     eng = Engine(spark, [p.name for p in parties])
-    eng.run(
-        plan, {"ga": spark.createDataFrame(df()), "gb": spark.createDataFrame(df())}
-    )
+    eng.run(plan, _agg_data(spark, seed=2))
     assert revealed and all(col == "k" and party == "c" for col, party in revealed)
 
 
@@ -302,8 +305,35 @@ def test_hybrid_agg_order_matches_spark_order_by(spark, monkeypatch):
 
 
 def test_hybrid_ops_require_secret_sharing_backend(spark):
-    plan, parties = _join_plan("hybrid")
-    data, *_ = _data(spark, seed=5)
-    eng = Engine(spark, [p.name for p in parties], backend="oblivc")
-    with pytest.raises(NotImplementedError):
-        eng.run(plan, data)
+    """A hybrid join and a hybrid aggregation both raise on the garbled-
+    circuit backend."""
+    (join_plan, parties), (agg_plan, _) = _join_plan("hybrid"), _agg_plan("hybrid")
+    cases = [(join_plan, _data(spark, seed=5)[0]), (agg_plan, _agg_data(spark, seed=5))]
+    for plan, data in cases:
+        eng = Engine(spark, [p.name for p in parties], backend="oblivc")
+        with pytest.raises(NotImplementedError):
+            eng.run(plan, data)
+
+
+def test_hybrid_agg_stp_shares_only_same_key_flags(spark, monkeypatch):
+    """After the group column reaches the STP, the only value secret-shared
+    is the STP's same-key flags: the group ends are computed from them
+    share-locally."""
+    events = []
+    share, reveal_col_to = SecretSharingVM.share, SharemindBackend.reveal_col_to
+
+    def share_spy(self, values):
+        events.append("share")
+        return share(self, values)
+
+    def reveal_spy(self, rel, col, party):
+        events.append("reveal_col_to")
+        return reveal_col_to(self, rel, col, party)
+
+    monkeypatch.setattr(SecretSharingVM, "share", share_spy)
+    monkeypatch.setattr(SharemindBackend, "reveal_col_to", reveal_spy)
+    plan, parties = _agg_plan("hybrid")
+    eng = Engine(spark, [p.name for p in parties])
+    eng.run(plan, _agg_data(spark, seed=7)).collect()
+    assert events.count("reveal_col_to") == 1
+    assert events[events.index("reveal_col_to") + 1:] == ["share"]
