@@ -144,11 +144,13 @@ class SharemindBackend:
         mask = r.columns.get(MASK)
         counting = agg_op == "count" or over is None
         if counting:
-            val, scale = self.vm.public(np.ones(r.n_rows, np.int64)), 0
+            # a filtered COUNT sums the mask itself
+            val = mask if mask is not None else self.vm.public(np.ones(r.n_rows, np.int64))
+            scale = 0
         else:
             val, scale = r.columns[over], r.scale_of(over)
-        if mask is not None:
-            val = self.vm.mul(val, mask)
+            if mask is not None:
+                val = self.vm.mul(val, mask)
         scales = {out_col: scale} if scale else {}
         if not group:
             return SharedRelation({out_col: self.vm.sum(val)}, scales)

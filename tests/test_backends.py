@@ -8,7 +8,7 @@ import pytest
 from repro.backends.sharemind_sim import FP_BITS, MASK, SharemindBackend
 from repro.mpc.accounting import Meter
 from repro.mpc.gc_backend import GCBackend
-from repro.mpc.secret_sharing import SecretSharingVM
+from repro.mpc.secret_sharing import _CMP_ROUNDS, SecretSharingVM
 
 
 @pytest.fixture()
@@ -156,6 +156,26 @@ def test_reveal_col_to_charges_less_than_full_reveal(be):
     be.reveal(r)
     full = be.vm.meter.bytes_sent - b1
     assert single < full
+
+
+@pytest.mark.parametrize("group", [[], ["k"]], ids=["ungrouped", "grouped"])
+def test_filtered_count_sums_the_mask(be, group):
+    """A filtered COUNT sums the filter mask itself, with no product: it
+    costs the rounds of the unfiltered COUNT, plus, grouped, the step
+    that drops the groups the filter emptied (an equality and a reveal)."""
+    r = be.input_rel(_pdf(k=[1, 2, 1, 3], a=[5, 5, 6, 6]))
+
+    def count(rel):
+        r0 = be.vm.meter.rounds
+        out = be.aggregate(rel, group, "count", None, "c")
+        rounds = be.vm.meter.rounds - r0
+        return rounds, be.reveal(out).sort_values(list(out.column_names))
+
+    plain, _ = count(r)
+    filtered, got = count(be.filter_eq(r, "a", 5))
+    assert filtered == plain + (_CMP_ROUNDS + 1 if group else 0)
+    want = _pdf(k=[1, 2], c=[1, 1]) if group else _pdf(c=[2])
+    pd.testing.assert_frame_equal(got.reset_index(drop=True), want, check_dtype=False)
 
 
 # A fixed-point column (q = num / den) must come out of every operator
