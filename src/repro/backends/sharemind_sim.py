@@ -134,12 +134,14 @@ class SharemindBackend:
             keys = self.reveal_col_to(r, group[0], stp)
             # STP: sort in the clear; stability breaks ties by row position
             order = np.argsort(keys, kind="stable")
+            # the order travels to every party in the clear
             self.vm.meter.charge_comm(
                 rounds=1, bytes_sent=float(len(order)) * self.vm.n_parties * 8
             )
             r = self.reorder_public(r, order)
+            keys = keys[order]
             flags = np.zeros(len(keys), np.int64)
-            flags[1:] = keys[order][1:] == keys[order][:-1]
+            flags[1:] = keys[1:] == keys[:-1]
             same = self.vm.share(flags)
         mask = r.columns.get(MASK)
         counting = agg_op == "count" or over is None
