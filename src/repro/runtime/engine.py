@@ -400,7 +400,7 @@ class Engine:
         # STP: enumerate + clear join
         li, ri = join_index_pairs(lk, rk, by_key=False)
         # STP secret-shares the index relations (inputToMPC)
-        self._charge_transfer(len(li) + len(ri), 1)
+        be.vm.share(np.concatenate([li, ri]))
         # oblivious indexing back under MPC
         left_rows = be.select_rows(left, li)
         right_rows = be.select_rows(
