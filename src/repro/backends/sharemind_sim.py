@@ -21,13 +21,39 @@ FP_BITS = 20
 MASK = "__mask"
 
 
+def join_index_pairs(
+    lkeys: np.ndarray, rkeys: np.ndarray, *, by_key: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate the ``(left position, right position)`` pairs of an
+    equi-join of two int64 key arrays: the cleartext join a public join's
+    party or a hybrid join's STP runs.
+
+    The pairs come ordered by (key, left, right), or by (left, right) when
+    ``by_key`` is false. The right keys are sorted with a stable
+    ``np.argsort``, and so are the left keys when ``by_key`` is true
+    (otherwise the left rows are taken in position order).
+    ``np.searchsorted`` finds each left row's run of equal right keys,
+    and ``np.repeat`` expands the runs into pairs. Within a run the right
+    positions ascend (the sort is stable), so the pairs need no sort of
+    their own.
+    """
+    rorder = np.argsort(rkeys, kind="stable")
+    lorder = np.argsort(lkeys, kind="stable") if by_key else np.arange(len(lkeys))
+    rsorted, lsorted = rkeys[rorder], lkeys[lorder]
+    start = np.searchsorted(rsorted, lsorted, side="left")
+    counts = np.searchsorted(rsorted, lsorted, side="right") - start
+    # each pair's offset inside its left row's run of equal right keys
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(lorder, counts), rorder[np.repeat(start, counts) + within]
+
+
+
 class SharemindBackend:
     """One MPC session across the parties, Sharemind-style.
 
-    Every MPC aggregation is one :meth:`aggregate` call; the §5.3 hybrid
-    aggregation is the same call with the STP named. The hybrid join's
-    steps (shuffle, reveal to the STP, oblivious indexing) are methods the
-    engine calls in turn."""
+    Every MPC aggregation is one :meth:`aggregate` call and every MPC join
+    one :meth:`join` call; the §5.3 hybrid aggregation and hybrid join are
+    the same calls with the STP named."""
 
     name = "sharemind"
 
@@ -168,8 +194,27 @@ class SharemindBackend:
         ).project([key, out_col])
 
     def join(
-        self, left: SharedRelation, right: SharedRelation, lk: str, rk: str
+        self, left: SharedRelation, right: SharedRelation, lk: str, rk: str,
+        *, stp: str | None = None,
     ) -> SharedRelation:
+        """Equi-join, the Cartesian-product join (:func:`P.join_cartesian`).
+
+        With ``stp`` it is the §5.3 hybrid join (Figure 3): the shuffled
+        sides' key columns are revealed to the STP, which joins them in the
+        clear and secret-shares the index relations; oblivious indexing
+        rebuilds the matching rows, both sides' masks kept, under MPC."""
+        if stp is not None:
+            left, right = self.shuffle(left), self.shuffle(right)
+            li, ri = join_index_pairs(
+                self.reveal_col_to(left, lk, stp),
+                self.reveal_col_to(right, rk, stp), by_key=False,
+            )
+            self.vm.share(np.concatenate([li, ri]))
+            right = self.project(right, [c for c in right.column_names if c != rk])
+            joined = self.concat_columns(
+                self.select_rows(left, li), self.select_rows(right, ri)
+            )
+            return self.shuffle(joined)
         if MASK in left.columns or MASK in right.columns:
             raise NotImplementedError("join over filtered MPC relations")
         if not lk:  # cross join: broadcast a 1-row right side

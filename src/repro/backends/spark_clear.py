@@ -5,7 +5,9 @@ compiler produces is executed here through the DataFrame API (so
 Catalyst plans it); the same functions power the "insecure Spark"
 baseline that runs a whole query in the clear over the unioned inputs
 (§7.1's insecure comparison line). The key join and sort of a hybrid or
-public operator run in numpy, in :mod:`repro.runtime.engine`.
+public operator run in numpy: the STP's in
+:class:`repro.backends.sharemind_sim.SharemindBackend`, the public
+join's in :mod:`repro.runtime.engine`.
 """
 from __future__ import annotations
 

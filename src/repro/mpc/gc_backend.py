@@ -15,9 +15,10 @@ reach it only through the engine's backend interface. A filter keeps
 every row and adds a ``__mask`` column that later operators honour and
 :meth:`GCBackend.reveal` applies; a sort or limit over a filtered
 relation, and a group-by on more than one column, raise
-``NotImplementedError`` as on the secret-sharing backend. Hybrid
-operators are not supported here: the paper's hybrid protocols are
-built on the secret-sharing backend. Every sort is charged one
+``NotImplementedError`` as on the secret-sharing backend. The paper's
+hybrid protocols are built on the secret-sharing backend: a
+:meth:`GCBackend.join` or :meth:`GCBackend.aggregate` that names an STP
+raises ``NotImplementedError``. Every sort is charged one
 compare-and-swap circuit per comparator of the Batcher network the
 secret-sharing backend runs on the real rows
 (:func:`repro.mpc.protocols.sort_comparators`).
@@ -160,11 +161,15 @@ class GCBackend:
         )
 
     def join(
-        self, left: GCRelation, right: GCRelation, lk: str, rk: str
+        self, left: GCRelation, right: GCRelation, lk: str, rk: str,
+        *, stp: str | None = None,
     ) -> GCRelation:
         """Cartesian-product join: n·m equality circuits plus muxes for
         the output columns. The n·m match flags are retained wire state —
-        this is what OOMs Obliv-C at ~30k records."""
+        this is what OOMs Obliv-C at ~30k records. The §5.3 hybrid join
+        (``stp``) needs the secret-sharing backend."""
+        if stp is not None:
+            raise NotImplementedError("hybrid operators need the secret-sharing backend")
         if not lk:
             raise NotImplementedError("cross join unsupported on GC backend")
         n, m = left.n_rows, right.n_rows

@@ -11,15 +11,15 @@ paper's deployment model:
   secret sharing or Obliv-C-style garbled circuits) over secret-shared
   state, entered via ``inputToMPC`` (``DataFrame.toPandas`` → share) and
   left via ``revealTo`` (reveal → ``spark.createDataFrame``);
-* a ``("hybrid", stp)`` join executes the §5.3 hybrid join: the STP's
-  key join runs on the driver in numpy (:func:`join_index_pairs`) over
-  the key arrays it was revealed. A ``("hybrid", stp)`` aggregation is
-  an MPC step like any other, the backend's ``aggregate`` with the STP
-  named (it sorts the revealed group column with ``np.argsort``);
+* a ``("hybrid", stp)`` join or aggregation (§5.3) is an MPC step like
+  any other: the backend's ``join`` or ``aggregate`` with the STP named,
+  which runs the STP's clear key join (:func:`join_index_pairs`) or sort
+  in numpy on the driver;
 * ``("public", party)`` nodes execute the public join: key columns move
-  in the clear and are joined in numpy on the driver, and only matching
-  rows re-enter MPC (or, when nothing downstream needs MPC, the result
-  is assembled in the clear).
+  in the clear and are joined in numpy on the driver
+  (:func:`join_index_pairs`), and only matching rows re-enter MPC (or,
+  when nothing downstream needs MPC, the result is assembled in the
+  clear).
 
 Inputs enter as they were loaded: an ``Input`` node, or a clear
 ``Project`` that keeps the columns as they are, hands on the frame itself
@@ -44,39 +44,13 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..backends.sharemind_sim import SharemindBackend
+from ..backends.sharemind_sim import SharemindBackend, join_index_pairs
 from ..backends.spark_clear import exec_clear_node, select_cols, to_spark
 from ..core import dag as D
 from ..core.compiler import Plan
 from ..mpc.accounting import Meter
 from ..mpc.gc_backend import GCBackend
 from ..mpc.secret_sharing import SecretSharingVM
-
-
-def join_index_pairs(
-    lkeys: np.ndarray, rkeys: np.ndarray, *, by_key: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate the ``(left position, right position)`` pairs of an
-    equi-join of two int64 key arrays: the cleartext join a public join's
-    party or a hybrid join's STP runs.
-
-    The pairs come ordered by (key, left, right), or by (left, right) when
-    ``by_key`` is false. The right keys are sorted with a stable
-    ``np.argsort``, and so are the left keys when ``by_key`` is true
-    (otherwise the left rows are taken in position order).
-    ``np.searchsorted`` finds each left row's run of equal right keys,
-    and ``np.repeat`` expands the runs into pairs. Within a run the right
-    positions ascend (the sort is stable), so the pairs need no sort of
-    their own.
-    """
-    rorder = np.argsort(rkeys, kind="stable")
-    lorder = np.argsort(lkeys, kind="stable") if by_key else np.arange(len(lkeys))
-    rsorted, lsorted = rkeys[rorder], lkeys[lorder]
-    start = np.searchsorted(rsorted, lsorted, side="left")
-    counts = np.searchsorted(rsorted, lsorted, side="right") - start
-    # each pair's offset inside its left row's run of equal right keys
-    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(lorder, counts), rorder[np.repeat(start, counts) + within]
 
 
 @dataclass
@@ -281,14 +255,13 @@ class Engine:
             return ClearVal(site[1], exec_clear_node(n, dfs))
         if site[0] == "public":
             return self._exec_public_join(n, pvals)
-        if site[0] == "hybrid" and isinstance(n, D.Join):
-            return self._exec_hybrid_join(n, pvals)
         return self._exec_mpc(n, pvals)
 
     # --------------------------------------------------------------- mpc
     def _exec_mpc(self, n: D.Node, pvals):
         be = self.backend
         args = self._ensure_mpc_all(pvals)
+        stp = n.site[1] if n.site[0] == "hybrid" else None
         if isinstance(n, D.Concat):
             return be.concat(args)
         if isinstance(n, D.Project):
@@ -302,11 +275,10 @@ class Engine:
         if isinstance(n, D.Aggregate):
             return be.aggregate(
                 args[0], n.group_cols, n.agg_op, n.over, n.out_col,
-                input_sorted=n.input_sorted,
-                stp=n.site[1] if n.site[0] == "hybrid" else None,
+                input_sorted=n.input_sorted, stp=stp,
             )
         if isinstance(n, D.Join):
-            return be.join(args[0], args[1], n.left_key, n.right_key)
+            return be.join(args[0], args[1], n.left_key, n.right_key, stp=stp)
         if isinstance(n, D.DistinctCount):
             return be.distinct_count(
                 args[0], n.col, n.out_col, input_sorted=n.input_sorted
@@ -383,29 +355,3 @@ class Engine:
         left_sel = self.backend.take(left_shared, li)
         right_sel = self.backend.take(right_shared, ri)
         return self.backend.concat_columns(left_sel, right_sel)
-
-    # ------------------------------------------------------- hybrid join
-    def _exec_hybrid_join(self, n: D.Join, pvals):
-        """§5.3 hybrid join (Figure 3): oblivious shuffles, key columns
-        revealed to the STP, clear join + enumeration at the STP (a numpy
-        equi-join on the driver), oblivious indexing to rebuild the result
-        under MPC."""
-        be = self.backend
-        if not isinstance(be, SharemindBackend):
-            raise NotImplementedError("hybrid operators need the secret-sharing backend")
-        left, right = (be.shuffle(r) for r in self._ensure_mpc_all(pvals))
-        # reveal key-only projections to the STP
-        lk = be.reveal_col_to(left, n.left_key, n.site[1])
-        rk = be.reveal_col_to(right, n.right_key, n.site[1])
-        # STP: enumerate + clear join
-        li, ri = join_index_pairs(lk, rk, by_key=False)
-        # STP secret-shares the index relations (inputToMPC)
-        be.vm.share(np.concatenate([li, ri]))
-        # oblivious indexing back under MPC
-        left_rows = be.select_rows(left, li)
-        right_rows = be.select_rows(
-            be.project(right, [c for c in right.column_names if c != n.right_key]),
-            ri,
-        )
-        res = be.concat_columns(left_rows, right_rows)
-        return be.shuffle(res)

@@ -122,6 +122,47 @@ def test_join_on_masked_relation_unsupported(be):
         be.join(l, r, "k", "k")
 
 
+def _rows(df):
+    """``df`` with sorted columns and rows, to compare as a multiset."""
+    cols = sorted(df.columns)
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("rkeys", [[2, 3, 3, 5], [7, 8, 9, 9]], ids=["dups", "no_match"])
+def test_hybrid_join_matches_pandas_merge(be, rkeys):
+    """The §5.3 hybrid join, party p0 being the STP, returns the rows of a
+    pandas merge: with duplicate keys on both sides, and with no match."""
+    lp = _pdf(k=[3, 1, 3, 2, 5], a=[10, 20, 30, 40, 50])
+    rp = _pdf(k=rkeys, b=[1, 2, 3, 4])
+    got = be.reveal(be.join(be.input_rel(lp), be.input_rel(rp), "k", "k", stp="p0"))
+    want = lp.merge(rp, on="k")
+    assert len(want) == (6 if rkeys[0] == 2 else 0)
+    pd.testing.assert_frame_equal(_rows(got), _rows(want), check_dtype=False)
+
+
+def test_hybrid_join_stp_shares_only_index_relations(be, monkeypatch):
+    """After both key columns reach the STP, the only value secret-shared
+    is the STP's index relations, both in one share."""
+    events = []
+    share, reveal_col_to = SecretSharingVM.share, SharemindBackend.reveal_col_to
+
+    def share_spy(self, values):
+        events.append(("share", len(values)))
+        return share(self, values)
+
+    def reveal_spy(self, rel, col, party):
+        events.append(("reveal_col_to", col))
+        return reveal_col_to(self, rel, col, party)
+
+    l = be.input_rel(_pdf(k=[1, 2, 2], a=[1, 2, 3]))
+    r = be.input_rel(_pdf(j=[2, 4, 2], b=[5, 6, 7]))
+    monkeypatch.setattr(SecretSharingVM, "share", share_spy)
+    monkeypatch.setattr(SharemindBackend, "reveal_col_to", reveal_spy)
+    out = be.join(l, r, "k", "j", stp="p0")
+    assert out.n_rows == 4
+    assert events == [("reveal_col_to", "k"), ("reveal_col_to", "j"), ("share", 8)]
+
+
 @pytest.mark.parametrize("presorted", [True, False])
 def test_distinct_count_paths(be, presorted):
     r = be.input_rel(_pdf(c=[1, 1, 2, 3, 3, 3]))
@@ -207,6 +248,10 @@ _SCALED_OPS = {
         lambda be, r: be.join(be.input_rel(_OTHER), r, "k", "k"),
         lambda p: _OTHER.merge(p, on="k"),
     ),
+    "hybrid_join": (
+        lambda be, r: be.join(r, be.input_rel(_OTHER), "k", "k", stp="p0"),
+        lambda p: p.merge(_OTHER, on="k"),
+    ),
     "grouped_sum": (
         lambda be, r: be.aggregate(r, ["k"], "sum", "q", "s"),
         lambda p: p.groupby("k", as_index=False)["q"].sum().rename(columns={"q": "s"}),
@@ -224,11 +269,7 @@ def test_fixed_point_scale_survives(be, op):
     r = be.arith(be.input_rel(_ROWS), "q", "num", "/", "den")
     got = be.reveal(run(be, r))
     want = expect(_ROWS.assign(q=_ROWS["num"] / _ROWS["den"]))
-
-    def rows(df):
-        return df[sorted(df.columns)].sort_values(sorted(df.columns)).reset_index(drop=True)
-
-    pd.testing.assert_frame_equal(rows(got), rows(want), check_dtype=False, atol=1e-5)
+    pd.testing.assert_frame_equal(_rows(got), _rows(want), check_dtype=False, atol=1e-5)
 
 
 def test_input_rejects_non_integer(be):
@@ -292,3 +333,13 @@ def test_gc_grouped_aggregate_honours_mask(gc, agg_op, over, want):
     r = gc.filter_eq(r, "x", 5)
     out = gc.reveal(gc.aggregate(r, ["g"], agg_op, over, "s")).sort_values("g")
     assert out["s"].tolist() == want
+
+
+def test_gc_hybrid_operators_raise(gc):
+    """A join or an aggregation that names an STP needs the secret-sharing
+    backend."""
+    r = gc.input_rel(_pdf(k=[1, 2], v=[3, 4]))
+    with pytest.raises(NotImplementedError):
+        gc.join(r, r, "k", "k", stp="p0")
+    with pytest.raises(NotImplementedError):
+        gc.aggregate(r, ["k"], "sum", "v", "s", stp="p0")

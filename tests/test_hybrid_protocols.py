@@ -1,4 +1,4 @@
-"""Unit tests for the §5.3 hybrid operator protocols in the engine:
+"""Unit tests for the §5.3 hybrid operator protocols, run by the engine:
 correctness against pandas ground truth, cost advantages, and the
 leakage discipline (the STP sees key/group columns only)."""
 import numpy as np
