@@ -147,16 +147,18 @@ class SharemindBackend:
         aggregation (:func:`P.aggregate_sum_by_key`), which sums the filter
         mask in the same scan to drop the groups a filter emptied.
 
-        With ``stp`` it is the §5.3 hybrid aggregation: the rows are
-        shuffled, their group column is revealed to the STP, and the STP's
-        clear sort and same-key flags replace the oblivious sort and the
-        equality flags. The STP sends the sort order in the clear (each
+        With ``stp`` it is the §5.3 hybrid aggregation: the columns it
+        reads are shuffled, the group column is revealed to the STP, and
+        the STP's clear sort and same-key flags replace the oblivious sort
+        and the equality flags. The STP sends the sort order in the clear (each
         party reorders its shares locally) and secret-shares the flags."""
         if len(group) > 1:
             raise NotImplementedError("multi-column group-by")
+        counting = agg_op == "count" or over is None
         same = None
         if stp is not None:
-            r = self.shuffle(r)
+            # shuffle only the columns read below (and the mask)
+            r = self.shuffle(self.project(r, group if counting else group + [over]))
             keys = self.reveal_col_to(r, group[0], stp)
             # STP: sort in the clear; stability breaks ties by row position
             order = np.argsort(keys, kind="stable")
@@ -170,7 +172,6 @@ class SharemindBackend:
             flags[1:] = keys[1:] == keys[:-1]
             same = self.vm.share(flags)
         mask = r.columns.get(MASK)
-        counting = agg_op == "count" or over is None
         if counting:
             # a filtered COUNT sums the mask itself
             val = mask if mask is not None else self.vm.public(np.ones(r.n_rows, np.int64))

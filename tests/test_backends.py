@@ -231,6 +231,30 @@ def _hybrid_sum(be, r):
     return be.aggregate(r, ["k"], "sum", "q", "s", stp="p0")
 
 
+@pytest.mark.parametrize("agg_op,over,filtered,want", [
+    ("sum", "v", False, ["k", "v"]),
+    ("count", None, False, ["k"]),
+    ("sum", "v", True, ["k", "v", MASK]),
+], ids=["sum", "count", "filtered_sum"])
+def test_hybrid_agg_shuffles_only_the_columns_it_reads(
+    be, monkeypatch, agg_op, over, filtered, want
+):
+    """The STP's shuffle moves the group column, a SUM's value and the
+    filter mask, and no other column of the input."""
+    shuffled, shuffle = [], SharemindBackend.shuffle
+
+    def spy(self, rel):
+        shuffled.append(rel.column_names)
+        return shuffle(self, rel)
+
+    monkeypatch.setattr(SharemindBackend, "shuffle", spy)
+    r = be.input_rel(_pdf(x=[5, 6, 7, 8], k=[1, 2, 1, 2], v=[1, 2, 3, 4]))
+    if filtered:
+        r = be.filter_eq(r, "x", 5)
+    be.aggregate(r, ["k"], agg_op, over, "s", stp="p0")
+    assert shuffled == [want]
+
+
 _SCALED_OPS = {
     "sort_by": (lambda be, r: be.sort_by(r, "k", ascending=True), lambda p: p),
     "shuffle": (lambda be, r: be.shuffle(r), lambda p: p),
