@@ -38,12 +38,8 @@ def oblivious_shuffle(
     Returns the shuffled relation and the permutation (held by the
     simulation driver only — no party learns it)."""
     perm = rng.permutation(rel.n_rows)
-    return (
-        rel.with_columns(
-            {n: vm.oblivious_permute(v, perm) for n, v in rel.columns.items()}
-        ),
-        perm,
-    )
+    cols = vm.oblivious_permute(list(rel.columns.values()), perm)
+    return rel.with_columns(dict(zip(rel.columns, cols))), perm
 
 
 # -------------------------------------------------------------------- sort

@@ -242,16 +242,19 @@ class SecretSharingVM:
         """Reorder by a *public* permutation — share-local, free."""
         return SharedVector(tuple(s[perm] for s in a.shares))
 
-    def oblivious_permute(self, a: SharedVector, perm: np.ndarray) -> SharedVector:
-        """Apply a permutation hidden from all parties (resharing-based
-        shuffle, O(n) words per party-pair, constant rounds). ``perm`` is
+    def oblivious_permute(
+        self, vs: list[SharedVector], perm: np.ndarray
+    ) -> list[SharedVector]:
+        """Apply one permutation hidden from all parties to every vector of
+        ``vs`` (resharing-based shuffle: p rounds for any number of
+        vectors, O(n) words per vector and party-pair). ``perm`` is
         supplied by the protocol driver's private coins."""
-        n = len(a)
+        n = sum(len(a) for a in vs)
         self.meter.charge_comm(
             rounds=self.n_parties,
             bytes_sent=n * _WORD_BYTES * self.n_parties * (self.n_parties - 1),
         )
-        return self._reshare(self._reconstruct_ring(a)[perm])
+        return [self._reshare(self._reconstruct_ring(a)[perm]) for a in vs]
 
     def gather(self, a: SharedVector, idx: np.ndarray) -> SharedVector:
         """Oblivious indexing (Laud-style select): pick rows at secret

@@ -39,6 +39,18 @@ def test_oblivious_shuffle_is_permutation(vm):
     assert set(zip(got["k"], got["v"])) == {(5, 50), (1, 10), (9, 90), (3, 30)}
 
 
+@pytest.mark.parametrize("n_cols", [1, 2, 5])
+def test_oblivious_shuffle_rounds_do_not_grow_with_columns(vm, n_cols):
+    """All columns share one hidden permutation: p rounds for any column
+    count, and the bytes of one column per column."""
+    rel = _share(vm, **{f"c{i}": np.arange(10) for i in range(n_cols)})
+    meter = vm.meter
+    r0, b0 = meter.rounds, meter.bytes_sent
+    P.oblivious_shuffle(vm, rel, _rng())
+    assert meter.rounds - r0 == vm.n_parties
+    assert meter.bytes_sent - b0 == n_cols * 10 * 8 * vm.n_parties * (vm.n_parties - 1)
+
+
 # -------------------------------------------------------------------- sort
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 17, 64, 100])
 @pytest.mark.parametrize("descending", [False, True])
@@ -202,7 +214,7 @@ def test_protocol_costs_are_pinned():
     assert cost(lambda: P.oblivious_sort(vm, rel, "k")) == (495, 10_161_072)
     assert cost(
         lambda: P.aggregate_sum_by_key(vm, rel, "k", "v", np.random.default_rng(1))
-    ) == (531, 10_878_720)
+    ) == (525, 10_878_720)
     key = vm.share(np.sort(g.integers(0, 37, 1000)))
     mask = vm.share(g.integers(0, 2, 1000))
     assert cost(lambda: P.distinct_count_sorted(vm, key, mask)) == (46, 908_112)

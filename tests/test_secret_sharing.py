@@ -146,7 +146,8 @@ def test_permutations_and_gather(vm):
     av = vm.share(a)
     perm = np.array([2, 0, 3, 1])
     np.testing.assert_array_equal(vm.reveal(vm.permute_public(av, perm)), a[perm])
-    np.testing.assert_array_equal(vm.reveal(vm.oblivious_permute(av, perm)), a[perm])
+    (pv,) = vm.oblivious_permute([av], perm)
+    np.testing.assert_array_equal(vm.reveal(pv), a[perm])
     idx = np.array([3, 3, 0])
     np.testing.assert_array_equal(vm.reveal(vm.gather(av, idx)), a[idx])
 
@@ -155,7 +156,7 @@ def test_oblivious_permute_produces_fresh_shares(vm):
     a = np.arange(16, dtype=np.int64)
     av = vm.share(a)
     perm = np.arange(16)  # identity
-    out = vm.oblivious_permute(av, perm)
+    (out,) = vm.oblivious_permute([av], perm)
     # identity permutation must still re-randomize every party's share
     for before, after in zip(av.shares, out.shares):
         assert not np.array_equal(before, after)
