@@ -47,7 +47,6 @@ def join_index_pairs(
     return np.repeat(lorder, counts), rorder[np.repeat(start, counts) + within]
 
 
-
 class SharemindBackend:
     """One MPC session across the parties, Sharemind-style.
 
@@ -150,8 +149,9 @@ class SharemindBackend:
         With ``stp`` it is the §5.3 hybrid aggregation: the columns it
         reads are shuffled, the group column is revealed to the STP, and
         the STP's clear sort and same-key flags replace the oblivious sort
-        and the equality flags. The STP sends the sort order in the clear (each
-        party reorders its shares locally) and secret-shares the flags."""
+        and the equality flags. The STP sends the sort order in the clear
+        (each party reorders its shares locally) and secret-shares the
+        flags."""
         if len(group) > 1:
             raise NotImplementedError("multi-column group-by")
         counting = agg_op == "count" or over is None
