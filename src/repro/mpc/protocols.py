@@ -292,13 +292,10 @@ def join_cartesian(
     vm._abb(np.zeros(0, np.int64), rounds=_CMP_ROUNDS,
             words_per_elem=_CMP_WORDS_PER_ELEM, n_elems=n * m)
     li, ri = np.nonzero(lk[:, None] == rk[None, :])
-    out: dict[str, SharedVector] = {left_key: vm.gather(left.columns[left_key], li)}
-    for name, v in left.columns.items():
-        if name != left_key:
-            out[name] = vm.gather(v, li)
-    for name, v in right.columns.items():
-        if name != right_key:
-            out[name] = vm.gather(v, ri)
+    lnames = [left_key] + [n for n in left.column_names if n != left_key]
+    rnames = [n for n in right.column_names if n != right_key]
+    out = dict(zip(lnames, vm.gather([left.columns[n] for n in lnames], li)))
+    out.update(zip(rnames, vm.gather([right.columns[n] for n in rnames], ri)))
     right_scales = {n: s for n, s in right.scales.items() if n != right_key}
     joined = SharedRelation(out, {**left.scales, **right_scales})
     shuffled, _ = oblivious_shuffle(vm, joined, rng) if joined.n_rows else (joined, None)
@@ -310,8 +307,10 @@ def select_by_public_index(
 ) -> SharedRelation:
     """Oblivious indexing (hybrid join step 6): the indexes were produced
     by the STP over *shuffled* row identities, so applying them is charged
-    as the Laud-style select protocol."""
-    return rel.with_columns({n: vm.gather(v, idx) for n, v in rel.columns.items()})
+    as the Laud-style select protocol, one read of every column."""
+    return rel.with_columns(
+        dict(zip(rel.columns, vm.gather(list(rel.columns.values()), idx)))
+    )
 
 
 # ------------------------------------------------------------------ filter

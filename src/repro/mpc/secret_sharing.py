@@ -256,17 +256,26 @@ class SecretSharingVM:
         )
         return [self._reshare(self._reconstruct_ring(a)[perm]) for a in vs]
 
-    def gather(self, a: SharedVector, idx: np.ndarray) -> SharedVector:
-        """Oblivious indexing (Laud-style select): pick rows at secret
-        positions. Charged O((n+m) log(n+m)) words."""
-        n, m = len(a), len(idx)
+    def gather(self, vs: list[SharedVector], idx: np.ndarray) -> list[SharedVector]:
+        """Oblivious parallel read (Laud, PoPETs 2015): pick the rows at
+        secret positions ``idx`` of every vector of ``vs`` (all of one
+        length n). The part that depends only on the m indexes, sorting
+        the n+m index records into a prepared permutation, is charged
+        once: ⌈log₂(n+m)⌉ rounds and (n+m)·log₂(n+m) words per party pair.
+        Each vector then costs the linear part, two applications of that
+        permutation to its n+m records with a local prefix sum between
+        them: 2(n+m) words per party pair, in 2p rounds shared by all
+        the vectors. With no vector there is nothing to read."""
+        if not vs:
+            return []
+        n, m = len(vs[0]), len(idx)
         logf = max(1.0, np.log2(max(2, n + m)))
         self.meter.charge_comm(
-            rounds=int(np.ceil(logf)),
-            bytes_sent=(n + m) * logf * _WORD_BYTES
+            rounds=int(np.ceil(logf)) + 2 * self.n_parties,
+            bytes_sent=(n + m) * (logf + 2 * len(vs)) * _WORD_BYTES
             * self.n_parties * (self.n_parties - 1),
         )
-        return self._reshare(self._reconstruct_ring(a)[idx])
+        return [self._reshare(self._reconstruct_ring(a)[idx]) for a in vs]
 
     def concat(self, vs: list[SharedVector]) -> SharedVector:
         """Row-wise concatenation of shared vectors — share-local."""

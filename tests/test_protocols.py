@@ -51,6 +51,21 @@ def test_oblivious_shuffle_rounds_do_not_grow_with_columns(vm, n_cols):
     assert meter.bytes_sent - b0 == n_cols * 10 * 8 * vm.n_parties * (vm.n_parties - 1)
 
 
+@pytest.mark.parametrize("n_cols", [1, 2, 5])
+def test_select_rows_rounds_do_not_grow_with_columns(vm, n_cols):
+    """Oblivious indexing sorts the index records once for all columns
+    and reads the columns side by side: the rounds of one column for any
+    column count, and per column only the linear part's bytes."""
+    rel = _share(vm, **{f"c{i}": np.arange(10) for i in range(n_cols)})
+    idx = np.array([9, 0, 0, 4, 7, 3])
+    meter = vm.meter
+    r0, b0 = meter.rounds, meter.bytes_sent
+    _backend(vm).select_rows(rel, idx)
+    records, pairs = 10 + 6, vm.n_parties * (vm.n_parties - 1)
+    assert meter.rounds - r0 == 4 + 2 * vm.n_parties  # ⌈log₂ 16⌉ + 2p
+    assert meter.bytes_sent - b0 == records * (4 + 2 * n_cols) * 8 * pairs
+
+
 # -------------------------------------------------------------------- sort
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 17, 64, 100])
 @pytest.mark.parametrize("descending", [False, True])

@@ -5,6 +5,8 @@ import pytest
 from repro.mpc.accounting import Meter
 from repro.mpc.secret_sharing import SecretSharingVM
 
+from .laud_reference import parallel_read
+
 
 @pytest.fixture()
 def vm() -> SecretSharingVM:
@@ -149,7 +151,32 @@ def test_permutations_and_gather(vm):
     (pv,) = vm.oblivious_permute([av], perm)
     np.testing.assert_array_equal(vm.reveal(pv), a[perm])
     idx = np.array([3, 3, 0])
-    np.testing.assert_array_equal(vm.reveal(vm.gather(av, idx)), a[idx])
+    (gv,) = vm.gather([av], idx)
+    np.testing.assert_array_equal(vm.reveal(gv), a[idx])
+
+
+@pytest.mark.parametrize("n_parties", [2, 3, 4])
+@pytest.mark.parametrize("n,m", [(1, 1), (10, 3), (7, 0), (100, 250), (1000, 1000)])
+def test_gather_charges_the_laud_read(n_parties, n, m):
+    """``gather`` of k = 1..6 columns charges what the reference's steps
+    of Laud's parallel read cost, whose rows are the ones it reads."""
+    g = np.random.default_rng(n + m)
+    vm = SecretSharingVM(n_parties=n_parties, meter=Meter(), seed=3)
+    idx = g.integers(0, n, m)
+    for k in range(1, 7):
+        cols = [g.integers(-(2**40), 2**40, n) for _ in range(k)]
+        shared = [vm.share(c) for c in cols]
+        r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
+        got = vm.gather(shared, idx)
+        rounds, bytes_sent = vm.meter.rounds - r0, vm.meter.bytes_sent - b0
+        read, steps = parallel_read([c.view(np.uint64) for c in cols], idx, n_parties)
+        for c, rv, gv in zip(cols, read, got):
+            np.testing.assert_array_equal(rv.view(np.int64), c[idx])
+            np.testing.assert_array_equal(vm.reveal(gv), c[idx])
+        assert rounds == sum(s.rounds for s in steps)
+        assert bytes_sent == pytest.approx(
+            sum(s.words for s in steps) * 8 * n_parties * (n_parties - 1), rel=1e-12
+        )
 
 
 def test_oblivious_permute_produces_fresh_shares(vm):
