@@ -158,8 +158,8 @@ class SharemindBackend:
         same = None
         if stp is not None:
             # shuffle only the columns read below (and the mask)
-            r = self.shuffle(self.project(r, group if counting else group + [over]))
-            keys = self.reveal_col_to(r, group[0], stp)
+            (r,) = self.shuffle([self.project(r, group if counting else group + [over])])
+            (keys,) = self.reveal_col_to([(r, group[0])], stp)
             # STP: sort in the clear; stability breaks ties by row position
             order = np.argsort(keys, kind="stable")
             # the order travels to every party in the clear
@@ -198,32 +198,32 @@ class SharemindBackend:
         self, left: SharedRelation, right: SharedRelation, lk: str, rk: str,
         *, stp: str | None = None,
     ) -> SharedRelation:
-        """Equi-join, the Cartesian-product join (:func:`P.join_cartesian`).
-
-        With ``stp`` it is the §5.3 hybrid join (Figure 3): the shuffled
-        sides' key columns are revealed to the STP, which joins them in the
-        clear and secret-shares the index relations; oblivious indexing
-        rebuilds the matching rows, both sides' masks kept, under MPC."""
-        if stp is not None:
-            left, right = self.shuffle(left), self.shuffle(right)
-            li, ri = join_index_pairs(
-                self.reveal_col_to(left, lk, stp),
-                self.reveal_col_to(right, rk, stp), by_key=False,
-            )
-            self.vm.share(np.concatenate([li, ri]))
-            right = self.project(right, [c for c in right.column_names if c != rk])
-            joined = self.concat_columns(
-                self.select_rows(left, li), self.select_rows(right, ri)
-            )
-            return self.shuffle(joined)
-        if MASK in left.columns or MASK in right.columns:
+        """Equi-join. The matching (left, right) row pairs come from the
+        Cartesian product's equality flags (:func:`P.cartesian_join_pairs`)
+        or, with ``stp``, from the §5.3 hybrid join (Figure 3): the
+        shuffled sides' key columns are revealed to the STP, which joins
+        them in the clear and secret-shares the index relations. Oblivious
+        indexing then rebuilds the matching rows under MPC, both sides'
+        masks kept, and a last shuffle hides the pair order. Steps where
+        neither side reads the other's result run side by side."""
+        if stp is None and (MASK in left.columns or MASK in right.columns):
             raise NotImplementedError("join over filtered MPC relations")
         if not lk:  # cross join: broadcast a 1-row right side
             if right.n_rows != 1:
                 raise NotImplementedError("cross join needs a scalar right side")
             idx = np.zeros(left.n_rows, dtype=np.int64)
             return self.concat_columns(left, self.take(right, idx))
-        return P.join_cartesian(self.vm, left, right, lk, rk, self.rng)
+        if stp is not None:
+            left, right = self.shuffle([left, right])
+            li, ri = join_index_pairs(
+                *self.reveal_col_to([(left, lk), (right, rk)], stp), by_key=False
+            )
+            self.vm.share(np.concatenate([li, ri]))
+        else:
+            li, ri = P.cartesian_join_pairs(self.vm, left.columns[lk], right.columns[rk])
+        right = self.project(right, [c for c in right.column_names if c != rk])
+        joined = self.concat_columns(*self.select_rows([(left, li), (right, ri)]))
+        return self.shuffle([joined])[0]
 
     def distinct_count(
         self, r: SharedRelation, col: str, out_col: str, *, input_sorted: bool
@@ -256,15 +256,22 @@ class SharemindBackend:
         return self.take(r, slice(0, n))
 
     # ------------------------------------------------ hybrid sub-protocols
-    def shuffle(self, r: SharedRelation) -> SharedRelation:
-        rel, _ = P.oblivious_shuffle(self.vm, r, self.rng)
-        return rel
+    # Each takes a list of independent relations and runs them side by
+    # side: the rounds of one, the bytes of all.
+    def shuffle(self, rels: list[SharedRelation]) -> list[SharedRelation]:
+        return [rel for rel, _ in P.oblivious_shuffle(self.vm, rels, self.rng)]
 
-    def reveal_col_to(self, r: SharedRelation, col: str, party: str) -> np.ndarray:
-        return self.vm.reveal_to(r.columns[col], party)
+    def reveal_col_to(
+        self, cols: list[tuple[SharedRelation, str]], party: str
+    ) -> list[np.ndarray]:
+        """Open column ``col`` of each ``(r, col)`` to ``party``."""
+        return self.vm.reveal_to([r.columns[c] for r, c in cols], party)
 
-    def select_rows(self, r: SharedRelation, idx: np.ndarray) -> SharedRelation:
-        return P.select_by_public_index(self.vm, r, idx)
+    def select_rows(
+        self, batches: list[tuple[SharedRelation, np.ndarray]]
+    ) -> list[SharedRelation]:
+        """The rows ``idx`` of each ``(r, idx)``, by oblivious indexing."""
+        return P.select_by_public_index(self.vm, batches)
 
     def reorder_public(self, r: SharedRelation, order: np.ndarray) -> SharedRelation:
         return r.with_columns(

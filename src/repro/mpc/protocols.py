@@ -8,9 +8,9 @@ These implement the sub-protocols the paper's operators rely on (§5.3,
   with oblivious compare-exchanges (``lt`` + Beaver multiplications),
 * sort-based grouped aggregation (Jónsson et al. [39]) with an oblivious
   work-efficient segmented scan,
-* Cartesian-product join (the paper's standard MPC join, O(n·m)
-  nonlinear operations; leaks output size, as the paper's Sharemind
-  baseline does),
+* the Cartesian-product join's matching step (the paper's standard MPC
+  join, O(n·m) nonlinear operations; leaks output size, as the paper's
+  Sharemind baseline does),
 * oblivious indexing ("select", Laud [45]) used by the hybrid join,
 * oblivious filtering and distinct-count.
 
@@ -31,15 +31,20 @@ from .shared_rel import SharedRelation
 
 # ----------------------------------------------------------------- shuffle
 def oblivious_shuffle(
-    vm: SecretSharingVM, rel: SharedRelation, rng: np.random.Generator
-) -> tuple[SharedRelation, np.ndarray]:
-    """Obliviously shuffle all columns with one hidden permutation.
+    vm: SecretSharingVM, rels: list[SharedRelation], rng: np.random.Generator
+) -> list[tuple[SharedRelation, np.ndarray]]:
+    """Obliviously shuffle each relation, all of its columns by one
+    hidden permutation of its own. The relations are independent, so one
+    resharing pass shuffles them all.
 
-    Returns the shuffled relation and the permutation (held by the
+    Returns each shuffled relation with its permutation (held by the
     simulation driver only — no party learns it)."""
-    perm = rng.permutation(rel.n_rows)
-    cols = vm.oblivious_permute(list(rel.columns.values()), perm)
-    return rel.with_columns(dict(zip(rel.columns, cols))), perm
+    perms = [rng.permutation(r.n_rows) for r in rels]
+    cols = vm.oblivious_permute(
+        [(list(r.columns.values()), perm) for r, perm in zip(rels, perms)]
+    )
+    return [(r.with_columns(dict(zip(r.columns, c))), perm)
+            for r, c, perm in zip(rels, cols, perms)]
 
 
 # -------------------------------------------------------------------- sort
@@ -252,7 +257,7 @@ def keep_group_ends(
     equality and one reveal over the kept rows. They are shuffled, so this
     reveals only how many groups the filter emptied."""
     staged = rel.with_columns({**rel.columns, "__end": is_end})
-    shuffled, _ = oblivious_shuffle(vm, staged, rng)
+    [(shuffled, _)] = oblivious_shuffle(vm, [staged], rng)
     flags = vm.reveal(shuffled.columns["__end"])
     keep = np.nonzero(flags == 1)[0]
     kept = {n: vm.take(shuffled.columns[n], keep) for n in rel.columns}
@@ -264,53 +269,43 @@ def keep_group_ends(
 
 
 # -------------------------------------------------------------------- join
-def join_cartesian(
-    vm: SecretSharingVM,
-    left: SharedRelation,
-    right: SharedRelation,
-    left_key: str,
-    right_key: str,
-    rng: np.random.Generator,
-) -> SharedRelation:
-    """Standard MPC join: O(n·m) oblivious equality tests over the
-    Cartesian product, then oblivious selection of the matching rows.
+def cartesian_join_pairs(
+    vm: SecretSharingVM, left_key: SharedVector, right_key: SharedVector
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matching step of the standard MPC join: O(n·m) oblivious
+    equality tests over the Cartesian product. Returns the (left, right)
+    positions of the matching pairs, which the join then reads from each
+    side with oblivious indexing.
 
     Cost model: the all-pairs equality flags are charged as an ABB batch
     of n·m comparisons (the dominant cost that makes Figure 1b/6
-    quadratic); the matching pairs are then fetched with the oblivious
-    indexing protocol. Output size is leaked (as in the paper's Sharemind
-    baseline join, §7.3)."""
-    n, m = left.n_rows, right.n_rows
+    quadratic). The number of pairs is leaked (as in the paper's
+    Sharemind baseline join, §7.3)."""
+    n, m = len(left_key), len(right_key)
     # memory for the n·m pair flags (one ring word per share per pair)
     vm.meter.charge_memory(
         "mpc cartesian join pair flags", float(n) * m * 8 * vm.n_parties
     )
     # ABB: the equality-flag batch. Computed via a cleartext index match
     # internally; charged at full O(n·m) comparison cost.
-    lk = _from_ring(vm._reconstruct_ring(left.columns[left_key]))
-    rk = _from_ring(vm._reconstruct_ring(right.columns[right_key]))
+    lk = _from_ring(vm._reconstruct_ring(left_key))
+    rk = _from_ring(vm._reconstruct_ring(right_key))
     vm._abb(np.zeros(0, np.int64), rounds=_CMP_ROUNDS,
             words_per_elem=_CMP_WORDS_PER_ELEM, n_elems=n * m)
-    li, ri = np.nonzero(lk[:, None] == rk[None, :])
-    lnames = [left_key] + [n for n in left.column_names if n != left_key]
-    rnames = [n for n in right.column_names if n != right_key]
-    out = dict(zip(lnames, vm.gather([left.columns[n] for n in lnames], li)))
-    out.update(zip(rnames, vm.gather([right.columns[n] for n in rnames], ri)))
-    right_scales = {n: s for n, s in right.scales.items() if n != right_key}
-    joined = SharedRelation(out, {**left.scales, **right_scales})
-    shuffled, _ = oblivious_shuffle(vm, joined, rng) if joined.n_rows else (joined, None)
-    return shuffled
+    return np.nonzero(lk[:, None] == rk[None, :])
 
 
 def select_by_public_index(
-    vm: SecretSharingVM, rel: SharedRelation, idx: np.ndarray
-) -> SharedRelation:
-    """Oblivious indexing (hybrid join step 6): the indexes were produced
-    by the STP over *shuffled* row identities, so applying them is charged
-    as the Laud-style select protocol, one read of every column."""
-    return rel.with_columns(
-        dict(zip(rel.columns, vm.gather(list(rel.columns.values()), idx)))
-    )
+    vm: SecretSharingVM, batches: list[tuple[SharedRelation, np.ndarray]]
+) -> list[SharedRelation]:
+    """Oblivious indexing (hybrid join step 6): the rows ``idx`` of each
+    batch's relation ``(rel, idx)``. The indexes were produced over
+    *shuffled* row identities (by the STP, or by the Cartesian join's
+    equality flags), so applying them is charged as the Laud-style select
+    protocol, one read of every column; independent relations are read
+    side by side."""
+    cols = vm.gather([(list(r.columns.values()), idx) for r, idx in batches])
+    return [r.with_columns(dict(zip(r.columns, c))) for (r, _), c in zip(batches, cols)]
 
 
 # ------------------------------------------------------------------ filter

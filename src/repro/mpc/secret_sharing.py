@@ -135,12 +135,14 @@ class SecretSharingVM:
         )
         return _from_ring(self._reconstruct_ring(sv))
 
-    def reveal_to(self, sv: SharedVector, _party: str | int = 0) -> np.ndarray:
-        """Open a shared vector to a single party (e.g. the STP)."""
+    def reveal_to(self, vs: list[SharedVector], _party: str | int = 0) -> list[np.ndarray]:
+        """Open each of the shared vectors ``vs`` to a single party (e.g.
+        the STP), all in the same round."""
         self.meter.charge_comm(
-            rounds=1, bytes_sent=len(sv) * _WORD_BYTES * (self.n_parties - 1)
+            rounds=1,
+            bytes_sent=sum(len(v) for v in vs) * _WORD_BYTES * (self.n_parties - 1),
         )
-        return _from_ring(self._reconstruct_ring(sv))
+        return [_from_ring(self._reconstruct_ring(v)) for v in vs]
 
     # ------------------------------------------------------- linear algebra
     def add(self, a: SharedVector, b: SharedVector) -> SharedVector:
@@ -243,39 +245,49 @@ class SecretSharingVM:
         return SharedVector(tuple(s[perm] for s in a.shares))
 
     def oblivious_permute(
-        self, vs: list[SharedVector], perm: np.ndarray
-    ) -> list[SharedVector]:
-        """Apply one permutation hidden from all parties to every vector of
-        ``vs`` (resharing-based shuffle: p rounds for any number of
-        vectors, O(n) words per vector and party-pair). ``perm`` is
-        supplied by the protocol driver's private coins."""
-        n = sum(len(a) for a in vs)
+        self, batches: list[tuple[list[SharedVector], np.ndarray]]
+    ) -> list[list[SharedVector]]:
+        """Apply each batch's permutation, hidden from all parties, to
+        every vector of the batch (resharing-based shuffle). The batches
+        are independent, so they are reshared in the same p rounds,
+        whatever their number and that of their vectors, at O(n) words
+        per vector and party pair. Each ``perm`` is supplied by the
+        protocol driver's private coins."""
+        n = sum(len(a) for vs, _ in batches for a in vs)
         self.meter.charge_comm(
             rounds=self.n_parties,
             bytes_sent=n * _WORD_BYTES * self.n_parties * (self.n_parties - 1),
         )
-        return [self._reshare(self._reconstruct_ring(a)[perm]) for a in vs]
+        return [[self._reshare(self._reconstruct_ring(a)[perm]) for a in vs]
+                for vs, perm in batches]
 
-    def gather(self, vs: list[SharedVector], idx: np.ndarray) -> list[SharedVector]:
-        """Oblivious parallel read (Laud, PoPETs 2015): pick the rows at
-        secret positions ``idx`` of every vector of ``vs`` (all of one
-        length n). The part that depends only on the m indexes, sorting
-        the n+m index records into a prepared permutation, is charged
-        once: ⌈log₂(n+m)⌉ rounds and (n+m)·log₂(n+m) words per party pair.
-        Each vector then costs the linear part, two applications of that
-        permutation to its n+m records with a local prefix sum between
-        them: 2(n+m) words per party pair, in 2p rounds shared by all
-        the vectors. With no vector there is nothing to read."""
-        if not vs:
-            return []
-        n, m = len(vs[0]), len(idx)
-        logf = max(1.0, np.log2(max(2, n + m)))
+    def gather(
+        self, batches: list[tuple[list[SharedVector], np.ndarray]]
+    ) -> list[list[SharedVector]]:
+        """Oblivious parallel read (Laud, PoPETs 2015): for each batch
+        ``(vs, idx)``, pick the rows at secret positions ``idx`` of every
+        vector of ``vs`` (all of one length n). The part that depends only
+        on the m indexes, sorting the n+m index records into a prepared
+        permutation, is charged once per batch: ⌈log₂(n+m)⌉ rounds and
+        (n+m)·log₂(n+m) words per party pair. Each vector then costs the
+        linear part, two applications of that permutation to its n+m
+        records with a local prefix sum between them: 2(n+m) words per
+        party pair, in 2p rounds shared by all the vectors. Independent
+        batches run side by side: the rounds of the longest, the words of
+        all. A batch with no vector reads nothing."""
+        rounds, words = 0, 0.0
+        for vs, idx in batches:
+            if vs:
+                records = len(vs[0]) + len(idx)
+                logf = max(1.0, np.log2(max(2, records)))
+                rounds = max(rounds, int(np.ceil(logf)) + 2 * self.n_parties)
+                words += records * (logf + 2 * len(vs))
         self.meter.charge_comm(
-            rounds=int(np.ceil(logf)) + 2 * self.n_parties,
-            bytes_sent=(n + m) * (logf + 2 * len(vs)) * _WORD_BYTES
-            * self.n_parties * (self.n_parties - 1),
+            rounds=rounds,
+            bytes_sent=words * _WORD_BYTES * self.n_parties * (self.n_parties - 1),
         )
-        return [self._reshare(self._reconstruct_ring(a)[idx]) for a in vs]
+        return [[self._reshare(self._reconstruct_ring(a)[idx]) for a in vs]
+                for vs, idx in batches]
 
     def concat(self, vs: list[SharedVector]) -> SharedVector:
         """Row-wise concatenation of shared vectors — share-local."""

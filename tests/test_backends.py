@@ -150,9 +150,9 @@ def test_hybrid_join_stp_shares_only_index_relations(be, monkeypatch):
         events.append(("share", len(values)))
         return share(self, values)
 
-    def reveal_spy(self, rel, col, party):
-        events.append(("reveal_col_to", col))
-        return reveal_col_to(self, rel, col, party)
+    def reveal_spy(self, cols, party):
+        events.append(("reveal_col_to", [c for _, c in cols]))
+        return reveal_col_to(self, cols, party)
 
     l = be.input_rel(_pdf(k=[1, 2, 2], a=[1, 2, 3]))
     r = be.input_rel(_pdf(j=[2, 4, 2], b=[5, 6, 7]))
@@ -160,7 +160,32 @@ def test_hybrid_join_stp_shares_only_index_relations(be, monkeypatch):
     monkeypatch.setattr(SharemindBackend, "reveal_col_to", reveal_spy)
     out = be.join(l, r, "k", "j", stp="p0")
     assert out.n_rows == 4
-    assert events == [("reveal_col_to", "k"), ("reveal_col_to", "j"), ("share", 8)]
+    assert events == [("reveal_col_to", ["k", "j"]), ("share", 8)]
+
+
+def test_hybrid_join_runs_both_sides_in_the_same_rounds(be):
+    """Neither side of a hybrid join reads the other's shuffle, key reveal
+    or oblivious indexing, so the two run side by side: the join costs
+    the rounds of one side's three steps, the index share and the last
+    shuffle, not those of both sides."""
+    l = be.input_rel(_pdf(k=[1, 2, 2, 3], a=[1, 2, 3, 4]))
+    r = be.input_rel(_pdf(j=[2, 4, 2, 1], b=[5, 6, 7, 8]))
+    meter = be.vm.meter
+
+    def rounds(step):
+        r0 = meter.rounds
+        out = step()
+        return meter.rounds - r0, out
+
+    joined_rounds, out = rounds(lambda: be.join(l, r, "k", "j", stp="p0"))
+    one_side = sum(rounds(step)[0] for step in (
+        lambda: be.shuffle([l]),
+        lambda: be.reveal_col_to([(l, "k")], "p0"),
+        lambda: be.select_rows([(l, np.arange(out.n_rows) % l.n_rows)]),
+    ))
+    share, last_shuffle = 1, rounds(lambda: be.shuffle([out]))[0]
+    assert out.n_rows == 5
+    assert joined_rounds == one_side + share + last_shuffle
 
 
 @pytest.mark.parametrize("presorted", [True, False])
@@ -180,18 +205,18 @@ def test_sort_and_limit(be):
 
 def test_shuffle_reorder_select(be):
     r = be.input_rel(_pdf(a=[1, 2, 3, 4]))
-    sh = be.shuffle(r)
+    (sh,) = be.shuffle([r])
     assert sorted(be.reveal(sh)["a"]) == [1, 2, 3, 4]
     ro = be.reorder_public(r, np.array([3, 2, 1, 0]))
     np.testing.assert_array_equal(be.reveal(ro)["a"], [4, 3, 2, 1])
-    sel = be.select_rows(r, np.array([0, 0, 2]))
+    (sel,) = be.select_rows([(r, np.array([0, 0, 2]))])
     np.testing.assert_array_equal(be.reveal(sel)["a"], [1, 1, 3])
 
 
 def test_reveal_col_to_charges_less_than_full_reveal(be):
     r = be.input_rel(_pdf(a=np.arange(100), b=np.arange(100)))
     b0 = be.vm.meter.bytes_sent
-    be.reveal_col_to(r, "a", "p0")
+    be.reveal_col_to([(r, "a")], "p0")
     single = be.vm.meter.bytes_sent - b0
     b1 = be.vm.meter.bytes_sent
     be.reveal(r)
@@ -243,9 +268,9 @@ def test_hybrid_agg_shuffles_only_the_columns_it_reads(
     filter mask, and no other column of the input."""
     shuffled, shuffle = [], SharemindBackend.shuffle
 
-    def spy(self, rel):
-        shuffled.append(rel.column_names)
-        return shuffle(self, rel)
+    def spy(self, rels):
+        shuffled.extend(rel.column_names for rel in rels)
+        return shuffle(self, rels)
 
     monkeypatch.setattr(SharemindBackend, "shuffle", spy)
     r = be.input_rel(_pdf(x=[5, 6, 7, 8], k=[1, 2, 1, 2], v=[1, 2, 3, 4]))
@@ -257,9 +282,9 @@ def test_hybrid_agg_shuffles_only_the_columns_it_reads(
 
 _SCALED_OPS = {
     "sort_by": (lambda be, r: be.sort_by(r, "k", ascending=True), lambda p: p),
-    "shuffle": (lambda be, r: be.shuffle(r), lambda p: p),
+    "shuffle": (lambda be, r: be.shuffle([r])[0], lambda p: p),
     "select_rows": (
-        lambda be, r: be.select_rows(r, np.array([2, 0, 0])),
+        lambda be, r: be.select_rows([(r, np.array([2, 0, 0]))])[0],
         lambda p: p.iloc[[2, 0, 0]],
     ),
     "take": (lambda be, r: be.take(r, np.array([3, 1])), lambda p: p.iloc[[3, 1]]),

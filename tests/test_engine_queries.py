@@ -207,7 +207,7 @@ def test_boundary_operator_costs_are_pinned(spark):
     plan, eng = _check_credit(spark, credit_card.gen_inputs(n_holders=150, seed=1))
     assert any(j.site[0] == "hybrid" for j in plan.dag.nodes_of_type(D.Join))
     assert any(a.site[0] == "hybrid" for a in plan.dag.nodes_of_type(D.Aggregate))
-    assert (eng.meter.rounds, eng.meter.bytes_sent) == (144, 579_038.9166866969)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (112, 579_038.9166866968)
 
 
 # ---------------------------------------------------------- comorbidity

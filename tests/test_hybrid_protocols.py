@@ -178,9 +178,9 @@ def test_hybrid_join_stp_sees_only_key_columns(spark, monkeypatch):
     revealed = []
     orig = SharemindBackend.reveal_col_to
 
-    def spy(self, rel, col, party):
-        revealed.append((col, party))
-        return orig(self, rel, col, party)
+    def spy(self, cols, party):
+        revealed.extend((col, party) for _, col in cols)
+        return orig(self, cols, party)
 
     monkeypatch.setattr(SharemindBackend, "reveal_col_to", spy)
     plan, parties = _join_plan("hybrid")
@@ -257,9 +257,9 @@ def test_hybrid_agg_stp_sees_only_group_column(spark, monkeypatch):
     revealed = []
     orig = SharemindBackend.reveal_col_to
 
-    def spy(self, rel, col, party):
-        revealed.append((col, party))
-        return orig(self, rel, col, party)
+    def spy(self, cols, party):
+        revealed.extend((col, party) for _, col in cols)
+        return orig(self, cols, party)
 
     monkeypatch.setattr(SharemindBackend, "reveal_col_to", spy)
     plan, parties = _agg_plan("hybrid")
@@ -275,9 +275,9 @@ def test_hybrid_agg_order_matches_spark_order_by(spark, monkeypatch):
     reveal_col_to = SharemindBackend.reveal_col_to
     reorder_public = SharemindBackend.reorder_public
 
-    def reveal_spy(self, rel, col, party):
-        out = reveal_col_to(self, rel, col, party)
-        keys.append(out)
+    def reveal_spy(self, cols, party):
+        out = reveal_col_to(self, cols, party)
+        keys.extend(out)
         return out
 
     def reorder_spy(self, rel, order):
@@ -326,9 +326,9 @@ def test_hybrid_agg_stp_shares_only_same_key_flags(spark, monkeypatch):
         events.append("share")
         return share(self, values)
 
-    def reveal_spy(self, rel, col, party):
-        events.append("reveal_col_to")
-        return reveal_col_to(self, rel, col, party)
+    def reveal_spy(self, cols, party):
+        events.extend("reveal_col_to" for _ in cols)
+        return reveal_col_to(self, cols, party)
 
     monkeypatch.setattr(SecretSharingVM, "share", share_spy)
     monkeypatch.setattr(SharemindBackend, "reveal_col_to", reveal_spy)

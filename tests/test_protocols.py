@@ -21,7 +21,7 @@ def _rng():
 
 def _backend(vm) -> SharemindBackend:
     """The engine's adapter over the protocols, for operators the engine
-    composes from them (ungrouped sum, top-k)."""
+    composes from them (ungrouped sum, top-k, the join)."""
     return SharemindBackend(vm, _rng())
 
 
@@ -32,7 +32,7 @@ def _share(vm, **cols) -> SharedRelation:
 # ----------------------------------------------------------------- shuffle
 def test_oblivious_shuffle_is_permutation(vm):
     rel = _share(vm, k=[5, 1, 9, 3], v=[50, 10, 90, 30])
-    out, perm = P.oblivious_shuffle(vm, rel, _rng())
+    [(out, perm)] = P.oblivious_shuffle(vm, [rel], _rng())
     got = reveal_relation(vm, out)
     assert sorted(got["k"]) == [1, 3, 5, 9]
     # rows stay aligned across columns
@@ -46,7 +46,7 @@ def test_oblivious_shuffle_rounds_do_not_grow_with_columns(vm, n_cols):
     rel = _share(vm, **{f"c{i}": np.arange(10) for i in range(n_cols)})
     meter = vm.meter
     r0, b0 = meter.rounds, meter.bytes_sent
-    P.oblivious_shuffle(vm, rel, _rng())
+    P.oblivious_shuffle(vm, [rel], _rng())
     assert meter.rounds - r0 == vm.n_parties
     assert meter.bytes_sent - b0 == n_cols * 10 * 8 * vm.n_parties * (vm.n_parties - 1)
 
@@ -60,7 +60,7 @@ def test_select_rows_rounds_do_not_grow_with_columns(vm, n_cols):
     idx = np.array([9, 0, 0, 4, 7, 3])
     meter = vm.meter
     r0, b0 = meter.rounds, meter.bytes_sent
-    _backend(vm).select_rows(rel, idx)
+    _backend(vm).select_rows([(rel, idx)])
     records, pairs = 10 + 6, vm.n_parties * (vm.n_parties - 1)
     assert meter.rounds - r0 == 4 + 2 * vm.n_parties  # ⌈log₂ 16⌉ + 2p
     assert meter.bytes_sent - b0 == records * (4 + 2 * n_cols) * 8 * pairs
@@ -366,7 +366,7 @@ def test_join_cartesian_matches_pandas(vm):
         {"k": g.integers(0, 10, 20), "b": g.integers(0, 100, 20)}
     ).astype(np.int64)
     lrel, rrel = share_dataframe(vm, left), share_dataframe(vm, right)
-    got = reveal_relation(vm, P.join_cartesian(vm, lrel, rrel, "k", "k", _rng()))
+    got = reveal_relation(vm, _backend(vm).join(lrel, rrel, "k", "k"))
     expected = left.merge(right, on="k")
     got = got.sort_values(["k", "a", "b"]).reset_index(drop=True)
     expected = expected.sort_values(["k", "a", "b"]).reset_index(drop=True)
@@ -376,7 +376,7 @@ def test_join_cartesian_matches_pandas(vm):
 def test_join_cartesian_empty_result(vm):
     lrel = _share(vm, k=[1, 2], a=[1, 1])
     rrel = _share(vm, k=[3, 4], b=[2, 2])
-    got = reveal_relation(vm, P.join_cartesian(vm, lrel, rrel, "k", "k", _rng()))
+    got = reveal_relation(vm, _backend(vm).join(lrel, rrel, "k", "k"))
     assert len(got) == 0
 
 
@@ -391,7 +391,7 @@ def test_join_cartesian_quadratic_cost(vm):
             vm_i, pd.DataFrame({"k": np.arange(n), "b": np.arange(n)})
         )
         b0 = vm_i.meter.bytes_sent
-        P.join_cartesian(vm_i, rel_l, rel_r, "k", "k", _rng())
+        _backend(vm_i).join(rel_l, rel_r, "k", "k")
         cost.append(vm_i.meter.bytes_sent - b0)
     # doubling n should ~quadruple the dominant comparison bytes
     assert cost[1] > 3 * cost[0]
@@ -404,13 +404,14 @@ def test_join_cartesian_simulated_oom():
     rel_l = share_dataframe(vm, pd.DataFrame({"k": np.arange(n)}))
     rel_r = share_dataframe(vm, pd.DataFrame({"k": np.arange(n)}))
     with pytest.raises(SimulatedOOM):
-        P.join_cartesian(vm, rel_l, rel_r, "k", "k", _rng())
+        _backend(vm).join(rel_l, rel_r, "k", "k")
 
 
 # ----------------------------------------------------------- select/filter
 def test_select_by_public_index(vm):
     rel = _share(vm, a=[10, 20, 30], b=[1, 2, 3])
-    got = reveal_relation(vm, P.select_by_public_index(vm, rel, np.array([2, 0])))
+    [sel] = P.select_by_public_index(vm, [(rel, np.array([2, 0]))])
+    got = reveal_relation(vm, sel)
     np.testing.assert_array_equal(got["a"], [30, 10])
     np.testing.assert_array_equal(got["b"], [3, 1])
 

@@ -148,10 +148,10 @@ def test_permutations_and_gather(vm):
     av = vm.share(a)
     perm = np.array([2, 0, 3, 1])
     np.testing.assert_array_equal(vm.reveal(vm.permute_public(av, perm)), a[perm])
-    (pv,) = vm.oblivious_permute([av], perm)
+    [[pv]] = vm.oblivious_permute([([av], perm)])
     np.testing.assert_array_equal(vm.reveal(pv), a[perm])
     idx = np.array([3, 3, 0])
-    (gv,) = vm.gather([av], idx)
+    [[gv]] = vm.gather([([av], idx)])
     np.testing.assert_array_equal(vm.reveal(gv), a[idx])
 
 
@@ -167,7 +167,7 @@ def test_gather_charges_the_laud_read(n_parties, n, m):
         cols = [g.integers(-(2**40), 2**40, n) for _ in range(k)]
         shared = [vm.share(c) for c in cols]
         r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
-        got = vm.gather(shared, idx)
+        [got] = vm.gather([(shared, idx)])
         rounds, bytes_sent = vm.meter.rounds - r0, vm.meter.bytes_sent - b0
         read, steps = parallel_read([c.view(np.uint64) for c in cols], idx, n_parties)
         for c, rv, gv in zip(cols, read, got):
@@ -183,7 +183,7 @@ def test_oblivious_permute_produces_fresh_shares(vm):
     a = np.arange(16, dtype=np.int64)
     av = vm.share(a)
     perm = np.arange(16)  # identity
-    (out,) = vm.oblivious_permute([av], perm)
+    [[out]] = vm.oblivious_permute([([av], perm)])
     # identity permutation must still re-randomize every party's share
     for before, after in zip(av.shares, out.shares):
         assert not np.array_equal(before, after)

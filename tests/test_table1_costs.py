@@ -11,8 +11,8 @@ from repro.tables import table1_micro
 PINNED = {
     ("sharemind/agg", 100): (278, 550_640.0, 0.0, 0.0),
     ("sharemind/agg", 1000): (527, 10_910_720.0, 0.0, 0.0),
-    ("sharemind/join", 100): (43, 2616049.043986503, 0.0, 240_000.0),
-    ("sharemind/join", 1000): (49, 242912162.3495263, 0.0, 24_000_000.0),
+    ("sharemind/join", 100): (29, 2616049.043986503, 0.0, 240_000.0),
+    ("sharemind/join", 1000): (32, 242912162.34952632, 0.0, 24_000_000.0),
     ("sharemind/project", 100): (3, 8_000.0, 0.0, 0.0),
     ("sharemind/project", 1000): (3, 80_000.0, 0.0, 0.0),
     # GC sorts charge the pruned network the secret-sharing backend runs,
