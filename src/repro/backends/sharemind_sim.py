@@ -206,8 +206,6 @@ class SharemindBackend:
         indexing then rebuilds the matching rows under MPC, both sides'
         masks kept, and a last shuffle hides the pair order. Steps where
         neither side reads the other's result run side by side."""
-        if stp is None and (MASK in left.columns or MASK in right.columns):
-            raise NotImplementedError("join over filtered MPC relations")
         if not lk:  # cross join: broadcast a 1-row right side
             if right.n_rows != 1:
                 raise NotImplementedError("cross join needs a scalar right side")

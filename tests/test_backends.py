@@ -115,13 +115,6 @@ def test_cross_join_requires_scalar_right(be):
         be.join(l, r, "", "")
 
 
-def test_join_on_masked_relation_unsupported(be):
-    l = be.filter_eq(be.input_rel(_pdf(k=[1])), "k", 1)
-    r = be.input_rel(_pdf(k=[1]))
-    with pytest.raises(NotImplementedError):
-        be.join(l, r, "k", "k")
-
-
 def _rows(df):
     """``df`` with sorted columns and rows, to compare as a multiset."""
     cols = sorted(df.columns)

@@ -210,6 +210,34 @@ def test_public_keys_over_an_mpc_input_do_not_make_a_public_join(spark, backend,
     assert join.site == (("hybrid", "a") if hybrid else ("mpc",))
 
 
+# --------------------------------------------------- join after a filter
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("both", [False, True], ids=["left_filtered", "both_filtered"])
+def test_join_after_mpc_filter(spark, backend, both):
+    """An MPC join of relations an MPC filter masked keeps a row only
+    where every filtered side keeps it."""
+    a, b, c = Party("a"), Party("b"), Party("c")
+    l, r, s, t = (newTable([Column("k"), Column(x)], at=p, name=n)
+                  for p, x, n in ((a, "f", "l"), (b, "v", "r"), (c, "g", "s"), (a, "w", "t")))
+    lhs = l.join(r, left="k", right="k").filter("f", "==", 1)
+    rhs = s.join(t, left="k", right="k")
+    rhs = rhs.filter("g", "==", 1) if both else rhs
+    out = lhs.join(rhs, left="k", right="k").collect(to=[a])
+    gen = {"l": _pdf(k=[1, 2, 3, 4, 5], f=[1, 0, 1, 1, 0]),
+           "r": _pdf(k=[1, 2, 3, 4, 5], v=[10, 20, 30, 40, 50]),
+           "s": _pdf(k=[1, 2, 3, 3, 4], g=[1, 1, 0, 1, 0]),
+           "t": _pdf(k=[1, 2, 3, 4, 6], w=[7, 8, 9, 10, 11])}
+    plan, df = _run(spark, out, [a, b, c], gen, backend)
+    assert [n.site for n in plan.dag.nodes_of_type(D.Filter)] == [("mpc",)] * (1 + both)
+    where = "l.f = 1" + (" AND s.g = 1" if both else "")
+    assert_equivalent(
+        df,
+        "SELECT l.k, l.f, r.v, s.g, t.w FROM l JOIN r ON l.k = r.k "
+        f"JOIN s ON l.k = s.k JOIN t ON s.k = t.k WHERE {where}",
+        **gen,
+    )
+
+
 # ------------------------------------------- plans no backend can run
 _FILTERED = {"l": _pdf(k=[1, 2, 3, 4], f=[0, 0, 1, 1]),
              "r": _pdf(k=[1, 2, 3, 4], v=[5, 6, 7, 8])}
