@@ -5,8 +5,10 @@ The regulator (party a) holds ssn→zip demographics; two credit agencies
 (b, c) hold ssn→score portfolios and annotate their ssn columns with
 ``trust=[a]``, making the regulator an STP. Conclave then compiles the
 join into a §5.3 *hybrid join* and the per-ZIP aggregations into
-*hybrid aggregations*, with the average computed in the clear at the
-regulator (push-up of the final division).
+*hybrid aggregations*; a third hybrid join on ``zip`` puts their results
+side by side. The average runs under MPC, as one ABB division: push-up
+lifts only a division by an integer constant, and this one divides by
+the column ``cnt`` (ROADMAP item 11 would compute it at the regulator).
 """
 from __future__ import annotations
 

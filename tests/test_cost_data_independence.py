@@ -1,0 +1,130 @@
+"""The simulated cost depends only on what a plan may reveal.
+
+The VM computes every ABB operation in the clear, so a charge that
+depends on a secret value would pass every result test. These tests run
+each plan on pairs of inputs with the same public shape: the same sizes
+and the same revealed counts (join sizes, group counts), with the join
+keys relabelled by a bijection, the rows of each party permuted and the
+other values changed. The sequence of (rounds, bytes) charges must be
+identical within a pair.
+"""
+import numpy as np
+import pandas as pd
+import pytest
+
+from repro.backends.sharemind_sim import MASK, SharemindBackend
+from repro.core.columns import Column, Party
+from repro.core.compiler import CompileOptions, compile_query
+from repro.core.lang import newTable
+from repro.mpc.accounting import Meter
+from repro.queries import credit_card
+from repro.queries.base import gen_to_spark
+from repro.runtime.engine import Engine
+
+
+def _pdf(**cols):
+    return pd.DataFrame({k: np.asarray(v, np.int64) for k, v in cols.items()})
+
+
+def _twin(gen, key, changed, seed):
+    """``gen`` with column ``key`` relabelled by one bijection across all
+    tables, the rows of each table permuted and the ``changed`` columns
+    redrawn from their range."""
+    g = np.random.default_rng(seed)
+    keys = np.unique(np.concatenate([df[key] for df in gen.values() if key in df]))
+    relabel = g.choice(10 * len(keys) + 10, len(keys), replace=False)
+    out = {}
+    for name, df in gen.items():
+        df = df.sample(frac=1, random_state=seed).reset_index(drop=True)
+        if key in df:
+            df[key] = relabel[np.searchsorted(keys, df[key])]
+        for c in changed:
+            if c in df:
+                df[c] = g.integers(df[c].min(), df[c].max() + 1, len(df))
+        out[name] = df
+    return out
+
+
+def _credit():
+    spec = credit_card.build()
+    gen = credit_card.gen_inputs(n_holders=60, seed=1)
+    return spec.output, spec.parties, gen, _twin(gen, "ssn", ["score"], seed=2)
+
+
+def _hybrid_join():
+    """T3's hybrid join: the key trusted to party c, the STP."""
+    a, b, c = Party("a"), Party("b"), Party("c")
+    left = newTable([Column("k", trust=(c,)), Column("v")], at=a, name="jl")
+    right = newTable([Column("k", trust=(c,)), Column("w")], at=b, name="jr")
+    out = left.join(right, left="k", right="k").collect(to=[a])
+    g = np.random.default_rng(3)
+    gen = {"jl": _pdf(k=g.integers(1, 40, 50), v=g.integers(0, 1000, 50)),
+           "jr": _pdf(k=g.integers(1, 40, 50), w=g.integers(0, 1000, 50))}
+    return out, [a, b, c], gen, _twin(gen, "k", ["v", "w"], seed=4)
+
+
+def _filtered_join():
+    """A join after an MPC filter. In the twin, the rows with no partner
+    in ``t`` pass the filter too: how many rows the filter keeps is
+    secret (only the joined rows are revealed)."""
+    a, b, c = Party("a"), Party("b"), Party("c")
+    l, r, t = (newTable([Column("k"), Column(x)], at=p, name=n)
+               for p, x, n in ((a, "f", "l"), (b, "v", "r"), (c, "w", "t")))
+    out = (l.join(r, left="k", right="k").filter("f", "==", 1)
+           .join(t, left="k", right="k").collect(to=[a]))
+    gen = {"l": _pdf(k=[1, 2, 3, 4, 5, 6], f=[1, 0, 1, 1, 0, 0]),
+           "r": _pdf(k=[1, 2, 3, 4, 5, 6], v=[10, 20, 30, 40, 50, 60]),
+           "t": _pdf(k=[1, 2, 3, 4, 7], w=[7, 8, 9, 10, 11])}
+    twin = _twin(gen, "k", ["v", "w"], seed=5)
+    twin["l"]["f"] = np.where(np.isin(twin["l"]["k"], twin["t"]["k"]),
+                              twin["l"]["f"], 1)
+    return out, [a, b, c], gen, twin
+
+
+CASES = {"credit": _credit, "hybrid_join": _hybrid_join, "filtered_join": _filtered_join}
+
+
+def _charges(spark, monkeypatch, out, parties, gen):
+    """Every (rounds, bytes) charge a run of the compiled plan makes, and
+    its result's row count."""
+    charges, charge_comm = [], Meter.charge_comm
+
+    def record(self, *, rounds, bytes_sent):
+        charges.append((rounds, bytes_sent))
+        charge_comm(self, rounds=rounds, bytes_sent=bytes_sent)
+
+    monkeypatch.setattr(Meter, "charge_comm", record)
+    plan = compile_query(out, CompileOptions(parties=parties))
+    eng = Engine(spark, [p.name for p in parties])
+    rows = eng.run(plan, gen_to_spark(spark, gen)).count()
+    monkeypatch.setattr(Meter, "charge_comm", charge_comm)
+    return charges, rows
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_charges_do_not_depend_on_the_data(spark, monkeypatch, case):
+    out, parties, gen, twin = CASES[case]()
+    got, rows = _charges(spark, monkeypatch, out, parties, gen)
+    got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, twin)
+    assert rows == rows_twin > 0
+    assert len(got) > 10
+    assert got == got_twin
+
+
+def test_a_charge_that_counts_a_mask_fails(spark, monkeypatch):
+    """A planted charge of one byte per row the filter keeps makes the
+    twin's charges differ, so the check above would catch it."""
+    filter_eq = SharemindBackend.filter_eq
+
+    def planted(self, r, col, value):
+        out = filter_eq(self, r, col, value)
+        kept = int((self.vm._reconstruct_ring(out.columns[MASK]) == 1).sum())
+        self.vm.meter.charge_comm(rounds=0, bytes_sent=float(kept))
+        return out
+
+    monkeypatch.setattr(SharemindBackend, "filter_eq", planted)
+    out, parties, gen, twin = _filtered_join()
+    got, rows = _charges(spark, monkeypatch, out, parties, gen)
+    got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, twin)
+    assert rows == rows_twin
+    assert got != got_twin
