@@ -305,7 +305,8 @@ def select_by_public_index(
     protocol, one read of every column; independent relations are read
     side by side."""
     cols = vm.gather([(list(r.columns.values()), idx) for r, idx in batches])
-    return [r.with_columns(dict(zip(r.columns, c))) for (r, _), c in zip(batches, cols)]
+    return [r.with_columns(dict(zip(r.columns, c)))
+            for (r, _), c in zip(batches, cols)]
 
 
 # ------------------------------------------------------------------ filter

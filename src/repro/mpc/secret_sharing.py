@@ -135,7 +135,9 @@ class SecretSharingVM:
         )
         return _from_ring(self._reconstruct_ring(sv))
 
-    def reveal_to(self, vs: list[SharedVector], _party: str | int = 0) -> list[np.ndarray]:
+    def reveal_to(
+        self, vs: list[SharedVector], _party: str | int = 0
+    ) -> list[np.ndarray]:
         """Open each of the shared vectors ``vs`` to a single party (e.g.
         the STP), all in the same round."""
         self.meter.charge_comm(

@@ -133,6 +133,16 @@ def test_hybrid_join_matches_pandas_merge(be, rkeys):
     pd.testing.assert_frame_equal(_rows(got), _rows(want), check_dtype=False)
 
 
+@pytest.mark.parametrize("stp", [None, "p0"], ids=["cartesian", "hybrid"])
+def test_join_with_a_key_only_side(be, stp):
+    """A side with no column but its key has nothing to read by oblivious
+    indexing; the join still returns the other side's matching rows."""
+    l = be.input_rel(_pdf(k=[1, 2, 2, 3], a=[10, 20, 30, 40]))
+    r = be.input_rel(_pdf(k=[2, 3, 5]))
+    got = be.reveal(be.join(l, r, "k", "k", stp=stp))
+    assert sorted(got.itertuples(index=False)) == [(2, 20), (2, 30), (3, 40)]
+
+
 def test_hybrid_join_stp_shares_only_index_relations(be, monkeypatch):
     """After both key columns reach the STP, the only value secret-shared
     is the STP's index relations, both in one share."""
