@@ -253,8 +253,8 @@ class SecretSharingVM:
         every vector of the batch (resharing-based shuffle). The batches
         are independent, so they are reshared in the same p rounds,
         whatever their number and that of their vectors, at O(n) words
-        per vector and party pair. Each ``perm`` is supplied by the
-        protocol driver's private coins."""
+        per vector and party pair. Each ``perm`` is drawn from the
+        protocol's private coins, which no party sees."""
         n = sum(len(a) for vs, _ in batches for a in vs)
         self.meter.charge_comm(
             rounds=self.n_parties,
