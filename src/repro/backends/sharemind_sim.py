@@ -21,32 +21,6 @@ FP_BITS = 20
 MASK = "__mask"
 
 
-def join_index_pairs(
-    lkeys: np.ndarray, rkeys: np.ndarray, *, by_key: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate the ``(left position, right position)`` pairs of an
-    equi-join of two int64 key arrays: the cleartext join a public join's
-    party or a hybrid join's STP runs.
-
-    The pairs come ordered by (key, left, right), or by (left, right) when
-    ``by_key`` is false. The right keys are sorted with a stable
-    ``np.argsort``, and so are the left keys when ``by_key`` is true
-    (otherwise the left rows are taken in position order).
-    ``np.searchsorted`` finds each left row's run of equal right keys,
-    and ``np.repeat`` expands the runs into pairs. Within a run the right
-    positions ascend (the sort is stable), so the pairs need no sort of
-    their own.
-    """
-    rorder = np.argsort(rkeys, kind="stable")
-    lorder = np.argsort(lkeys, kind="stable") if by_key else np.arange(len(lkeys))
-    rsorted, lsorted = rkeys[rorder], lkeys[lorder]
-    start = np.searchsorted(rsorted, lsorted, side="left")
-    counts = np.searchsorted(rsorted, lsorted, side="right") - start
-    # each pair's offset inside its left row's run of equal right keys
-    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(lorder, counts), rorder[np.repeat(start, counts) + within]
-
-
 class SharemindBackend:
     """One MPC session across the parties, Sharemind-style.
 
@@ -213,7 +187,7 @@ class SharemindBackend:
             return self.concat_columns(left, self.take(right, idx))
         if stp is not None:
             left, right = self.shuffle([left, right])
-            li, ri = join_index_pairs(
+            li, ri = P.join_index_pairs(
                 *self.reveal_col_to([(left, lk), (right, rk)], stp), by_key=False
             )
             self.vm.share(np.concatenate([li, ri]))

@@ -39,7 +39,7 @@ import pandas as pd
 
 from .accounting import GC_LABEL_BYTES, Meter
 from .circuits import gate_counts
-from .protocols import sort_comparators
+from .protocols import join_index_pairs, sort_comparators
 
 WIRE_BYTES = 4 * GC_LABEL_BYTES
 #: Bytes moved per evaluator input bit (oblivious transfer, ~3 labels).
@@ -121,11 +121,11 @@ class GCBackend:
 
     def concat_columns(self, a: GCRelation, b: GCRelation) -> GCRelation:
         """The columns of ``a`` and ``b`` (same row count) side by side, a
-        column of ``b`` replacing one of the same name: rewiring, no ANDs."""
-        pdf = a.pdf.copy()
-        for c in b.pdf.columns:
-            pdf[c] = b.pdf[c].to_numpy()
-        return GCRelation(pdf)
+        row kept only where both sides' filter masks keep it: rewiring."""
+        cols = {c: v.to_numpy() for c, v in [*a.pdf.items(), *b.pdf.items()]}
+        if MASK in a.pdf.columns and MASK in b.pdf.columns:
+            cols[MASK] = a.pdf[MASK].to_numpy() * b.pdf[MASK].to_numpy()
+        return GCRelation(pd.DataFrame(cols))
 
     def project(self, rel: GCRelation, cols: list[str]) -> GCRelation:
         """Projection, keeping the filter mask: wire rewiring only (no
@@ -166,8 +166,9 @@ class GCBackend:
     ) -> GCRelation:
         """Cartesian-product join: n·m equality circuits plus muxes for
         the output columns. The n·m match flags are retained wire state —
-        this is what OOMs Obliv-C at ~30k records. The §5.3 hybrid join
-        (``stp``) needs the secret-sharing backend."""
+        this is what OOMs Obliv-C at ~30k records; the pairs they mark come
+        from :func:`join_index_pairs`. The §5.3 hybrid join (``stp``) needs
+        the secret-sharing backend."""
         if stp is not None:
             raise NotImplementedError("hybrid operators need the secret-sharing backend")
         if not lk:
@@ -181,12 +182,11 @@ class GCBackend:
             float(n) * m + self._bits(n, left.n_cols) + self._bits(m, right.n_cols),
         )
         self.meter.charge_gates(and_gates=float(n) * m * (eq_and + mux_and * out_cols))
-        merged = left.pdf.merge(right.pdf, left_on=lk, right_on=rk)
-        if rk != lk and rk in merged.columns:
-            merged = merged.drop(columns=[rk])
-        if f"{MASK}_x" in merged.columns:
-            merged[MASK] = merged.pop(f"{MASK}_x") * merged.pop(f"{MASK}_y")
-        return GCRelation(merged.reset_index(drop=True))
+        li, ri = join_index_pairs(
+            left.pdf[lk].to_numpy(), right.pdf[rk].to_numpy(), by_key=False
+        )
+        right = GCRelation(right.pdf.drop(columns=rk))
+        return self.concat_columns(self.take(left, li), self.take(right, ri))
 
     def aggregate(
         self, rel: GCRelation, group: list[str], agg_op: str, over: str | None,

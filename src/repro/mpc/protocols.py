@@ -269,6 +269,31 @@ def keep_group_ends(
 
 
 # -------------------------------------------------------------------- join
+def join_index_pairs(
+    lkeys: np.ndarray, rkeys: np.ndarray, *, by_key: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Enumerate the ``(left position, right position)`` pairs of an
+    equi-join of two int64 key arrays: the one matcher of every join (a
+    public join's party, a hybrid join's STP, the Cartesian and GC joins).
+
+    The pairs come ordered by (key, left, right), or by (left, right) when
+    ``by_key`` is false. The right keys are sorted with a stable
+    ``np.argsort``, and so are the left keys when ``by_key`` is true
+    (otherwise the left rows are taken in position order).
+    ``np.searchsorted`` finds each left row's run of equal right keys,
+    and ``np.repeat`` expands the runs into pairs. Within a run the right
+    positions ascend (the sort is stable), so the pairs need no sort.
+    """
+    rorder = np.argsort(rkeys, kind="stable")
+    lorder = np.argsort(lkeys, kind="stable") if by_key else np.arange(len(lkeys))
+    rsorted, lsorted = rkeys[rorder], lkeys[lorder]
+    start = np.searchsorted(rsorted, lsorted, side="left")
+    counts = np.searchsorted(rsorted, lsorted, side="right") - start
+    # each pair's offset inside its left row's run of equal right keys
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(lorder, counts), rorder[np.repeat(start, counts) + within]
+
+
 def cartesian_join_pairs(
     vm: SecretSharingVM, left_key: SharedVector, right_key: SharedVector
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -280,19 +305,19 @@ def cartesian_join_pairs(
     Cost model: the all-pairs equality flags are charged as an ABB batch
     of n·m comparisons (the dominant cost that makes Figure 1b/6
     quadratic). The number of pairs is leaked (as in the paper's
-    Sharemind baseline join, §7.3)."""
+    Sharemind baseline join, §7.3). The pairs the flags mark are found
+    with :func:`join_index_pairs`, in (left, right) order."""
     n, m = len(left_key), len(right_key)
     # memory for the n·m pair flags (one ring word per share per pair)
     vm.meter.charge_memory(
         "mpc cartesian join pair flags", float(n) * m * 8 * vm.n_parties
     )
-    # ABB: the equality-flag batch. Computed via a cleartext index match
-    # internally; charged at full O(n·m) comparison cost.
-    lk = _from_ring(vm._reconstruct_ring(left_key))
-    rk = _from_ring(vm._reconstruct_ring(right_key))
+    # ABB: the equality-flag batch, charged at full O(n·m) comparison
+    # cost; the pairs it marks are computed from the opened keys
     vm._abb(np.zeros(0, np.int64), rounds=_CMP_ROUNDS,
             words_per_elem=_CMP_WORDS_PER_ELEM, n_elems=n * m)
-    return np.nonzero(lk[:, None] == rk[None, :])
+    lk, rk = (_from_ring(vm._reconstruct_ring(k)) for k in (left_key, right_key))
+    return join_index_pairs(lk, rk, by_key=False)
 
 
 def select_by_public_index(

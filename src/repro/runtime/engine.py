@@ -44,12 +44,13 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..backends.sharemind_sim import SharemindBackend, join_index_pairs
+from ..backends.sharemind_sim import SharemindBackend
 from ..backends.spark_clear import exec_clear_node, select_cols, to_spark
 from ..core import dag as D
 from ..core.compiler import Plan
 from ..mpc.accounting import Meter
 from ..mpc.gc_backend import GCBackend
+from ..mpc.protocols import join_index_pairs
 from ..mpc.secret_sharing import SecretSharingVM
 
 

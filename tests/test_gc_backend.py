@@ -98,6 +98,10 @@ def test_filter_and_join_mask_propagation():
     # mask column survives the join and marks only the a=10 row
     kept = out.pdf[out.pdf["__mask"] == 1]
     assert len(kept) == 1 and kept.iloc[0]["a"] == 10
+    # both sides filtered: a row is kept only where both masks are 1
+    r = be.filter_eq(_rel(be, k=[1, 1, 2], b=[7, 8, 7]), "b", 7)
+    out = be.reveal(be.join(l, r, "k", "k"))
+    assert out.to_dict("list") == {"k": [1], "a": [10], "b": [7]}
 
 
 def test_agg_sum_by_key():

@@ -1,4 +1,6 @@
 """Unit tests for MPC relational protocols vs numpy/pandas ground truth."""
+import tracemalloc
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -405,6 +407,56 @@ def test_join_cartesian_simulated_oom():
     rel_r = share_dataframe(vm, pd.DataFrame({"k": np.arange(n)}))
     with pytest.raises(SimulatedOOM):
         _backend(vm).join(rel_l, rel_r, "k", "k")
+
+
+def _dense_pairs(lk: np.ndarray, rk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reference matcher: the positions of the n×m equality matrix's
+    ones, in (left, right) order."""
+    return np.nonzero(lk[:, None] == rk[None, :])
+
+
+def test_join_index_pairs_equal_the_dense_reference():
+    """Over random key arrays (empty sides, duplicate keys on both sides,
+    negative keys) the matcher returns the reference's pairs: in the same
+    (left, right) order with ``by_key=False``, and with ``by_key=True`` in
+    the reference's pairs sorted by (key, left, right)."""
+    g = np.random.default_rng(17)
+    cases = [(np.zeros(0, np.int64), np.zeros(0, np.int64)),
+             (np.zeros(0, np.int64), np.array([1, -1])),
+             (np.array([3, 3, -2]), np.zeros(0, np.int64))]
+    for _ in range(500):
+        n, m = g.integers(0, 40, 2)
+        lo = -int(g.integers(0, 20))
+        hi = lo + 1 + int(g.integers(0, 30))
+        cases.append((g.integers(lo, hi, n), g.integers(lo, hi, m)))
+    for lk, rk in cases:
+        want_l, want_r = _dense_pairs(lk, rk)
+        got_l, got_r = P.join_index_pairs(lk, rk, by_key=False)
+        np.testing.assert_array_equal(got_l, want_l)
+        np.testing.assert_array_equal(got_r, want_r)
+        order = np.lexsort((want_r, want_l, lk[want_l]))
+        got_l, got_r = P.join_index_pairs(lk, rk)
+        np.testing.assert_array_equal(got_l, want_l[order])
+        np.testing.assert_array_equal(got_r, want_r[order])
+
+
+def test_cartesian_join_pairs_hold_no_pair_matrix():
+    """Finding the pairs of a 5,000 × 5,000 Cartesian join allocates far
+    less host memory than the n·m bytes of a dense equality matrix (its
+    simulated memory charge is separate)."""
+    n = 5000
+    vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=1)
+    keys = np.arange(n, dtype=np.int64)
+    lk, rk = vm.share(keys), vm.share(keys[::-1].copy())
+    tracemalloc.start()
+    try:
+        li, ri = P.cartesian_join_pairs(vm, lk, rk)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(li, keys)
+    np.testing.assert_array_equal(ri, n - 1 - keys)
+    assert peak < n * n / 20
 
 
 # ----------------------------------------------------------- select/filter

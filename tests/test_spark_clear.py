@@ -7,8 +7,8 @@ import pytest
 from repro.core import dag as D
 from repro.core.columns import Column, Party
 from repro.core.lang import Rel, concat, newTable
-from repro.backends.sharemind_sim import join_index_pairs
 from repro.backends.spark_clear import exec_clear_node, run_query_clear, to_spark
+from repro.mpc.protocols import join_index_pairs
 from repro.oracle import assert_equivalent
 
 
