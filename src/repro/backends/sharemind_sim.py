@@ -39,23 +39,20 @@ class SharemindBackend:
         return share_dataframe(self.vm, pdf)
 
     def reveal(self, r: SharedRelation) -> pd.DataFrame:
-        """Open to all parties, de-scaling fixed-point columns to float
-        and dropping masked-out rows (mask reveal leaks the filtered
+        """Open to all parties, de-scaling fixed-point columns to float.
+        A filter's mask is opened first (this leaks the filtered
         cardinality — authorized at output time, the recipients see the
-        rows anyway)."""
-        out = {}
-        mask = None
+        rows anyway); its positions are then public, so the kept rows are
+        taken share-locally and only they are opened, all columns in one
+        round."""
+        names = [c for c in r.column_names if c != MASK]
         if MASK in r.columns:
-            mask = self.vm.reveal(r.columns[MASK]) == 1
-        for name, vec in r.columns.items():
-            if name == MASK:
-                continue
-            vals = self.vm.reveal(vec)
-            if mask is not None:
-                vals = vals[mask]
-            s = r.scale_of(name)
-            out[name] = vals / float(1 << s) if s else vals
-        return pd.DataFrame(out)
+            r = self.take(r, np.nonzero(self.vm.reveal(r.columns[MASK]) == 1)[0])
+        vals = self.vm.reveal(self.vm.concat([r.columns[c] for c in names]))
+        return pd.DataFrame({
+            c: v / float(1 << r.scale_of(c)) if r.scale_of(c) else v
+            for c, v in zip(names, np.split(vals, len(names)))
+        })
 
     # -------------------------------------------------------- operators
     def concat(self, rels: list[SharedRelation]) -> SharedRelation:

@@ -227,6 +227,26 @@ def test_reveal_col_to_charges_less_than_full_reveal(be):
     assert single < full
 
 
+@pytest.mark.parametrize("n_cols", [1, 3])
+def test_reveal_opens_only_the_kept_rows(be, monkeypatch, n_cols):
+    """A filtered relation's reveal opens the mask, then the kept rows of
+    every column in one more round: the n mask words and c·k value words,
+    never a value of a row the filter dropped."""
+    vals = {f"c{i}": np.arange(10) + 100 * i for i in range(n_cols)}
+    r = be.filter_eq(be.input_rel(_pdf(f=[1, 0, 0, 1, 1, 0, 0, 0, 1, 0], **vals)), "f", 1)
+    r = be.project(r, list(vals))
+    vm, p = be.vm, be.vm.n_parties
+    opened, reveal = [], vm.reveal
+    monkeypatch.setattr(vm, "reveal", lambda v: opened.append(len(v)) or reveal(v))
+    r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
+    out = be.reveal(r)
+    assert (vm.meter.rounds - r0, vm.meter.bytes_sent - b0) == (
+        2, (10 + n_cols * 4) * p * (p - 1) * 8)
+    assert opened == [10, n_cols * 4]
+    want = _pdf(**{c: v[[0, 3, 4, 8]] for c, v in vals.items()})
+    pd.testing.assert_frame_equal(out, want)
+
+
 @pytest.mark.parametrize("group", [[], ["k"]], ids=["ungrouped", "grouped"])
 def test_filtered_count_sums_the_mask(be, group):
     """A filtered COUNT sums the filter mask itself, with no product: it

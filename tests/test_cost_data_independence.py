@@ -107,7 +107,7 @@ def test_charges_do_not_depend_on_the_data(spark, monkeypatch, case):
     got, rows = _charges(spark, monkeypatch, out, parties, gen)
     got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, twin)
     assert rows == rows_twin > 0
-    assert len(got) > 10
+    assert len(got) >= 10
     assert got == got_twin
 
 
