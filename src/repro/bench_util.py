@@ -33,9 +33,7 @@ class Point:
     sim: float = 0.0
 
 
-def run_point(
-    system: str, n: int, fn: Callable[[], Meter], *, dnf_seconds: float = DNF_SECONDS
-) -> Point:
+def run_point(system: str, n: int, fn: Callable[[], Meter]) -> Point:
     """Run one (system, n) cell; classify OOM/DNF like the paper's plots."""
     t0 = time.perf_counter()
     try:
@@ -44,7 +42,7 @@ def run_point(
         print(f"  [{system} n={n}] {e}", file=sys.stderr)
         return Point(system, n, None, "oom", wall=time.perf_counter() - t0)
     secs = meter.hybrid_seconds()
-    status = "dnf" if secs > dnf_seconds else "ok"
+    status = "dnf" if secs > DNF_SECONDS else "ok"
     return Point(
         system, n, secs, status,
         wall=meter.wall_seconds(), sim=meter.sim_seconds(),

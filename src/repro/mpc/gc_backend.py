@@ -25,7 +25,7 @@ secret-sharing backend runs on the real rows
 
 Calibration constants (documented in DESIGN.md §2.1):
 
-* ``bit_width=32`` — Obliv-C's default obliv int;
+* ``BIT_WIDTH = 32`` — Obliv-C's default obliv int;
 * ``WIRE_BYTES=64`` — 16-byte labels × 4 for allocator/bookkeeping
   overhead, calibrated so the OOM thresholds land in the paper's regime;
 * input staging holds 3 label copies (garbler's two + evaluator's one).
@@ -41,6 +41,7 @@ from .accounting import GC_LABEL_BYTES, Meter
 from .circuits import gate_counts
 from .protocols import join_index_pairs, sort_comparators
 
+BIT_WIDTH = 32
 WIRE_BYTES = 4 * GC_LABEL_BYTES
 #: Bytes moved per evaluator input bit (oblivious transfer, ~3 labels).
 OT_BYTES_PER_BIT = 3 * GC_LABEL_BYTES
@@ -79,13 +80,12 @@ class GCBackend:
 
     name = "oblivc"
 
-    def __init__(self, meter: Meter, *, bit_width: int = 32):
+    def __init__(self, meter: Meter):
         self.meter = meter
-        self.k = bit_width
 
     # ------------------------------------------------------------ helpers
     def _bits(self, n_rows: int, n_cols: int) -> float:
-        return float(n_rows) * n_cols * self.k
+        return float(n_rows) * n_cols * BIT_WIDTH
 
     def _charge_live(self, what: str, bits: float) -> None:
         self.meter.charge_memory(what, bits * WIRE_BYTES)
@@ -145,7 +145,7 @@ class GCBackend:
         """Oblivious filter: eq-compare each row against the constant.
         Size-preserving in the real circuit; the mask is tracked
         semantically by zeroing non-matching rows' payloads."""
-        eq_and, _ = gate_counts("eq", self.k)
+        eq_and, _ = gate_counts("eq", BIT_WIDTH)
         n = rel.n_rows
         self.meter.charge_gates(and_gates=n * eq_and)
         self._charge_live("gc filter", self._bits(n, rel.n_cols + 1))
@@ -174,8 +174,8 @@ class GCBackend:
         if not lk:
             raise NotImplementedError("cross join unsupported on GC backend")
         n, m = left.n_rows, right.n_rows
-        eq_and, _ = gate_counts("eq", self.k)
-        mux_and, _ = gate_counts("mux", self.k)
+        eq_and, _ = gate_counts("eq", BIT_WIDTH)
+        mux_and, _ = gate_counts("mux", BIT_WIDTH)
         out_cols = left.n_cols + right.n_cols - 1
         self._charge_live(
             "gc join pair flags",
@@ -207,7 +207,7 @@ class GCBackend:
             pdf = rel.pdf.copy()
             pdf["__ones"] = np.int64(1)
             rel, over = GCRelation(pdf), "__ones"
-        add_and, _ = gate_counts("add", self.k)
+        add_and, _ = gate_counts("add", BIT_WIDTH)
         if not group:
             self.meter.charge_gates(and_gates=rel.n_rows * add_and)
             return GCRelation(pd.DataFrame({out_col: [np.int64(rel.kept()[over].sum())]}))
@@ -216,9 +216,9 @@ class GCBackend:
         key = group[0]
         rel = self.project(rel, [key, over])
         n = rel.n_rows
-        eq_and, _ = gate_counts("eq", self.k)
-        mux_and, _ = gate_counts("mux", self.k)
-        swap_and, _ = gate_counts("cmp_swap", 2 * self.k)
+        eq_and, _ = gate_counts("eq", BIT_WIDTH)
+        mux_and, _ = gate_counts("mux", BIT_WIDTH)
+        swap_and, _ = gate_counts("cmp_swap", 2 * BIT_WIDTH)
         gates = n * (eq_and + add_and + 2 * mux_and)
         if not input_sorted:
             gates += sort_comparators(n) * swap_and
@@ -233,9 +233,9 @@ class GCBackend:
         """COUNT(DISTINCT col) (over mask=1 rows if filtered): sort
         network + eq-scan + counter adds."""
         n = rel.n_rows
-        eq_and, _ = gate_counts("eq", self.k)
-        add_and, _ = gate_counts("add", self.k)
-        swap_and, _ = gate_counts("cmp_swap", self.k)
+        eq_and, _ = gate_counts("eq", BIT_WIDTH)
+        add_and, _ = gate_counts("add", BIT_WIDTH)
+        swap_and, _ = gate_counts("cmp_swap", BIT_WIDTH)
         gates = n * (eq_and + add_and)
         if not input_sorted:
             gates += sort_comparators(n) * swap_and
@@ -248,7 +248,7 @@ class GCBackend:
         if MASK in rel.pdf.columns:
             raise NotImplementedError("sort over filtered MPC relations")
         n = rel.n_rows
-        swap_and, _ = gate_counts("cmp_swap", 2 * self.k)
+        swap_and, _ = gate_counts("cmp_swap", 2 * BIT_WIDTH)
         self.meter.charge_gates(and_gates=sort_comparators(n) * swap_and)
         self._charge_live("gc sort", self._bits(n, rel.n_cols) * 2)
         out = rel.pdf.sort_values(col, ascending=ascending, kind="stable")

@@ -104,6 +104,16 @@ def health_medications(
     return pd.DataFrame({"patient_id": pid.astype(np.int64), "med": med})
 
 
+def keyed(n: int, *, seed: int, n_keys: int, value: str = "v") -> pd.DataFrame:
+    """``n`` rows of a key ``k`` drawn from 1..``n_keys`` and a column
+    ``value`` drawn from 0..999: the single-operator benchmarks' input."""
+    g = _rng(seed)
+    return pd.DataFrame({
+        "k": g.integers(1, n_keys + 1, n).astype(np.int64),
+        value: g.integers(0, 1000, n).astype(np.int64),
+    })
+
+
 def comorbidity_diagnoses(
     *, n: int, distinct_key_frac: float = 0.1, seed: int = 0
 ) -> pd.DataFrame:

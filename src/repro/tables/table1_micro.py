@@ -17,40 +17,28 @@ builds for the system: Sharemind over three parties, or Obliv-C.
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import SparkSession
 
 from ..mpc.accounting import Meter
 from ..runtime.engine import Engine
-
-
-def _keyed(n: int, seed: int = 0, n_keys: int | None = None) -> pd.DataFrame:
-    g = np.random.default_rng(seed)
-    n_keys = n_keys or max(1, n)
-    return pd.DataFrame(
-        {
-            "k": g.integers(1, n_keys + 1, n).astype(np.int64),
-            "v": g.integers(0, 1000, n).astype(np.int64),
-        }
-    )
+from ..synth_data import keyed
 
 
 # ------------------------------------------------------------------ mpc
 def _mpc_agg(be, n: int) -> None:
-    rel = be.input_rel(_keyed(n, n_keys=max(1, n // 10)))
+    rel = be.input_rel(keyed(n, seed=0, n_keys=max(1, n // 10)))
     be.aggregate(rel, ["k"], "sum", "v", "s")
 
 
 def _mpc_join(be, n: int) -> None:
-    left = be.input_rel(_keyed(n, seed=1, n_keys=n))
-    right = be.input_rel(_keyed(n, seed=2, n_keys=n).rename(columns={"v": "w"}))
+    left = be.input_rel(keyed(n, seed=1, n_keys=n))
+    right = be.input_rel(keyed(n, seed=2, n_keys=n, value="w"))
     be.join(left, right, "k", "k")
 
 
 def _mpc_project(be, n: int) -> None:
-    be.reveal(be.project(be.input_rel(_keyed(n)), ["k"]))
+    be.reveal(be.project(be.input_rel(keyed(n, seed=0, n_keys=n)), ["k"]))
 
 
 _MPC_OPS = {"agg": _mpc_agg, "join": _mpc_join, "project": _mpc_project}
@@ -58,15 +46,13 @@ _MPC_OPS = {"agg": _mpc_agg, "join": _mpc_join, "project": _mpc_project}
 
 # ---------------------------------------------------------------- spark
 def _spark_op(spark: SparkSession, n: int, op: str) -> Meter:
-    df = spark.createDataFrame(_keyed(n, seed=1)).cache()
+    df = spark.createDataFrame(keyed(n, seed=1, n_keys=n)).cache()
     df.count()  # materialize input before timing, like the MPC inputs
     meter = Meter()
     if op == "agg":
         df.groupBy("k").agg(F.sum("v").alias("s")).count()
     elif op == "join":
-        other = spark.createDataFrame(
-            _keyed(n, seed=2).rename(columns={"v": "w"})
-        )
+        other = spark.createDataFrame(keyed(n, seed=2, n_keys=n, value="w"))
         df.join(other, on="k").count()
     else:
         df.select("k").count()

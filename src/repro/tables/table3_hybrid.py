@@ -17,8 +17,6 @@ operator, not the push-down (as in the paper's Figure 5 setup).
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core import dag as D
@@ -27,16 +25,7 @@ from ..core.compiler import CompileOptions, compile_query
 from ..core.lang import concat, newTable
 from ..mpc.accounting import Meter
 from ..runtime.engine import Engine
-
-
-def _keyed(n: int, seed: int, n_keys: int, extra: str) -> pd.DataFrame:
-    g = np.random.default_rng(seed)
-    return pd.DataFrame(
-        {
-            "k": g.integers(1, n_keys + 1, n).astype(np.int64),
-            extra: g.integers(0, 1000, n).astype(np.int64),
-        }
-    )
+from ..synth_data import keyed
 
 
 def _parties():
@@ -91,14 +80,14 @@ def point(spark: SparkSession, system: str, n_per_party: int) -> Meter:
     eng = Engine(spark, [p.name for p in parties])
     if op == "join":
         data = {
-            "jl": _keyed(n_per_party, 1, n_per_party, "v"),
-            "jr": _keyed(n_per_party, 2, n_per_party, "w"),
+            "jl": keyed(n_per_party, seed=1, n_keys=n_per_party),
+            "jr": keyed(n_per_party, seed=2, n_keys=n_per_party, value="w"),
         }
     else:
         n_keys = max(1, n_per_party // 10)
         data = {
-            "ga": _keyed(n_per_party, 3, n_keys, "v"),
-            "gb": _keyed(n_per_party, 4, n_keys, "v"),
+            "ga": keyed(n_per_party, seed=3, n_keys=n_keys),
+            "gb": keyed(n_per_party, seed=4, n_keys=n_keys),
         }
     eng.run(plan, {k: spark.createDataFrame(v) for k, v in data.items()}).collect()
     return eng.meter

@@ -5,7 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.bench_util import Point, format_table, run_point, sweep
+from repro.bench_util import DNF_SECONDS, Point, format_table, run_point, sweep
 from repro.mpc.accounting import Meter, SimulatedOOM
 from repro.oracle import assert_equivalent
 
@@ -70,8 +70,8 @@ def test_run_point_dnf():
         m.charge_extra(10_000)
         return m
 
-    p = run_point("sys", 10, fn, dnf_seconds=3600)
-    assert p.status == "dnf" and p.seconds > 3600
+    p = run_point("sys", 10, fn)
+    assert p.status == "dnf" and p.seconds > DNF_SECONDS
 
 
 def _stub_table():
