@@ -3,10 +3,11 @@
 The VM computes every ABB operation in the clear, so a charge that
 depends on a secret value would pass every result test. These tests run
 each plan on pairs of inputs with the same public shape: the same sizes
-and the same revealed counts (join sizes, group counts), with the join
-keys relabelled by a bijection, the rows of each party permuted and the
-other values changed. The sequence of (rounds, bytes) charges must be
-identical within a pair.
+and the same revealed counts (join sizes, a public join's match count,
+group counts, the number of output rows a filter keeps), with the join
+or group keys relabelled by a bijection, the rows of each party permuted
+and the other values changed. The sequence of (rounds, bytes) charges
+must be identical within a pair.
 """
 import numpy as np
 import pandas as pd
@@ -17,9 +18,10 @@ from repro.core.columns import Column, Party
 from repro.core.compiler import CompileOptions, compile_query
 from repro.core.lang import newTable
 from repro.mpc.accounting import Meter
-from repro.queries import credit_card
+from repro.queries import aspirin, comorbidity, credit_card, market_concentration
 from repro.queries.base import gen_to_spark
 from repro.runtime.engine import Engine
+from repro.tables.table3_hybrid import _agg_query, _join_query
 
 
 def _pdf(**cols):
@@ -48,19 +50,63 @@ def _twin(gen, key, changed, seed):
 def _credit():
     spec = credit_card.build()
     gen = credit_card.gen_inputs(n_holders=60, seed=1)
-    return spec.output, spec.parties, gen, _twin(gen, "ssn", ["score"], seed=2)
+    return spec.output, spec.parties, {}, gen, _twin(gen, "ssn", ["score"], seed=2)
+
+
+def _aspirin():
+    """The public join on patient ids: the twin keeps its match count."""
+    spec = aspirin.build()
+    gen = aspirin.gen_inputs(n_per_party=60, overlap_frac=0.2, seed=1)
+    twin = _twin(gen, "patient_id", ["diag", "med"], seed=2)
+    return spec.output, spec.parties, {}, gen, twin
+
+
+def _hhi():
+    """HHI wholly under MPC, as the hhi-mpc benchmark runs it. The zero
+    fares are filtered in each party's Spark stage, so the twin keeps them
+    and redraws only the fares that enter MPC."""
+    spec = market_concentration.build()
+    gen = market_concentration.gen_inputs(n_per_party=40, seed=1)
+    twin = _twin(gen, "companyID", [], seed=2)
+    for df in twin.values():
+        paid = df["price"] > 0
+        df.loc[paid, "price"] = np.random.default_rng(3).integers(1, 9000, paid.sum())
+    opts = {"allow_cardinality_leaking_pushdown": False, "enable_push_up": False}
+    return spec.output, spec.parties, opts, gen, twin
+
+
+def _comorbidity():
+    """Each party's twin holds the same set of diagnosis codes, relabelled,
+    with new multiplicities: the group counts stay, the counts the top-k
+    sort compares change."""
+    spec = comorbidity.build()
+    gen = comorbidity.gen_inputs(n_per_party=80, distinct_key_frac=0.2, seed=1)
+    twin = _twin(gen, "diag", [], seed=2)
+    g = np.random.default_rng(3)
+    for df in twin.values():
+        codes = np.unique(df["diag"])
+        df["diag"] = np.concatenate([codes, g.choice(codes, len(df) - len(codes))])
+    return spec.output, spec.parties, {}, gen, twin
+
+
+_T3_OPTS = {"allow_cardinality_leaking_pushdown": False}
+
+
+def _t3_agg(mode):
+    """T3's grouped SUM over two parties, under MPC or hybrid."""
+    out, parties = _agg_query(mode)
+    g = np.random.default_rng(5)
+    gen = {n: _pdf(k=g.integers(1, 8, 40), v=g.integers(0, 1000, 40)) for n in ("ga", "gb")}
+    return out, parties, _T3_OPTS, gen, _twin(gen, "k", ["v"], seed=6)
 
 
 def _hybrid_join():
     """T3's hybrid join: the key trusted to party c, the STP."""
-    a, b, c = Party("a"), Party("b"), Party("c")
-    left = newTable([Column("k", trust=(c,)), Column("v")], at=a, name="jl")
-    right = newTable([Column("k", trust=(c,)), Column("w")], at=b, name="jr")
-    out = left.join(right, left="k", right="k").collect(to=[a])
+    out, parties = _join_query("hybrid")
     g = np.random.default_rng(3)
     gen = {"jl": _pdf(k=g.integers(1, 40, 50), v=g.integers(0, 1000, 50)),
            "jr": _pdf(k=g.integers(1, 40, 50), w=g.integers(0, 1000, 50))}
-    return out, [a, b, c], gen, _twin(gen, "k", ["v", "w"], seed=4)
+    return out, parties, _T3_OPTS, gen, _twin(gen, "k", ["v", "w"], seed=4)
 
 
 def _filtered_join():
@@ -78,13 +124,17 @@ def _filtered_join():
     twin = _twin(gen, "k", ["v", "w"], seed=5)
     twin["l"]["f"] = np.where(np.isin(twin["l"]["k"], twin["t"]["k"]),
                               twin["l"]["f"], 1)
-    return out, [a, b, c], gen, twin
+    return out, [a, b, c], {}, gen, twin
 
 
-CASES = {"credit": _credit, "hybrid_join": _hybrid_join, "filtered_join": _filtered_join}
+CASES = {
+    "credit": _credit, "aspirin": _aspirin, "hhi": _hhi, "comorbidity": _comorbidity,
+    "mpc_agg": lambda: _t3_agg("mpc"), "hybrid_agg": lambda: _t3_agg("hybrid"),
+    "hybrid_join": _hybrid_join, "filtered_join": _filtered_join,
+}
 
 
-def _charges(spark, monkeypatch, out, parties, gen):
+def _charges(spark, monkeypatch, out, parties, opts, gen):
     """Every (rounds, bytes) charge a run of the compiled plan makes, and
     its result's row count."""
     charges, charge_comm = [], Meter.charge_comm
@@ -94,7 +144,7 @@ def _charges(spark, monkeypatch, out, parties, gen):
         charge_comm(self, rounds=rounds, bytes_sent=bytes_sent)
 
     monkeypatch.setattr(Meter, "charge_comm", record)
-    plan = compile_query(out, CompileOptions(parties=parties))
+    plan = compile_query(out, CompileOptions(parties=parties, **opts))
     eng = Engine(spark, [p.name for p in parties])
     rows = eng.run(plan, gen_to_spark(spark, gen)).count()
     monkeypatch.setattr(Meter, "charge_comm", charge_comm)
@@ -103,9 +153,9 @@ def _charges(spark, monkeypatch, out, parties, gen):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_charges_do_not_depend_on_the_data(spark, monkeypatch, case):
-    out, parties, gen, twin = CASES[case]()
-    got, rows = _charges(spark, monkeypatch, out, parties, gen)
-    got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, twin)
+    out, parties, opts, gen, twin = CASES[case]()
+    got, rows = _charges(spark, monkeypatch, out, parties, opts, gen)
+    got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, opts, twin)
     assert rows == rows_twin > 0
     assert len(got) >= 10
     assert got == got_twin
@@ -123,8 +173,8 @@ def test_a_charge_that_counts_a_mask_fails(spark, monkeypatch):
         return out
 
     monkeypatch.setattr(SharemindBackend, "filter_eq", planted)
-    out, parties, gen, twin = _filtered_join()
-    got, rows = _charges(spark, monkeypatch, out, parties, gen)
-    got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, twin)
+    out, parties, opts, gen, twin = _filtered_join()
+    got, rows = _charges(spark, monkeypatch, out, parties, opts, gen)
+    got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, opts, twin)
     assert rows == rows_twin
     assert got != got_twin
