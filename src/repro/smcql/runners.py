@@ -24,6 +24,7 @@ clock.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import SparkSession
@@ -32,13 +33,13 @@ from .. import synth_data
 from ..core.compiler import CompileOptions, compile_query
 from ..mpc.accounting import Meter
 from ..mpc.circuits import gate_counts
-from ..mpc.gc_backend import OBLIVM_GATES_PER_SECOND, WIRE_BYTES
+from ..mpc.gc_backend import BIT_WIDTH, OBLIVM_GATES_PER_SECOND, WIRE_BYTES
+from ..mpc.protocols import join_index_pairs
 from ..queries import aspirin, comorbidity
 from ..queries.base import gen_to_spark
 from ..runtime.engine import Engine
 from .slicing import key_locations, slice_by_key
 
-_GC_BITS = 32
 #: SMCQL spawns one ObliVM garbled-circuit session per shared slice;
 #: session setup (JVM circuit generation + OT base phase) costs ~1 s —
 #: this is what makes sliced execution minutes-slow at tens of
@@ -103,20 +104,19 @@ def run_aspirin_smcql(
     msizes = msh["patient_id"].value_counts()
     sizes = pd.concat([dsizes, msizes], axis=1, keys=["d", "m"]).fillna(0)
     pair_count = float((sizes["d"] * sizes["m"]).sum())
-    eq_and, _ = gate_counts("eq", _GC_BITS)
-    mux_and, _ = gate_counts("mux", _GC_BITS)
+    eq_and, _ = gate_counts("eq", BIT_WIDTH)
+    mux_and, _ = gate_counts("mux", BIT_WIDTH)
     # per candidate pair: key-eq + the two filter comparisons + result mux
     meter.charge_gates(and_gates=pair_count * (3 * eq_and + 2 * mux_and))
     # per-slice MPCs are small; memory is the largest single slice
     max_pairs = float((sizes["d"] * sizes["m"]).max()) if len(sizes) else 0.0
-    meter.charge_memory("smcql slice join", max_pairs * 3 * _GC_BITS * WIRE_BYTES)
+    meter.charge_memory("smcql slice join", max_pairs * 3 * BIT_WIDTH * WIRE_BYTES)
     # one ObliVM session per shared slice
     meter.charge_extra(len(sizes) * SMCQL_SLICE_SETUP_SECONDS)
     # semantic result of the sliced MPCs
-    matched = dsh[dsh["diag"] == synth_data.CDIFF_CODE].merge(
-        msh[msh["med"] == synth_data.ASPIRIN_CODE], on="patient_id"
-    )
-    count += int(matched["patient_id"].nunique())
+    dkeys = dsh.loc[dsh["diag"] == synth_data.CDIFF_CODE, "patient_id"].to_numpy()
+    mkeys = msh.loc[msh["med"] == synth_data.ASPIRIN_CODE, "patient_id"].to_numpy()
+    count += len(np.unique(dkeys[join_index_pairs(dkeys, mkeys)[0]]))
     return count, meter
 
 
