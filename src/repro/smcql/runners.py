@@ -34,7 +34,6 @@ from ..core.compiler import CompileOptions, compile_query
 from ..mpc.accounting import Meter
 from ..mpc.circuits import gate_counts
 from ..mpc.gc_backend import BIT_WIDTH, OBLIVM_GATES_PER_SECOND, WIRE_BYTES
-from ..mpc.protocols import join_index_pairs
 from ..queries import aspirin, comorbidity
 from ..queries.base import gen_to_spark
 from ..runtime.engine import Engine
@@ -116,7 +115,7 @@ def run_aspirin_smcql(
     # semantic result of the sliced MPCs
     dkeys = dsh.loc[dsh["diag"] == synth_data.CDIFF_CODE, "patient_id"].to_numpy()
     mkeys = msh.loc[msh["med"] == synth_data.ASPIRIN_CODE, "patient_id"].to_numpy()
-    count += len(np.unique(dkeys[join_index_pairs(dkeys, mkeys)[0]]))
+    count += len(np.intersect1d(dkeys, mkeys))
     return count, meter
 
 

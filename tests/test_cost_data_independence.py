@@ -157,7 +157,12 @@ def test_charges_do_not_depend_on_the_data(spark, monkeypatch, case):
     got, rows = _charges(spark, monkeypatch, out, parties, opts, gen)
     got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, opts, twin)
     assert rows == rows_twin > 0
-    assert len(got) >= 10
+    if case == "hybrid_join":
+        # the STP matches the keys in the clear and the 3-column reveal is
+        # one charge, so this plan makes exactly ten
+        assert len(got) == 10
+    else:
+        assert len(got) > 10
     assert got == got_twin
 
 
