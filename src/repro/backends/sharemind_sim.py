@@ -109,13 +109,16 @@ class SharemindBackend:
         return SharedRelation(cols, scales)
 
     def aggregate(
-        self, r: SharedRelation, group: list[str], agg_op: str, over: str | None,
-        out_col: str, *, input_sorted: bool = False, stp: str | None = None,
+        self, r: SharedRelation, group: list[str], aggs: list[tuple[str, str | None, str]],
+        *, input_sorted: bool = False, stp: str | None = None,
     ) -> SharedRelation:
-        """SUM or COUNT of the rows a filter kept, grouped by at most one
-        column. Ungrouped, a share-local sum; grouped, the sort-based
-        aggregation (:func:`P.aggregate_sum_by_key`), which sums the filter
-        mask in the same scan to drop the groups a filter emptied.
+        """The SUM and COUNT outputs ``(op, over, out_col)`` of the rows a
+        filter kept, grouped by at most one column, all in one pass.
+        Ungrouped, share-local sums; grouped, the sort-based aggregation
+        (:func:`P.aggregate_sum_by_key`), which scans every output's values
+        in the same multiplications (a COUNT scans ones, free to make; a
+        filtered one, the filter mask) and sums the mask with them to drop
+        the groups a filter emptied.
 
         With ``stp`` it is the §5.3 hybrid aggregation: the columns it
         reads are shuffled, the group column is revealed to the STP, and
@@ -125,11 +128,13 @@ class SharemindBackend:
         flags."""
         if len(group) > 1:
             raise NotImplementedError("multi-column group-by")
-        counting = agg_op == "count" or over is None
+        # the column each output sums; None: it counts rows
+        overs = [None if op == "count" else over for op, over, _ in aggs]
+        summed = [o for o in overs if o is not None]
         same = None
         if stp is not None:
             # shuffle only the columns read below (and the mask)
-            (r,) = self.shuffle([self.project(r, group if counting else group + [over])])
+            (r,) = self.shuffle([self.project(r, group + list(dict.fromkeys(summed)))])
             (keys,) = self.reveal_col_to([(r, group[0])], stp)
             # STP: sort in the clear; stability breaks ties by row position
             order = np.argsort(keys, kind="stable")
@@ -142,28 +147,31 @@ class SharemindBackend:
             flags = np.zeros(len(keys), np.int64)
             flags[1:] = keys[1:] == keys[:-1]
             same = self.vm.share(flags)
-        mask = r.columns.get(MASK)
-        if counting:
-            # a filtered COUNT sums the mask itself
-            val = mask if mask is not None else self.vm.public(np.ones(r.n_rows, np.int64))
-            scale = 0
-        else:
-            val, scale = r.columns[over], r.scale_of(over)
-            if mask is not None:
-                val = self.vm.mul(val, mask)
-        scales = {out_col: scale} if scale else {}
+        n, mask = r.n_rows, r.columns.get(MASK)
+        vals = [r.columns[o] for o in summed]
+        if mask is not None and vals:
+            # every summed column times the mask, in one multiplication
+            prod = self.vm.mul(self.vm.concat(vals), self.vm.concat([mask] * len(vals)))
+            vals = [self.vm.take(prod, slice(i * n, (i + 1) * n)) for i in range(len(vals))]
+        # a filtered COUNT sums the mask itself
+        ones = mask if mask is not None else self.vm.public(np.ones(n, np.int64))
+        vals = iter(vals)
+        cols = {out: ones if o is None else next(vals) for o, (_, _, out) in zip(overs, aggs)}
+        scales = {out: r.scale_of(o) for o, (_, _, out) in zip(overs, aggs)
+                  if o is not None and r.scale_of(o)}
         if not group:
-            return SharedRelation({out_col: self.vm.sum(val)}, scales)
-        key = group[0]
-        cols = {key: r.columns[key], out_col: val}
+            return SharedRelation({c: self.vm.sum(v) for c, v in cols.items()}, scales)
+        key, outs = group[0], list(cols)
         # the column whose group sum counts the rows a filter kept
-        count = None if mask is None else out_col if counting else MASK
+        count = None
+        if mask is not None:
+            count = next((out for o, (_, _, out) in zip(overs, aggs) if o is None), MASK)
         if count == MASK:
             cols[MASK] = mask
         return P.aggregate_sum_by_key(
-            self.vm, SharedRelation(cols, scales), key, out_col, self.rng,
-            input_sorted=input_sorted, count=count, same=same,
-        ).project([key, out_col])
+            self.vm, SharedRelation({key: r.columns[key], **cols}, scales), key, outs,
+            self.rng, input_sorted=input_sorted, count=count, same=same,
+        ).project([key] + outs)
 
     def join(
         self, left: SharedRelation, right: SharedRelation, lk: str, rk: str,

@@ -72,15 +72,13 @@ def exec_clear_node(node: D.Node, inputs: list[DataFrame]) -> DataFrame:
         return df.withColumn(node.out_col, expr)
     if isinstance(node, D.Aggregate):
         df = inputs[0]
-        if node.agg_op == D.SUM:
-            agg = F.sum(node.over).alias(node.out_col)
-        elif node.agg_op == D.COUNT:
-            agg = F.count(F.lit(1)).alias(node.out_col)
-        else:  # pragma: no cover
-            raise ValueError(node.agg_op)
+        aggs = [
+            (F.sum(a.over) if a.op == D.SUM else F.count(F.lit(1))).alias(a.out_col)
+            for a in node.aggs
+        ]
         if node.group_cols:
-            return df.groupBy(*node.group_cols).agg(agg)
-        return df.agg(agg)
+            return df.groupBy(*node.group_cols).agg(*aggs)
+        return df.agg(*aggs)
     if isinstance(node, D.Join):
         left, right = inputs
         if not node.left_key:  # cross join (scalar broadcast)

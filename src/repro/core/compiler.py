@@ -2,14 +2,16 @@
 
 ``compile_query`` runs the paper's pipeline over a frontend-built DAG:
 
-1. ownership propagation (§5.1 pass 1);
+1. sibling aggregations (same input, same group columns) merged into
+   one multi-output aggregation; ownership propagation (§5.1 pass 1);
 2. MPC-frontier push-down: concat push-down + aggregation splitting
    (§5.2) — cardinality-leaking splits only with party consent;
 3. trust-set propagation (§5.1 pass 2);
 4. hybrid-operator rewrites where trust annotations authorize them
    (§5.3): a join or aggregation is pinned to ``("hybrid", stp)`` or
    ``("public", party)`` in place;
-5. push-up of reversible leaf operators (§5.2) and sort-order tracking /
+5. push-up of reversible leaf operators, column arithmetic over columns
+   the recipient receives anyway included (§5.2), and sort-order tracking /
    oblivious-sort elimination (§5.4);
 6. site assignment — every node is pinned to ``("clear", party)``,
    ``("mpc",)``, ``("hybrid", stp)`` or ``("public", party)``: a site
@@ -26,7 +28,9 @@ from dataclasses import dataclass, field
 
 from .columns import Party
 from . import dag as D
-from .frontier import push_down_concat, push_up, split_aggregations
+from .frontier import (
+    merge_aggregations, push_down_concat, push_up, split_aggregations,
+)
 from .hybrid import apply_hybrid_rewrites
 from .ownership import propagate_ownership
 from .sortopt import track_sort_orders
@@ -78,7 +82,9 @@ def compile_query(
     dag = D.Dag(outputs)
     rewrites: dict[str, int] = {}
 
-    # 1: ownership over the raw query
+    # 1: sibling aggregations merged, so that the split and the hybrid
+    # authorization below see one node; ownership over the query
+    rewrites["aggregation_merge"] = merge_aggregations(dag)
     propagate_ownership(dag)
 
     # 2: frontier push-down

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .columns import Column, Party
 
@@ -94,15 +95,23 @@ class Arith(Node):
     right: str | int = 1
 
 
+class Agg(NamedTuple):
+    """One output of an aggregation: ``out_col = op(over)`` per group
+    (``over`` is None for COUNT)."""
+
+    op: str
+    over: str | None
+    out_col: str
+
+
 @dataclass(eq=False)
 class Aggregate(Node):
-    """Grouped or scalar SUM/COUNT. Output schema: group_cols + [out_col].
-    Under MPC, site ``("hybrid", stp)`` runs the §5.3 hybrid aggregation."""
+    """Grouped or scalar SUM/COUNT outputs over one pass of the input.
+    Output schema: group_cols + each output's out_col. Under MPC, site
+    ``("hybrid", stp)`` runs the §5.3 hybrid aggregation."""
 
     group_cols: list[str] = field(default_factory=list)
-    agg_op: str = SUM
-    over: str | None = None
-    out_col: str = ""
+    aggs: list[Agg] = field(default_factory=list)
     # set by the §5.2 aggregation-split rewrite on the MPC-side combiner
     secondary: bool = False
 

@@ -89,16 +89,16 @@ def split_aggregations(dag: D.Dag) -> int:
             for p in parent.parents:
                 la = D.Aggregate(
                     [p], list(agg.out_cols),
-                    group_cols=list(agg.group_cols), agg_op=agg.agg_op,
-                    over=agg.over, out_col=agg.out_col,
+                    group_cols=list(agg.group_cols), aggs=list(agg.aggs),
                 )
                 la.owner = p.owner
                 locals_.append(la)
             partials = D.Concat(locals_, list(agg.out_cols))
             secondary = D.Aggregate(
                 [partials], list(agg.out_cols),
-                group_cols=list(agg.group_cols), agg_op=D.SUM,
-                over=agg.out_col, out_col=agg.out_col, secondary=True,
+                group_cols=list(agg.group_cols),
+                aggs=[D.Agg(D.SUM, a.out_col, a.out_col) for a in agg.aggs],
+                secondary=True,
             )
             dag.replace_node(agg, secondary)
             applied += 1
@@ -107,9 +107,47 @@ def split_aggregations(dag: D.Dag) -> int:
     return applied
 
 
+def merge_aggregations(dag: D.Dag) -> int:
+    """Merge sibling aggregations (same parent, same group columns) into
+    one ``Aggregate`` with all their outputs, so the input is sorted and
+    scanned once; each sibling becomes a projection of the merged node. A
+    join of two projections of one aggregation on its single group column
+    pairs each group with itself, so it becomes a projection too. Returns
+    the number of merged nodes."""
+    applied = 0
+    siblings: dict[tuple, list[D.Aggregate]] = {}
+    for agg in dag.nodes_of_type(D.Aggregate):
+        siblings.setdefault((id(agg.parents[0]), tuple(agg.group_cols)), []).append(agg)
+    for group in siblings.values():
+        aggs = [a for agg in group for a in agg.aggs]
+        if len(group) < 2 or len({a.out_col for a in aggs}) < len(aggs):
+            continue
+        first = group[0]
+        merged = D.Aggregate(
+            list(first.parents), first.group_cols + [a.out_col for a in aggs],
+            group_cols=list(first.group_cols), aggs=aggs,
+        )
+        for agg in group:
+            dag.replace_node(agg, D.Project([merged], list(agg.out_cols), cols=list(agg.out_cols)))
+        applied += 1
+    for join in dag.nodes_of_type(D.Join):
+        left, right = join.parents
+        agg = left.parents[0] if isinstance(left, D.Project) else None
+        if (
+            isinstance(agg, D.Aggregate)
+            and isinstance(right, D.Project)
+            and right.parents[0] is agg
+            and agg.group_cols == [join.left_key] == [join.right_key]
+        ):
+            dag.replace_node(join, D.Project([agg], list(join.out_cols), cols=list(join.out_cols)))
+    return applied
+
+
 def push_up(dag: D.Dag) -> int:
     """Lift reversible leaf operators out of MPC to the recipient, and
-    rewrite leaf COUNT aggregations into MPC-projection + clear count."""
+    rewrite leaf COUNT aggregations into MPC-projection + clear count.
+    Column arithmetic is lifted when every column of its input reaches
+    the recipient anyway: the recipient computes it from what it gets."""
     applied = 0
     for out in dag.outputs:
         recipient = out.recipients[0].name
@@ -117,9 +155,11 @@ def push_up(dag: D.Dag) -> int:
         while True:
             if cur.owner is not None:
                 break  # already clear
-            if isinstance(cur, D.Arith) and isinstance(cur.right, int):
-                if cur.op == "/" and cur.right == 0:
-                    break
+            if isinstance(cur, D.Arith) and (
+                set(cur.parents[0].out_cols) <= set(out.out_cols)
+                if isinstance(cur.right, str)
+                else not (cur.op == "/" and cur.right == 0)
+            ):
                 cur.forced_site = ("clear", recipient)
                 applied += 1
                 cur = cur.parents[0]
@@ -134,7 +174,7 @@ def push_up(dag: D.Dag) -> int:
                 continue
             if (
                 isinstance(cur, D.Aggregate)
-                and cur.agg_op == D.COUNT
+                and all(a.op == D.COUNT for a in cur.aggs)
                 and cur.group_cols
                 and not cur.secondary
                 and cur.forced_site is None  # not a §5.3 hybrid aggregation

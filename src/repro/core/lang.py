@@ -50,6 +50,8 @@ class Rel:
         over: str | None = None,
     ) -> "Rel":
         group = list(group or [])
+        if agg_op not in (D.SUM, D.COUNT):
+            raise ValueError(f"unknown aggregation {agg_op!r}")
         if agg_op == D.SUM and over is None:
             raise ValueError("SUM needs an `over` column")
         return Rel(
@@ -57,9 +59,7 @@ class Rel:
                 [self.node],
                 group + [out_col],
                 group_cols=group,
-                agg_op=agg_op,
-                over=over,
-                out_col=out_col,
+                aggs=[D.Agg(agg_op, over, out_col)],
             )
         )
 

@@ -43,16 +43,16 @@ def propagate_trust(dag: D.Dag, parties: list[Party]) -> None:
             n.trust[n.out_col] = t
         elif isinstance(n, D.Aggregate):
             pt = n.parents[0].trust
-            gsets = [pt[g] for g in n.group_cols]
             n.trust = {g: pt[g] for g in n.group_cols}
-            agg_t = pt[n.over] if n.over is not None else frozenset(
-                p.name for p in parties
-            )
-            # COUNT's values derive only from row multiplicities, which
-            # the group-by columns determine
-            for gs in gsets:
-                agg_t = agg_t & gs
-            n.trust[n.out_col] = agg_t
+            for a in n.aggs:
+                agg_t = pt[a.over] if a.over is not None else frozenset(
+                    p.name for p in parties
+                )
+                # COUNT's values derive only from row multiplicities, which
+                # the group-by columns determine
+                for g in n.group_cols:
+                    agg_t = agg_t & pt[g]
+                n.trust[a.out_col] = agg_t
         elif isinstance(n, D.Join):
             lt, rt = n.parents[0].trust, n.parents[1].trust
             if n.left_key:

@@ -189,43 +189,51 @@ class GCBackend:
         return self.concat_columns(self.take(left, li), self.take(right, ri))
 
     def aggregate(
-        self, rel: GCRelation, group: list[str], agg_op: str, over: str | None,
-        out_col: str, *, input_sorted: bool = False, stp: str | None = None,
+        self, rel: GCRelation, group: list[str], aggs: list[tuple[str, str | None, str]],
+        *, input_sorted: bool = False, stp: str | None = None,
     ) -> GCRelation:
-        """SUM or COUNT of mask=1 rows, grouped by at most one column.
+        """The SUM and COUNT outputs ``(op, over, out_col)`` of mask=1
+        rows, grouped by at most one column, all in one circuit.
 
-        Ungrouped, it is an adder chain. Grouped, it is a sort-based
+        Ungrouped, an adder chain per output. Grouped, a sort-based
         grouped sum (Jónsson et al. in circuits) over the projected
-        (key, value) records: a Batcher sorting network, skipped when the
-        input is sorted, then a linear oblivious scan of eq + add + mux.
-        The output is unpadded (leaks the group count), matching
-        SMCQL/Conclave behaviour (§7.4). The §5.3 hybrid aggregation
-        (``stp``) needs the secret-sharing backend."""
+        (key, values) records, each output's value widening the record by
+        ``BIT_WIDTH``: a Batcher sorting network, skipped when the input
+        is sorted, then a linear oblivious scan of an eq and, per value,
+        an add and two muxes. The output is unpadded (leaks the group
+        count), matching SMCQL/Conclave behaviour (§7.4). The §5.3 hybrid
+        aggregation (``stp``) needs the secret-sharing backend."""
         if stp is not None:
             raise NotImplementedError("hybrid operators need the secret-sharing backend")
-        if agg_op == "count" or over is None:
+        # the column each output sums; a COUNT sums ones
+        overs = ["__ones" if op == "count" else over for op, over, _ in aggs]
+        if "__ones" in overs:
             pdf = rel.pdf.copy()
             pdf["__ones"] = np.int64(1)
-            rel, over = GCRelation(pdf), "__ones"
+            rel = GCRelation(pdf)
         add_and, _ = gate_counts("add", BIT_WIDTH)
+        outs = {out: o for o, (_, _, out) in zip(overs, aggs)}
         if not group:
-            self.meter.charge_gates(and_gates=rel.n_rows * add_and)
-            return GCRelation(pd.DataFrame({out_col: [np.int64(rel.kept()[over].sum())]}))
+            self.meter.charge_gates(and_gates=rel.n_rows * add_and * len(aggs))
+            kept = rel.kept()
+            return GCRelation(pd.DataFrame(
+                {out: [np.int64(kept[o].sum())] for out, o in outs.items()}
+            ))
         if len(group) != 1:
             raise NotImplementedError("multi-column group-by")
-        key = group[0]
-        rel = self.project(rel, [key, over])
+        key, k = group[0], len(aggs)
+        rel = self.project(rel, [key, *dict.fromkeys(overs)])
         n = rel.n_rows
         eq_and, _ = gate_counts("eq", BIT_WIDTH)
         mux_and, _ = gate_counts("mux", BIT_WIDTH)
-        swap_and, _ = gate_counts("cmp_swap", 2 * BIT_WIDTH)
-        gates = n * (eq_and + add_and + 2 * mux_and)
+        swap_and, _ = gate_counts("cmp_swap", (1 + k) * BIT_WIDTH)
+        gates = n * (eq_and + k * (add_and + 2 * mux_and))
         if not input_sorted:
             gates += sort_comparators(n) * swap_and
         self.meter.charge_gates(and_gates=gates)
-        self._charge_live("gc aggregation", self._bits(n, 3) * 2)
-        out = rel.kept().groupby(key, as_index=False)[over].sum()
-        return GCRelation(out.rename(columns={over: out_col}))
+        self._charge_live("gc aggregation", self._bits(n, 2 + k) * 2)
+        sums = rel.kept().groupby(key, as_index=False)
+        return GCRelation(sums.agg(**{out: (o, "sum") for out, o in outs.items()}))
 
     def distinct_count(
         self, rel: GCRelation, col: str, out_col: str, *, input_sorted: bool

@@ -202,26 +202,29 @@ def aggregate_sum_by_key(
     vm: SecretSharingVM,
     rel: SharedRelation,
     key: str,
-    value: str,
+    values: str | list[str],
     rng: np.random.Generator,
     *,
     input_sorted: bool = False,
     count: str | None = None,
     same: SharedVector | None = None,
 ) -> SharedRelation:
-    """Sort-based grouped SUM (Jónsson et al.): sort by key, obliviously
-    accumulate each group into its last row, shuffle, reveal group-end
-    flags, keep group ends. Leaks the number of distinct keys (the paper's
-    protocol does not pad either, §7.4 comorbidity).
+    """Sort-based grouped SUM (Jónsson et al.) of one value column or
+    several: sort by key, obliviously accumulate each group into its last
+    row, every value column in the same multiplications, shuffle, reveal
+    group-end flags, keep group ends. Leaks the number of distinct keys
+    (the paper's protocol does not pad either, §7.4 comorbidity).
 
     With ``input_sorted=True`` the oblivious sort is skipped — the §5.4
     sort-elimination optimization. With ``same`` (shared flags [row i has
     the key of row i-1] of rows already in key order, as the §5.3 hybrid
     aggregation's STP sends them) the sort and the equality flags are both
-    skipped. ``count`` names a 0/1 column (a filter mask, or ``value``
-    itself): it is summed in the same multiplications as ``value``, and a
-    group whose sum of it is 0 is dropped (see :func:`keep_group_ends`)."""
-    work = rel.project([key, value] + ([count] if count not in (None, value) else []))
+    skipped. ``count`` names a 0/1 column (a filter mask, or one of
+    ``values``): it is summed in the same multiplications as ``values``,
+    and a group whose sum of it is 0 is dropped (see
+    :func:`keep_group_ends`)."""
+    values = [values] if isinstance(values, str) else values
+    work = rel.project([key, *values] + ([count] if count not in (None, *values) else []))
     if same is None:
         if not input_sorted and work.n_rows > 1:
             work = oblivious_sort(vm, work, key)

@@ -4,11 +4,13 @@
 The regulator (party a) holds ssn→zip demographics; two credit agencies
 (b, c) hold ssn→score portfolios and annotate their ssn columns with
 ``trust=[a]``, making the regulator an STP. Conclave then compiles the
-join into a §5.3 *hybrid join* and the per-ZIP aggregations into
-*hybrid aggregations*; a third hybrid join on ``zip`` puts their results
-side by side. The average runs under MPC, as one ABB division: push-up
-lifts only a division by an integer constant, and this one divides by
-the column ``cnt`` (ROADMAP item 11 would compute it at the regulator).
+join into a §5.3 *hybrid join*. The per-ZIP SUM and COUNT are sibling
+aggregations of the joined relation with the same group column, so they
+merge into one *hybrid aggregation* that sorts and scans the relation
+once, and the join on ``zip`` that put them side by side becomes a
+projection. The average is computed in the clear at the regulator
+(push-up of the final division): the regulator receives ``total`` and
+``cnt`` anyway.
 """
 from __future__ import annotations
 

@@ -275,8 +275,7 @@ class Engine:
             return be.arith(args[0], n.out_col, n.left, n.op, n.right)
         if isinstance(n, D.Aggregate):
             return be.aggregate(
-                args[0], n.group_cols, n.agg_op, n.over, n.out_col,
-                input_sorted=n.input_sorted, stp=stp,
+                args[0], n.group_cols, n.aggs, input_sorted=n.input_sorted, stp=stp
             )
         if isinstance(n, D.Join):
             return be.join(args[0], args[1], n.left_key, n.right_key, stp=stp)

@@ -28,7 +28,7 @@ from ..synth_data import keyed
 # ------------------------------------------------------------------ mpc
 def _mpc_agg(be, n: int) -> None:
     rel = be.input_rel(keyed(n, seed=0, n_keys=max(1, n // 10)))
-    be.aggregate(rel, ["k"], "sum", "v", "s")
+    be.aggregate(rel, ["k"], [("sum", "v", "s")])
 
 
 def _mpc_join(be, n: int) -> None:

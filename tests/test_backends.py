@@ -82,16 +82,16 @@ def test_arith_divide_then_square_scale_chain(be):
 
 def test_aggregate_grouped_and_scalar(be):
     r = be.input_rel(_pdf(k=[1, 2, 1], v=[10, 20, 30]))
-    g = be.reveal(be.aggregate(r, ["k"], "sum", "v", "s")).sort_values("k")
+    g = be.reveal(be.aggregate(r, ["k"], [("sum", "v", "s")])).sort_values("k")
     np.testing.assert_array_equal(g["s"], [40, 20])
-    s = be.reveal(be.aggregate(r, [], "sum", "v", "s"))
+    s = be.reveal(be.aggregate(r, [], [("sum", "v", "s")]))
     assert s["s"].iloc[0] == 60
 
 
 def test_aggregate_count_with_mask(be):
     r = be.input_rel(_pdf(k=[1, 1, 2], f=[1, 0, 1]))
     r = be.filter_eq(r, "f", 1)
-    g = be.reveal(be.aggregate(r, ["k"], "count", None, "c")).sort_values("k")
+    g = be.reveal(be.aggregate(r, ["k"], [("count", None, "c")])).sort_values("k")
     # masked rows contribute 0 to the count; zero-count groups are
     # indistinguishable from absent under the oblivious protocol
     got = dict(zip(g["k"], g["c"]))
@@ -256,7 +256,7 @@ def test_filtered_count_sums_the_mask(be, group):
 
     def count(rel):
         r0 = be.vm.meter.rounds
-        out = be.aggregate(rel, group, "count", None, "c")
+        out = be.aggregate(rel, group, [("count", None, "c")])
         rounds = be.vm.meter.rounds - r0
         return rounds, be.reveal(out).sort_values(list(out.column_names))
 
@@ -265,6 +265,46 @@ def test_filtered_count_sums_the_mask(be, group):
     assert filtered == plain + (_CMP_ROUNDS + 1 if group else 0)
     want = _pdf(k=[1, 2], c=[1, 1]) if group else _pdf(c=[2])
     pd.testing.assert_frame_equal(got.reset_index(drop=True), want, check_dtype=False)
+
+
+_MULTI = _pdf(k=[1, 2, 1, 3, 2], f=[1, 0, 1, 1, 1], v=[5, 6, 7, 8, 9], w=[1, -2, 3, -4, 5])
+_OUTPUTS = [("sum", "v", "s"), ("count", None, "c"), ("sum", "w", "t")]
+
+
+@pytest.mark.parametrize("backend", ["sharemind", "oblivc"])
+@pytest.mark.parametrize("filtered,group,want", [
+    (False, [], _pdf(s=[35], c=[5], t=[3])),
+    (True, [], _pdf(s=[29], c=[4], t=[5])),
+    (False, ["k"], _pdf(k=[1, 2, 3], s=[12, 15, 8], c=[2, 2, 1], t=[4, 3, -4])),
+    (True, ["k"], _pdf(k=[1, 2, 3], s=[12, 9, 8], c=[2, 1, 1], t=[4, 5, -4])),
+], ids=["ungrouped", "filtered-ungrouped", "grouped", "filtered-grouped"])
+def test_one_aggregation_computes_every_output(be, backend, filtered, group, want):
+    """Two SUMs and a COUNT in one call: each output is its aggregation of
+    the rows a filter kept."""
+    b = be if backend == "sharemind" else GCBackend(Meter())
+    r = b.input_rel(_MULTI)
+    if filtered:
+        r = b.filter_eq(r, "f", 1)
+    got = b.reveal(b.aggregate(r, group, _OUTPUTS))
+    got = got.sort_values(group).reset_index(drop=True) if group else got
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+@pytest.mark.parametrize("stp", [None, "p0"], ids=["mpc", "hybrid"])
+def test_outputs_share_the_rounds_of_one_aggregation(be, stp):
+    """More outputs widen the sort, scan and shuffle of one grouped
+    aggregation: they add bytes and no round, and cost less than one
+    aggregation per output."""
+    r = be.input_rel(_MULTI)
+
+    def cost(outputs):
+        r0, b0 = be.vm.meter.rounds, be.vm.meter.bytes_sent
+        be.aggregate(r, ["k"], outputs, stp=stp)
+        return be.vm.meter.rounds - r0, be.vm.meter.bytes_sent - b0
+
+    single, merged = cost(_OUTPUTS[:1]), cost(_OUTPUTS)
+    assert merged[0] == single[0]
+    assert single[1] < merged[1] < sum(cost([o])[1] for o in _OUTPUTS)
 
 
 # A fixed-point column (q = num / den) must come out of every operator
@@ -276,7 +316,7 @@ _OTHER = _pdf(k=[1, 2], w=[10, 20])
 
 def _hybrid_sum(be, r):
     """A hybrid SUM of q by k, party p0 being the STP."""
-    return be.aggregate(r, ["k"], "sum", "q", "s", stp="p0")
+    return be.aggregate(r, ["k"], [("sum", "q", "s")], stp="p0")
 
 
 @pytest.mark.parametrize("agg_op,over,filtered,want", [
@@ -299,7 +339,7 @@ def test_hybrid_agg_shuffles_only_the_columns_it_reads(
     r = be.input_rel(_pdf(x=[5, 6, 7, 8], k=[1, 2, 1, 2], v=[1, 2, 3, 4]))
     if filtered:
         r = be.filter_eq(r, "x", 5)
-    be.aggregate(r, ["k"], agg_op, over, "s", stp="p0")
+    be.aggregate(r, ["k"], [(agg_op, over, "s")], stp="p0")
     assert shuffled == [want]
 
 
@@ -325,7 +365,7 @@ _SCALED_OPS = {
         lambda p: p.merge(_OTHER, on="k"),
     ),
     "grouped_sum": (
-        lambda be, r: be.aggregate(r, ["k"], "sum", "q", "s"),
+        lambda be, r: be.aggregate(r, ["k"], [("sum", "q", "s")]),
         lambda p: p.groupby("k", as_index=False)["q"].sum().rename(columns={"q": "s"}),
     ),
     "hybrid_sum": (
@@ -369,13 +409,13 @@ def test_gc_adapter_filter_and_reveal(gc):
 
 def test_gc_adapter_aggregate_count(gc):
     r = gc.input_rel(_pdf(k=[1, 1, 2]))
-    out = gc.aggregate(r, ["k"], "count", None, "c").pdf.sort_values("k")
+    out = gc.aggregate(r, ["k"], [("count", None, "c")]).pdf.sort_values("k")
     np.testing.assert_array_equal(out["c"], [2, 1])
 
 
 def test_gc_adapter_scalar_sum(gc):
     r = gc.input_rel(_pdf(v=[1, 2, 3]))
-    out = gc.aggregate(r, [], "sum", "v", "s")
+    out = gc.aggregate(r, [], [("sum", "v", "s")])
     assert out.pdf["s"].iloc[0] == 6
 
 
@@ -403,7 +443,7 @@ def test_gc_adapter_distinct_count(gc):
 def test_gc_grouped_aggregate_honours_mask(gc, agg_op, over, want):
     r = gc.input_rel(_pdf(g=[1, 1, 2, 2], x=[5, 6, 5, 7], v=[10, 20, 30, 40]))
     r = gc.filter_eq(r, "x", 5)
-    out = gc.reveal(gc.aggregate(r, ["g"], agg_op, over, "s")).sort_values("g")
+    out = gc.reveal(gc.aggregate(r, ["g"], [(agg_op, over, "s")])).sort_values("g")
     assert out["s"].tolist() == want
 
 
@@ -414,4 +454,4 @@ def test_gc_hybrid_operators_raise(gc):
     with pytest.raises(NotImplementedError):
         gc.join(r, r, "k", "k", stp="p0")
     with pytest.raises(NotImplementedError):
-        gc.aggregate(r, ["k"], "sum", "v", "s", stp="p0")
+        gc.aggregate(r, ["k"], [("sum", "v", "s")], stp="p0")

@@ -1,6 +1,8 @@
 """Structural tests for the six compiler stages (§5) on the paper's
 queries: ownership, trust propagation, frontier placement, hybrid
 rewrites, push-up, sort elimination and site assignment."""
+import itertools
+
 import pytest
 
 from repro.core import dag as D
@@ -8,6 +10,7 @@ from repro.core.columns import Column, Party
 from repro.core.compiler import CompileOptions, compile_query
 from repro.core.lang import concat, newTable
 from repro.queries import aspirin, comorbidity, credit_card, market_concentration
+from repro.tables.table3_hybrid import _agg_query, _join_query
 
 
 def _compile(spec, **kw):
@@ -235,6 +238,85 @@ def test_push_up_scalar_arithmetic():
     assert ar.site == ("clear", "b")  # reversible: runs at the recipient
 
 
+def _cross_party_join():
+    """An MPC join of a's (k, x) and b's (k, y, g), neither key trusted."""
+    pa, pb = Party("a"), Party("b")
+    left = newTable([Column("k"), Column("x")], at=pa, name="l")
+    right = newTable([Column("k"), Column("y"), Column("g")], at=pb, name="r")
+    return left.join(right, left="k", right="k"), [pa, pb]
+
+
+@pytest.mark.parametrize("projected", [False, True])
+def test_push_up_column_arithmetic_only_over_columns_the_recipient_gets(projected):
+    """A division by a column runs at the recipient when every column of
+    its input reaches the recipient anyway; once its operand is projected
+    away before the output, it stays under MPC."""
+    joined, parties = _cross_party_join()
+    q = joined.divide("q", "x", by="y")
+    out = (q.project(["k", "q"]) if projected else q).collect(to=[parties[0]])
+    plan = compile_query(out, CompileOptions(parties=parties))
+    (ar,) = plan.dag.nodes_of_type(D.Arith)
+    assert ar.site == (("mpc",) if projected else ("clear", "a"))
+
+
+# ------------------------------------------------------ aggregation merge
+def test_credit_plan_has_one_aggregation_and_divides_at_the_regulator():
+    """SUM and COUNT come from one hybrid aggregation, the join that put
+    them side by side is gone, and the regulator computes the average."""
+    plan = _compile(credit_card.build())
+    (agg,) = plan.dag.nodes_of_type(D.Aggregate)
+    assert agg.site == ("hybrid", "a")
+    assert agg.aggs == [D.Agg(D.SUM, "score", "total"), D.Agg(D.COUNT, None, "cnt")]
+    assert [j.left_key for j in plan.dag.nodes_of_type(D.Join)] == ["ssn"]
+    (ar,) = plan.dag.nodes_of_type(D.Arith)
+    assert ar.site == ("clear", "a")
+    assert plan.rewrites["aggregation_merge"] == 1
+
+
+def test_sibling_aggregations_merge_only_on_the_same_group_columns():
+    joined, parties = _cross_party_join()
+    by_g = joined.aggregate("s", D.SUM, group=["g"], over="x")
+    by_k = joined.aggregate("c", D.COUNT, group=["k"])
+    out = by_g.join(by_k, left="g", right="k").collect(to=[parties[0]])
+    plan = compile_query(out, CompileOptions(parties=parties))
+    assert len(plan.dag.nodes_of_type(D.Aggregate)) == 2
+    assert len(plan.dag.nodes_of_type(D.Join)) == 2
+    assert plan.rewrites["aggregation_merge"] == 0
+
+
+_TOGGLES = ["allow_cardinality_leaking_pushdown", "enable_hybrid",
+            "enable_public_join", "enable_sort_elimination", "enable_push_up"]
+
+
+def _paper_query(mod):
+    spec = mod.build()
+    return spec.output, spec.parties
+
+
+_OTHER_QUERIES = {
+    **{m.__name__.rsplit(".", 1)[1]: (lambda m=m: _paper_query(m))
+       for m in (market_concentration, aspirin, comorbidity)},
+    **{f"t3-{op}-{mode}": (lambda q=q, m=mode: q(m))
+       for op, q in (("join", _join_query), ("agg", _agg_query))
+       for mode in ("mpc", "hybrid", "public")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OTHER_QUERIES))
+def test_other_plans_take_neither_merge_nor_column_push_up(name):
+    """Under all 32 combinations of the compile toggles, the HHI, aspirin,
+    comorbidity and T3 plans merge no aggregation and lift no column
+    arithmetic, so they are the plans they were before both rewrites."""
+    for bits in itertools.product([False, True], repeat=len(_TOGGLES)):
+        out, parties = _OTHER_QUERIES[name]()
+        plan = compile_query(
+            out, CompileOptions(parties=parties, **dict(zip(_TOGGLES, bits)))
+        )
+        assert plan.rewrites["aggregation_merge"] == 0
+        assert not [a for a in plan.dag.nodes_of_type(D.Arith)
+                    if isinstance(a.right, str) and a.forced_site]
+
+
 # ------------------------------------------------------ sort elimination
 def test_aspirin_sort_elimination():
     spec = aspirin.build()
@@ -308,12 +390,14 @@ _NO_HYBRID = {"enable_hybrid": False, "enable_public_join": False}
 PLAN_PINS = [
     (market_concentration, {}, _MARKET),
     (market_concentration, _NO_HYBRID, _MARKET),
+    # one aggregation serves SUM and COUNT; the average is taken at the
+    # regulator, which receives both
     (credit_card, {}, _CREDIT_INPUTS + [
-        "Join hybrid:a", "Aggregate hybrid:a", "Aggregate hybrid:a",
-        "Join hybrid:a", "Arith mpc", "Output clear:a",
+        "Join hybrid:a", "Aggregate hybrid:a", "Project clear:a", "Arith clear:a",
+        "Output clear:a",
     ]),
     (credit_card, _NO_HYBRID, _CREDIT_INPUTS + [
-        "Join mpc", "Aggregate mpc", "Aggregate mpc", "Join mpc", "Arith mpc",
+        "Join mpc", "Aggregate mpc", "Project clear:a", "Arith clear:a",
         "Output clear:a",
     ]),
     (aspirin, {}, _ASPIRIN_INPUTS + [

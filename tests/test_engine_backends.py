@@ -484,10 +484,10 @@ def test_tracer_wraps_a_compiled_credit_run(spark):
     names = [s.name for s in tracer.spans]
     assert names.count("core.compile") == 1
     assert "sharemind.shuffle" in names and "protocols.oblivious_shuffle" in names
-    # each hybrid aggregation is one traced backend call that runs the
-    # STP's reveal and reorder
+    # the SUM and the COUNT are one hybrid aggregation: one traced backend
+    # call that runs the STP's reveal and reorder
     aggs = [i for i, s in enumerate(tracer.spans) if s.name == "sharemind.aggregate"]
-    assert len(aggs) == 2
+    assert len(aggs) == 1
     for i in aggs:
         kids = {s.name for s in tracer.spans if s.parent == i}
         assert {"sharemind.reveal_col_to", "sharemind.reorder_public"} <= kids

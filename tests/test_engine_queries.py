@@ -26,10 +26,10 @@ def _oracle(sql: str, gen: dict[str, pd.DataFrame]) -> pd.DataFrame:
         con.close()
 
 
-def _run(spark, mod, gen, **copts):
-    spec = mod.build() if not copts.pop("_spec", None) else copts.pop("_spec")
+def _run(spark, mod, gen, *, spec=None, backend="sharemind", **copts):
+    spec = spec or mod.build()
     plan = compile_query(spec.output, CompileOptions(parties=spec.parties, **copts))
-    eng = Engine(spark, [p.name for p in spec.parties])
+    eng = Engine(spark, [p.name for p in spec.parties], backend=backend)
     df = eng.run(plan, gen_to_spark(spark, gen))
     return spec, plan, eng, df
 
@@ -90,8 +90,8 @@ def _check_credit(spark, gen, **copts):
     expected = (
         _oracle(spec.oracle_sql, gen).sort_values("zip").reset_index(drop=True)
     )
-    # integer columns must match exactly (oracle discipline); the MPC
-    # fixed-point average gets a tolerance
+    # integer columns must match exactly (oracle discipline); the average,
+    # a double, gets a tolerance
     assert_equivalent(
         spark.createDataFrame(got[["zip", "total", "cnt"]]),
         "SELECT zip, SUM(score) AS total, COUNT(*) AS cnt FROM ("
@@ -112,6 +112,24 @@ def test_credit_card_hybrid_end_to_end(spark):
     from repro.core import dag as D
 
     assert any(j.site[0] == "hybrid" for j in plan.dag.nodes_of_type(D.Join))
+
+
+@pytest.mark.parametrize("trust,backend", [
+    (True, "sharemind"), (False, "sharemind"), (False, "oblivc"),
+], ids=["hybrid", "mpc", "mpc-oblivc"])
+def test_credit_card_one_aggregation_matches_duckdb(spark, trust, backend):
+    """One aggregation computes SUM and COUNT and the regulator divides:
+    the result matches DuckDB with trust (a hybrid aggregation), without
+    trust, and without trust on the garbled-circuit backend."""
+    from repro.core import dag as D
+
+    gen = credit_card.gen_inputs(n_holders=90, seed=4)
+    plan, eng = _check_credit(
+        spark, gen, spec=credit_card.build(with_trust=trust), backend=backend
+    )
+    (agg,) = plan.dag.nodes_of_type(D.Aggregate)
+    assert agg.site[0] == ("hybrid" if trust else "mpc")
+    assert [n.site for n in plan.dag.nodes_of_type(D.Arith)] == [("clear", "a")]
 
 
 def test_credit_card_pure_mpc_same_result(spark):
@@ -193,7 +211,7 @@ def test_aspirin_public_join_only_shares_overlap(spark):
 def test_boundary_operator_costs_are_pinned(spark):
     """Results and simulated rounds and bytes of the compiled aspirin plan
     (public join + sort-eliminated distinct count) and credit plan (hybrid
-    joins + hybrid aggregations) on fixed inputs. Any change here is a
+    join + one hybrid aggregation) on fixed inputs. Any change here is a
     cost-model change."""
     from repro.core import dag as D
 
@@ -207,7 +225,7 @@ def test_boundary_operator_costs_are_pinned(spark):
     plan, eng = _check_credit(spark, credit_card.gen_inputs(n_holders=150, seed=1))
     assert any(j.site[0] == "hybrid" for j in plan.dag.nodes_of_type(D.Join))
     assert any(a.site[0] == "hybrid" for a in plan.dag.nodes_of_type(D.Aggregate))
-    assert (eng.meter.rounds, eng.meter.bytes_sent) == (109, 579_038.9166866968)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (53, 521_533.9782862814)
 
 
 # ---------------------------------------------------------- comorbidity

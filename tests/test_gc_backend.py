@@ -107,7 +107,7 @@ def test_filter_and_join_mask_propagation():
 def test_agg_sum_by_key():
     be = _backend()
     rel = _rel(be, k=[1, 2, 1, 2, 3], v=[10, 20, 30, 40, 50])
-    out = be.aggregate(rel, ["k"], "sum", "v", "v").pdf.sort_values("k")
+    out = be.aggregate(rel, ["k"], [("sum", "v", "v")]).pdf.sort_values("k")
     np.testing.assert_array_equal(out["v"], [40, 60, 50])
 
 
@@ -115,7 +115,7 @@ def test_agg_respects_filter_mask():
     be = _backend()
     rel = _rel(be, k=[1, 1, 2], v=[5, 7, 9], f=[0, 1, 1])
     rel = be.filter_eq(rel, "f", 1)
-    out = be.aggregate(rel, ["k"], "sum", "v", "v").pdf.sort_values("k")
+    out = be.aggregate(rel, ["k"], [("sum", "v", "v")]).pdf.sort_values("k")
     np.testing.assert_array_equal(out["v"], [7, 9])
 
 
@@ -126,9 +126,28 @@ def test_agg_presorted_cheaper():
         rel = _rel(be, k=np.sort(np.random.default_rng(1).integers(0, 50, 500)),
                    v=np.ones(500, np.int64))
         g0 = be.meter.gc_and_gates
-        be.aggregate(rel, ["k"], "sum", "v", "v", input_sorted=presorted)
+        be.aggregate(rel, ["k"], [("sum", "v", "v")], input_sorted=presorted)
         gates.append(be.meter.gc_and_gates - g0)
     assert gates[1] < gates[0] / 2
+
+
+@pytest.mark.parametrize("presorted", [False, True])
+def test_agg_outputs_widen_one_network(presorted):
+    """k outputs are one sort and one scan over (key, k values) records:
+    each value widens the compare-and-swap by BIT_WIDTH and adds an add
+    and two muxes per row to the scan."""
+    be = _backend()
+    n = 40
+    rel = _rel(be, k=np.arange(n) % 7, v=np.arange(n), w=np.ones(n, np.int64))
+    outputs = [("sum", "v", "s"), ("count", None, "c"), ("sum", "w", "t")]
+    g0 = be.meter.gc_and_gates
+    out = be.aggregate(rel, ["k"], outputs, input_sorted=presorted).pdf.sort_values("k")
+    (eq, _), (add, _), (mux, _) = (gate_counts(g, 32) for g in ("eq", "add", "mux"))
+    swap, _ = gate_counts("cmp_swap", 4 * 32)
+    want = n * (eq + 3 * (add + 2 * mux))
+    want += 0 if presorted else P.sort_comparators(n) * swap
+    assert be.meter.gc_and_gates - g0 == want
+    np.testing.assert_array_equal(out["c"], [6, 6, 6, 6, 6, 5, 5])
 
 
 @pytest.mark.parametrize("presorted", [False, True])
@@ -174,5 +193,5 @@ def test_slow_backend_rate_increases_time():
     fast, slow = _backend(rate=10e6), _backend(rate=1e5)
     for be in (fast, slow):
         rel = _rel(be, k=np.arange(2000), v=np.arange(2000))
-        be.aggregate(rel, ["k"], "sum", "v", "v")
+        be.aggregate(rel, ["k"], [("sum", "v", "v")])
     assert slow.meter.gate_seconds() > 50 * fast.meter.gate_seconds()

@@ -353,7 +353,7 @@ def test_aggregate_sum_by_key_presorted_skips_sort(vm):
 def test_aggregate_sum_total_is_local(vm):
     rel = _share(vm, v=[1, 2, 3, 4])
     r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
-    out = _backend(vm).aggregate(rel, [], "sum", "v", "s")
+    out = _backend(vm).aggregate(rel, [], [("sum", "v", "s")])
     assert vm.meter.rounds == r0 and vm.meter.bytes_sent == b0
     assert vm.reveal(out.columns["s"])[0] == 10
 
