@@ -38,20 +38,20 @@ class SharemindBackend:
     def input_rel(self, pdf: pd.DataFrame) -> SharedRelation:
         return share_dataframe(self.vm, pdf)
 
-    def reveal(self, r: SharedRelation) -> pd.DataFrame:
-        """Open to all parties, de-scaling fixed-point columns to float.
-        A filter's mask is opened first (this leaks the filtered
-        cardinality — authorized at output time, the recipients see the
-        rows anyway); its positions are then public, so the kept rows are
-        taken share-locally and only they are opened, all columns in one
-        round."""
+    def reveal(self, r: SharedRelation, party: str) -> pd.DataFrame:
+        """Open to ``party``, de-scaling fixed-point columns to float. A
+        filter's mask is opened to every party first (this leaks the
+        filtered cardinality — authorized at output time, the recipients
+        see the rows anyway), since each party takes the kept rows
+        share-locally; only they are then opened to ``party``, all columns
+        in one round."""
         names = [c for c in r.column_names if c != MASK]
         if MASK in r.columns:
             r = self.take(r, np.nonzero(self.vm.reveal(r.columns[MASK]) == 1)[0])
-        vals = self.vm.reveal(self.vm.concat([r.columns[c] for c in names]))
+        vals = self.vm.reveal_to([r.columns[c] for c in names], party)
         return pd.DataFrame({
             c: v / float(1 << r.scale_of(c)) if r.scale_of(c) else v
-            for c, v in zip(names, np.split(vals, len(names)))
+            for c, v in zip(names, vals)
         })
 
     # -------------------------------------------------------- operators

@@ -100,9 +100,9 @@ class GCBackend:
         self.meter.charge_comm(rounds=1, bytes_sent=bits * OT_BYTES_PER_BIT)
         return GCRelation(pdf)
 
-    def reveal(self, rel: GCRelation) -> pd.DataFrame:
-        """Decode output wires to cleartext (sends decode bits), dropping
-        masked-out rows."""
+    def reveal(self, rel: GCRelation, _party: str) -> pd.DataFrame:
+        """Decode output wires to cleartext at one party (sends it the
+        decode bits), dropping masked-out rows."""
         self.meter.charge_comm(
             rounds=1, bytes_sent=self._bits(rel.n_rows, rel.n_cols) / 8
         )

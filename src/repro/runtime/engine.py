@@ -167,7 +167,7 @@ class Engine:
 
     def _reveal_to(self, val, party: str) -> ClearVal:
         """revealTo: open an MPC value at one party as a Spark DataFrame."""
-        pdf = self.backend.reveal(val)
+        pdf = self.backend.reveal(val, party)
         return ClearVal(party, self._to_spark(pdf))
 
     def _as_clear_at(self, val, party: str) -> DataFrame:

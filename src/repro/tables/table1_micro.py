@@ -38,7 +38,7 @@ def _mpc_join(be, n: int) -> None:
 
 
 def _mpc_project(be, n: int) -> None:
-    be.reveal(be.project(be.input_rel(keyed(n, seed=0, n_keys=n)), ["k"]))
+    be.reveal(be.project(be.input_rel(keyed(n, seed=0, n_keys=n)), ["k"]), "p1")
 
 
 _MPC_OPS = {"agg": _mpc_agg, "join": _mpc_join, "project": _mpc_project}

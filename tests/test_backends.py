@@ -24,7 +24,7 @@ def _pdf(**cols):
 # ---------------------------------------------------------- sharemind-sim
 def test_input_reveal_roundtrip(be):
     pdf = _pdf(a=[1, -2, 3], b=[7, 8, 9])
-    out = be.reveal(be.input_rel(pdf))
+    out = be.reveal(be.input_rel(pdf), "p0")
     pd.testing.assert_frame_equal(out, pdf)
 
 
@@ -32,7 +32,7 @@ def test_concat_and_project(be):
     r1 = be.input_rel(_pdf(a=[1], b=[2]))
     r2 = be.input_rel(_pdf(a=[3], b=[4]))
     both = be.concat([r1, r2])
-    out = be.reveal(be.project(both, ["b"]))
+    out = be.reveal(be.project(both, ["b"]), "p0")
     np.testing.assert_array_equal(out["b"], [2, 4])
 
 
@@ -40,26 +40,26 @@ def test_filter_masks_and_reveal_drops_rows(be):
     r = be.input_rel(_pdf(a=[1, 2, 1], b=[10, 20, 30]))
     f = be.filter_eq(r, "a", 1)
     assert MASK in f.columns
-    out = be.reveal(f)
+    out = be.reveal(f, "p0")
     np.testing.assert_array_equal(out["b"], [10, 30])
 
 
 def test_chained_filters_intersect(be):
     r = be.input_rel(_pdf(a=[1, 1, 2], b=[5, 6, 5]))
     f = be.filter_eq(be.filter_eq(r, "a", 1), "b", 5)
-    out = be.reveal(f)
+    out = be.reveal(f, "p0")
     assert len(out) == 1 and out["b"].iloc[0] == 5
 
 
 def test_arith_multiply_columns(be):
     r = be.input_rel(_pdf(x=[2, 3], y=[5, 7]))
-    out = be.reveal(be.arith(r, "z", "x", "*", "y"))
+    out = be.reveal(be.arith(r, "z", "x", "*", "y"), "p0")
     np.testing.assert_array_equal(out["z"], [10, 21])
 
 
 def test_arith_multiply_scalar(be):
     r = be.input_rel(_pdf(x=[2, -3]))
-    out = be.reveal(be.arith(r, "z", "x", "*", 10))
+    out = be.reveal(be.arith(r, "z", "x", "*", 10), "p0")
     np.testing.assert_array_equal(out["z"], [20, -30])
 
 
@@ -67,7 +67,7 @@ def test_arith_divide_fixed_point_descaled(be):
     r = be.input_rel(_pdf(num=[1, 3], den=[2, 4]))
     d = be.arith(r, "q", "num", "/", "den")
     assert d.scale_of("q") == FP_BITS
-    out = be.reveal(d)
+    out = be.reveal(d, "p0")
     np.testing.assert_allclose(out["q"], [0.5, 0.75], atol=1e-5)
 
 
@@ -76,22 +76,22 @@ def test_arith_divide_then_square_scale_chain(be):
     d = be.arith(r, "q", "num", "/", "den")
     sq = be.arith(d, "q2", "q", "*", "q")
     assert sq.scale_of("q2") == 2 * FP_BITS
-    out = be.reveal(sq)
+    out = be.reveal(sq, "p0")
     assert out["q2"].iloc[0] == pytest.approx(0.0625, abs=1e-5)
 
 
 def test_aggregate_grouped_and_scalar(be):
     r = be.input_rel(_pdf(k=[1, 2, 1], v=[10, 20, 30]))
-    g = be.reveal(be.aggregate(r, ["k"], [("sum", "v", "s")])).sort_values("k")
+    g = be.reveal(be.aggregate(r, ["k"], [("sum", "v", "s")]), "p0").sort_values("k")
     np.testing.assert_array_equal(g["s"], [40, 20])
-    s = be.reveal(be.aggregate(r, [], [("sum", "v", "s")]))
+    s = be.reveal(be.aggregate(r, [], [("sum", "v", "s")]), "p0")
     assert s["s"].iloc[0] == 60
 
 
 def test_aggregate_count_with_mask(be):
     r = be.input_rel(_pdf(k=[1, 1, 2], f=[1, 0, 1]))
     r = be.filter_eq(r, "f", 1)
-    g = be.reveal(be.aggregate(r, ["k"], [("count", None, "c")])).sort_values("k")
+    g = be.reveal(be.aggregate(r, ["k"], [("count", None, "c")]), "p0").sort_values("k")
     # masked rows contribute 0 to the count; zero-count groups are
     # indistinguishable from absent under the oblivious protocol
     got = dict(zip(g["k"], g["c"]))
@@ -101,10 +101,10 @@ def test_aggregate_count_with_mask(be):
 def test_join_and_cross(be):
     l = be.input_rel(_pdf(k=[1, 2], a=[10, 20]))
     r = be.input_rel(_pdf(k=[2, 3], b=[7, 8]))
-    out = be.reveal(be.join(l, r, "k", "k"))
+    out = be.reveal(be.join(l, r, "k", "k"), "p0")
     assert out.to_dict("records") == [{"k": 2, "a": 20, "b": 7}]
     scalar = be.input_rel(_pdf(t=[100]))
-    crossed = be.reveal(be.join(l, scalar, "", ""))
+    crossed = be.reveal(be.join(l, scalar, "", ""), "p0")
     np.testing.assert_array_equal(crossed["t"], [100, 100])
 
 
@@ -127,7 +127,7 @@ def test_hybrid_join_matches_pandas_merge(be, rkeys):
     pandas merge: with duplicate keys on both sides, and with no match."""
     lp = _pdf(k=[3, 1, 3, 2, 5], a=[10, 20, 30, 40, 50])
     rp = _pdf(k=rkeys, b=[1, 2, 3, 4])
-    got = be.reveal(be.join(be.input_rel(lp), be.input_rel(rp), "k", "k", stp="p0"))
+    got = be.reveal(be.join(be.input_rel(lp), be.input_rel(rp), "k", "k", stp="p0"), "p0")
     want = lp.merge(rp, on="k")
     assert len(want) == (6 if rkeys[0] == 2 else 0)
     pd.testing.assert_frame_equal(_rows(got), _rows(want), check_dtype=False)
@@ -139,7 +139,7 @@ def test_join_with_a_key_only_side(be, stp):
     indexing; the join still returns the other side's matching rows."""
     l = be.input_rel(_pdf(k=[1, 2, 2, 3], a=[10, 20, 30, 40]))
     r = be.input_rel(_pdf(k=[2, 3, 5]))
-    got = be.reveal(be.join(l, r, "k", "k", stp=stp))
+    got = be.reveal(be.join(l, r, "k", "k", stp=stp), "p0")
     assert sorted(got.itertuples(index=False)) == [(2, 20), (2, 30), (3, 40)]
 
 
@@ -194,14 +194,14 @@ def test_hybrid_join_runs_both_sides_in_the_same_rounds(be):
 @pytest.mark.parametrize("presorted", [True, False])
 def test_distinct_count_paths(be, presorted):
     r = be.input_rel(_pdf(c=[1, 1, 2, 3, 3, 3]))
-    out = be.reveal(be.distinct_count(r, "c", "dc", input_sorted=presorted))
+    out = be.reveal(be.distinct_count(r, "c", "dc", input_sorted=presorted), "p0")
     assert out["dc"].iloc[0] == 3
 
 
 def test_sort_and_limit(be):
     r = be.input_rel(_pdf(k=[3, 1, 2], v=[30, 10, 20]))
     s = be.sort_by(r, "k", ascending=True)
-    out = be.reveal(be.limit(s, 2))
+    out = be.reveal(be.limit(s, 2), "p0")
     np.testing.assert_array_equal(out["k"], [1, 2])
     np.testing.assert_array_equal(out["v"], [10, 20])
 
@@ -209,11 +209,11 @@ def test_sort_and_limit(be):
 def test_shuffle_reorder_select(be):
     r = be.input_rel(_pdf(a=[1, 2, 3, 4]))
     (sh,) = be.shuffle([r])
-    assert sorted(be.reveal(sh)["a"]) == [1, 2, 3, 4]
+    assert sorted(be.reveal(sh, "p0")["a"]) == [1, 2, 3, 4]
     ro = be.reorder_public(r, np.array([3, 2, 1, 0]))
-    np.testing.assert_array_equal(be.reveal(ro)["a"], [4, 3, 2, 1])
+    np.testing.assert_array_equal(be.reveal(ro, "p0")["a"], [4, 3, 2, 1])
     (sel,) = be.select_rows([(r, np.array([0, 0, 2]))])
-    np.testing.assert_array_equal(be.reveal(sel)["a"], [1, 1, 3])
+    np.testing.assert_array_equal(be.reveal(sel, "p0")["a"], [1, 1, 3])
 
 
 def test_reveal_col_to_charges_less_than_full_reveal(be):
@@ -222,27 +222,30 @@ def test_reveal_col_to_charges_less_than_full_reveal(be):
     be.reveal_col_to([(r, "a")], "p0")
     single = be.vm.meter.bytes_sent - b0
     b1 = be.vm.meter.bytes_sent
-    be.reveal(r)
+    be.reveal(r, "p0")
     full = be.vm.meter.bytes_sent - b1
     assert single < full
 
 
 @pytest.mark.parametrize("n_cols", [1, 3])
 def test_reveal_opens_only_the_kept_rows(be, monkeypatch, n_cols):
-    """A filtered relation's reveal opens the mask, then the kept rows of
-    every column in one more round: the n mask words and c·k value words,
-    never a value of a row the filter dropped."""
+    """A filtered relation's reveal opens the mask to every party, then
+    the kept rows of every column to the recipient only, in one more
+    round: n mask words to each party and c·k value words to one, never a
+    value of a row the filter dropped."""
     vals = {f"c{i}": np.arange(10) + 100 * i for i in range(n_cols)}
     r = be.filter_eq(be.input_rel(_pdf(f=[1, 0, 0, 1, 1, 0, 0, 0, 1, 0], **vals)), "f", 1)
     r = be.project(r, list(vals))
     vm, p = be.vm, be.vm.n_parties
-    opened, reveal = [], vm.reveal
+    opened, reveal, reveal_to = [], vm.reveal, vm.reveal_to
     monkeypatch.setattr(vm, "reveal", lambda v: opened.append(len(v)) or reveal(v))
+    monkeypatch.setattr(vm, "reveal_to", lambda vs, party: opened.append(
+        (party, [len(v) for v in vs])) or reveal_to(vs, party))
     r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
-    out = be.reveal(r)
+    out = be.reveal(r, "p0")
     assert (vm.meter.rounds - r0, vm.meter.bytes_sent - b0) == (
-        2, (10 + n_cols * 4) * p * (p - 1) * 8)
-    assert opened == [10, n_cols * 4]
+        2, (10 * p + n_cols * 4) * (p - 1) * 8)
+    assert opened == [10, ("p0", [4] * n_cols)]
     want = _pdf(**{c: v[[0, 3, 4, 8]] for c, v in vals.items()})
     pd.testing.assert_frame_equal(out, want)
 
@@ -258,7 +261,7 @@ def test_filtered_count_sums_the_mask(be, group):
         r0 = be.vm.meter.rounds
         out = be.aggregate(rel, group, [("count", None, "c")])
         rounds = be.vm.meter.rounds - r0
-        return rounds, be.reveal(out).sort_values(list(out.column_names))
+        return rounds, be.reveal(out, "p0").sort_values(list(out.column_names))
 
     plain, _ = count(r)
     filtered, got = count(be.filter_eq(r, "a", 5))
@@ -285,7 +288,7 @@ def test_one_aggregation_computes_every_output(be, backend, filtered, group, wan
     r = b.input_rel(_MULTI)
     if filtered:
         r = b.filter_eq(r, "f", 1)
-    got = b.reveal(b.aggregate(r, group, _OUTPUTS))
+    got = b.reveal(b.aggregate(r, group, _OUTPUTS), "p0")
     got = got.sort_values(group).reset_index(drop=True) if group else got
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
@@ -379,7 +382,7 @@ _SCALED_OPS = {
 def test_fixed_point_scale_survives(be, op):
     run, expect = _SCALED_OPS[op]
     r = be.arith(be.input_rel(_ROWS), "q", "num", "/", "den")
-    got = be.reveal(run(be, r))
+    got = be.reveal(run(be, r), "p0")
     want = expect(_ROWS.assign(q=_ROWS["num"] / _ROWS["den"]))
     pd.testing.assert_frame_equal(_rows(got), _rows(want), check_dtype=False, atol=1e-5)
 
@@ -397,13 +400,13 @@ def gc() -> GCBackend:
 
 def test_gc_adapter_roundtrip(gc):
     pdf = _pdf(a=[1, 2], b=[3, 4])
-    out = gc.reveal(gc.input_rel(pdf))
+    out = gc.reveal(gc.input_rel(pdf), "p0")
     pd.testing.assert_frame_equal(out, pdf)
 
 
 def test_gc_adapter_filter_and_reveal(gc):
     r = gc.filter_eq(gc.input_rel(_pdf(a=[1, 2, 1])), "a", 1)
-    out = gc.reveal(r)
+    out = gc.reveal(r, "p0")
     np.testing.assert_array_equal(out["a"], [1, 1])
 
 
@@ -443,7 +446,7 @@ def test_gc_adapter_distinct_count(gc):
 def test_gc_grouped_aggregate_honours_mask(gc, agg_op, over, want):
     r = gc.input_rel(_pdf(g=[1, 1, 2, 2], x=[5, 6, 5, 7], v=[10, 20, 30, 40]))
     r = gc.filter_eq(r, "x", 5)
-    out = gc.reveal(gc.aggregate(r, ["g"], [(agg_op, over, "s")])).sort_values("g")
+    out = gc.reveal(gc.aggregate(r, ["g"], [(agg_op, over, "s")]), "p0").sort_values("g")
     assert out["s"].tolist() == want
 
 

@@ -27,7 +27,7 @@ def _rel(backend, **cols) -> GCRelation:
 def test_input_and_reveal_roundtrip():
     be = _backend()
     rel = _rel(be, a=[1, 2, 3], b=[4, 5, 6])
-    out = be.reveal(rel)
+    out = be.reveal(rel, "p0")
     np.testing.assert_array_equal(out["a"], [1, 2, 3])
     assert be.meter.bytes_sent > 0  # OT for inputs
 
@@ -100,7 +100,7 @@ def test_filter_and_join_mask_propagation():
     assert len(kept) == 1 and kept.iloc[0]["a"] == 10
     # both sides filtered: a row is kept only where both masks are 1
     r = be.filter_eq(_rel(be, k=[1, 1, 2], b=[7, 8, 7]), "b", 7)
-    out = be.reveal(be.join(l, r, "k", "k"))
+    out = be.reveal(be.join(l, r, "k", "k"), "p0")
     assert out.to_dict("list") == {"k": [1], "a": [10], "b": [7]}
 
 

@@ -128,8 +128,8 @@ def test_boundary_operators_send_nothing_to_spark(spark, monkeypatch, query, gen
     revealed, loaded = [], []
     reveal, to_spark = SharemindBackend.reveal, engine_mod.to_spark
 
-    def reveal_spy(self, rel):
-        pdf = reveal(self, rel)
+    def reveal_spy(self, rel, party):
+        pdf = reveal(self, rel, party)
         revealed.append(pdf)
         return pdf
 

@@ -497,7 +497,7 @@ def _top_k(vm, limit: int, **cols) -> pd.DataFrame:
     oblivious sort, then a public-position limit."""
     be = _backend(vm)
     top = be.limit(be.sort_by(_share(vm, **cols), "cnt", ascending=False), limit)
-    return be.reveal(top)
+    return be.reveal(top, "p0")
 
 
 def test_top_k_by(vm):
