@@ -16,6 +16,7 @@ target; absolute numbers differ from the authors' testbed.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 # --- simulated deployment constants -----------------------------------------
@@ -75,13 +76,34 @@ class Meter:
     #: sliced execution at scale).
     extra_seconds: float = 0.0
     _wall_start: float = field(default_factory=time.perf_counter)
+    #: the rounds before the open :meth:`together` block, None outside one
+    _together_from: int | None = field(default=None, init=False, repr=False)
 
     # -- secret-sharing style costs ------------------------------------
     def charge_comm(self, *, rounds: int, bytes_sent: float) -> None:
         """Record a communication step: ``rounds`` sequential round trips
-        carrying ``bytes_sent`` total bytes between the parties."""
-        self.rounds += rounds
+        carrying ``bytes_sent`` total bytes between the parties. Inside a
+        :meth:`together` block the step's rounds overlap the block's."""
+        if self._together_from is None:
+            self.rounds += rounds
+        else:
+            self.rounds = max(self.rounds, self._together_from + rounds)
         self.bytes_sent += bytes_sent
+
+    @contextmanager
+    def together(self):
+        """The steps charged in the block are independent sends that go out
+        at once, as the parties' inputToMPC of one MPC boundary does: their
+        bytes add up, and the block costs the rounds of its longest step. A
+        block opened inside another one joins it."""
+        if self._together_from is not None:
+            yield
+            return
+        self._together_from = self.rounds
+        try:
+            yield
+        finally:
+            self._together_from = None
 
     # -- garbled-circuit style costs -----------------------------------
     def charge_gates(self, *, and_gates: float) -> None:

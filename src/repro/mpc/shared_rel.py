@@ -53,19 +53,21 @@ class SharedRelation:
 
 
 def share_dataframe(vm: SecretSharingVM, pdf: pd.DataFrame) -> SharedRelation:
-    """inputToMPC: secret-share every column of a cleartext pandas frame.
+    """inputToMPC: secret-share every column of a cleartext pandas frame,
+    all columns sent in the same round.
 
     All MPC-resident columns must be integral (the compiler guarantees
     this: money is cents, codes are int-encoded).
     """
     cols: dict[str, SharedVector] = {}
-    for name in pdf.columns:
-        vals = pdf[name].to_numpy()
-        if not np.issubdtype(vals.dtype, np.integer):
-            raise TypeError(
-                f"MPC column {name!r} must be integer, got {vals.dtype}"
-            )
-        cols[name] = vm.share(vals.astype(np.int64))
+    with vm.meter.together():
+        for name in pdf.columns:
+            vals = pdf[name].to_numpy()
+            if not np.issubdtype(vals.dtype, np.integer):
+                raise TypeError(
+                    f"MPC column {name!r} must be integer, got {vals.dtype}"
+                )
+            cols[name] = vm.share(vals.astype(np.int64))
     return SharedRelation(cols)
 
 

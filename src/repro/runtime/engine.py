@@ -141,13 +141,16 @@ class Engine:
     def _ensure_mpc_all(self, vals: list) -> list:
         """inputToMPC for every parent of a node: collect all their clear
         frames in one batch, then secret-share them in parent and party
-        order. A partitioned value is shared part by part and
-        concatenated; an MPC value passes through."""
+        order, every frame in the same round. A partitioned value is
+        shared part by part and concatenated; an MPC value passes
+        through."""
         frames = [self._frames(v) for v in vals]
-        pdfs = iter(self._collect([df for fs in frames for df in fs]))
+        pdfs = self._collect([df for fs in frames for df in fs])
+        with self.meter.together():
+            shares = iter([self._share(pdf) for pdf in pdfs])
         out = []
         for v, fs in zip(vals, frames):
-            shared = [self._share(next(pdfs)) for _ in fs]
+            shared = [next(shares) for _ in fs]
             if isinstance(v, ClearVal):
                 v = shared[0]
             elif isinstance(v, PartVal):
@@ -349,8 +352,10 @@ class Engine:
                 return self.backend.input_rel(empty), pos
             return self.backend.concat(shared), pos
 
-        left_shared, li = matched_shared(parts_l, lgid, None)
-        right_shared, ri = matched_shared(parts_r, rgid, n.right_key)
+        # the matching rows of both sides go out in the same round
+        with self.meter.together():
+            left_shared, li = matched_shared(parts_l, lgid, None)
+            right_shared, ri = matched_shared(parts_r, rgid, n.right_key)
         # public indices: selection is share-local (free)
         left_sel = self.backend.take(left_shared, li)
         right_sel = self.backend.take(right_shared, ri)

@@ -19,6 +19,20 @@ def test_comm_charges_accumulate():
     assert m.bytes_sent == 1500
 
 
+def test_charges_together_overlap_their_rounds():
+    """Independent sends in one block: bytes add up, the block costs the
+    rounds of its longest step, and a block inside it joins it."""
+    m = Meter()
+    m.charge_comm(rounds=2, bytes_sent=10)
+    with m.together():
+        m.charge_comm(rounds=1, bytes_sent=100)
+        with m.together():
+            m.charge_comm(rounds=3, bytes_sent=100)
+        m.charge_comm(rounds=1, bytes_sent=100)
+    m.charge_comm(rounds=1, bytes_sent=10)
+    assert (m.rounds, m.bytes_sent) == (2 + 3 + 1, 320)
+
+
 def test_network_seconds_formula():
     m = Meter()
     m.charge_comm(rounds=10, bytes_sent=BANDWIDTH_BPS / 8)  # 1 s of bytes

@@ -216,6 +216,15 @@ def test_shuffle_reorder_select(be):
     np.testing.assert_array_equal(be.reveal(sel, "p0")["a"], [1, 1, 3])
 
 
+@pytest.mark.parametrize("n_cols", [1, 3])
+def test_input_shares_every_column_in_one_round(be, n_cols):
+    """inputToMPC sends the shares of every column at once: one round,
+    n·c words to each other party."""
+    m, p = be.vm.meter, be.vm.n_parties
+    be.input_rel(_pdf(**{f"c{i}": np.arange(10) for i in range(n_cols)}))
+    assert (m.rounds, m.bytes_sent) == (1, 10 * n_cols * (p - 1) * 8)
+
+
 def test_reveal_col_to_charges_less_than_full_reveal(be):
     r = be.input_rel(_pdf(a=np.arange(100), b=np.arange(100)))
     b0 = be.vm.meter.bytes_sent

@@ -352,6 +352,26 @@ def test_frame_listed_twice_in_one_batch(spark, backend):
     )
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_boundary_shares_every_frame_in_one_round(spark, backend):
+    """The three parties' frames that enter MPC at one node are sent in
+    one round (inputToMPC), with the bytes of all of them; the scalar SUM
+    is share-local and its output one more round."""
+    parties = [Party(p) for p in "abc"]
+    out = (concat([newTable([Column("k"), Column("v")], at=p, name=f"t{p.name}")
+                   for p in parties])
+           .aggregate("s", D.SUM, over="v").collect(to=[parties[0]]))
+    opts = CompileOptions(parties=parties, allow_cardinality_leaking_pushdown=False)
+    plan = compile_query(out, opts)
+    gen = {f"t{p}": _pdf(k=[1, 2, 3], v=[4, 5, 6]) for p in "abc"}
+    eng = Engine(spark, list("abc"), backend=backend)
+    assert eng.run(plan, gen_to_spark(spark, gen)).collect()[0]["s"] == 45
+    assert eng.meter.rounds == 2
+    if backend == "sharemind":
+        # 3 frames × 3 rows × 2 columns to 2 parties, then 1 word to 1
+        assert eng.meter.bytes_sent == (18 * 2 + 1 * 2) * 8
+
+
 #: frames in the one boundary batch of each benchmark plan
 _BATCH_FRAMES = {"hhi-mpc": 3, "aspirin-public": 4, "credit-hybrid": 3}
 
