@@ -6,8 +6,9 @@ each plan on pairs of inputs with the same public shape: the same sizes
 and the same revealed counts (join sizes, a public join's match count,
 group counts, the number of output rows a filter keeps), with the join
 or group keys relabelled by a bijection, the rows of each party permuted
-and the other values changed. The sequence of (rounds, bytes) charges
-must be identical within a pair.
+and the other values changed. The sequence of charges — communication
+(rounds, bytes), simulated memory (what, live bytes) and garbled AND
+gates — must be identical within a pair.
 """
 import numpy as np
 import pandas as pd
@@ -127,42 +128,57 @@ def _filtered_join():
     return out, [a, b, c], {}, gen, twin
 
 
+#: a case whose name ends so runs on the garbled-circuit backend
+_GC = "-oblivc"
 CASES = {
     "credit": _credit, "aspirin": _aspirin, "hhi": _hhi, "comorbidity": _comorbidity,
     "mpc_agg": lambda: _t3_agg("mpc"), "hybrid_agg": lambda: _t3_agg("hybrid"),
     "hybrid_join": _hybrid_join, "filtered_join": _filtered_join,
+    "comorbidity" + _GC: _comorbidity,
 }
+_CHARGES = ("charge_comm", "charge_memory", "charge_gates")
 
 
-def _charges(spark, monkeypatch, out, parties, opts, gen):
-    """Every (rounds, bytes) charge a run of the compiled plan makes, and
-    its result's row count."""
-    charges, charge_comm = [], Meter.charge_comm
+def _charges(spark, monkeypatch, out, parties, opts, gen, backend="sharemind"):
+    """Every charge a run of the compiled plan makes, as (kind, what,
+    amounts) in order, and its result's row count."""
+    charges, originals = [], {name: getattr(Meter, name) for name in _CHARGES}
 
-    def record(self, *, rounds, bytes_sent):
-        charges.append((rounds, bytes_sent))
-        charge_comm(self, rounds=rounds, bytes_sent=bytes_sent)
+    def recorder(name):
+        def record(self, *args, **kw):
+            charges.append((name, args, tuple(sorted(kw.items()))))
+            originals[name](self, *args, **kw)
+        return record
 
-    monkeypatch.setattr(Meter, "charge_comm", record)
+    for name in _CHARGES:
+        monkeypatch.setattr(Meter, name, recorder(name))
     plan = compile_query(out, CompileOptions(parties=parties, **opts))
-    eng = Engine(spark, [p.name for p in parties])
+    eng = Engine(spark, [p.name for p in parties], backend=backend)
     rows = eng.run(plan, gen_to_spark(spark, gen)).count()
-    monkeypatch.setattr(Meter, "charge_comm", charge_comm)
+    for name, fn in originals.items():
+        monkeypatch.setattr(Meter, name, fn)
     return charges, rows
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_charges_do_not_depend_on_the_data(spark, monkeypatch, case):
     out, parties, opts, gen, twin = CASES[case]()
-    got, rows = _charges(spark, monkeypatch, out, parties, opts, gen)
-    got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, opts, twin)
+    backend = "oblivc" if case.endswith(_GC) else "sharemind"
+    got, rows = _charges(spark, monkeypatch, out, parties, opts, gen, backend)
+    got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, opts, twin, backend)
     assert rows == rows_twin > 0
+    comm = [c for c in got if c[0] == "charge_comm"]
     if case == "hybrid_join":
         # the STP matches the keys in the clear and the 3-column reveal is
         # one charge, so this plan makes exactly ten
-        assert len(got) == 10
+        assert len(comm) == 10
+    elif case.endswith(_GC):
+        # two inputs (staging memory and OT each), then the combining
+        # aggregation (projection memory, gates, memory), the top-k sort
+        # (gates, memory) and the output's decode bits
+        assert (len(got), len(comm)) == (10, 3)
     else:
-        assert len(got) > 10
+        assert len(comm) > 10
     assert got == got_twin
 
 
@@ -182,4 +198,25 @@ def test_a_charge_that_counts_a_mask_fails(spark, monkeypatch):
     got, rows = _charges(spark, monkeypatch, out, parties, opts, gen)
     got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, opts, twin)
     assert rows == rows_twin
+    assert got != got_twin
+
+
+def test_a_memory_charge_that_counts_a_mask_fails(spark, monkeypatch):
+    """A planted memory charge of one word per row the filter keeps (no
+    communication) makes the twin's charges differ too."""
+    filter_eq = SharemindBackend.filter_eq
+
+    def planted(self, r, col, value):
+        out = filter_eq(self, r, col, value)
+        kept = int((self.vm._reconstruct_ring(out.columns[MASK]) == 1).sum())
+        self.vm.meter.charge_memory("planted", 8.0 * kept)
+        return out
+
+    monkeypatch.setattr(SharemindBackend, "filter_eq", planted)
+    out, parties, opts, gen, twin = _filtered_join()
+    got, rows = _charges(spark, monkeypatch, out, parties, opts, gen)
+    got_twin, rows_twin = _charges(spark, monkeypatch, out, parties, opts, twin)
+    assert rows == rows_twin
+    comm = [c for c in got if c[0] == "charge_comm"]
+    assert comm == [c for c in got_twin if c[0] == "charge_comm"]
     assert got != got_twin
