@@ -153,10 +153,12 @@ class SharemindBackend:
             # every summed column times the mask, in one multiplication
             prod = self.vm.mul(self.vm.concat(vals), self.vm.concat([mask] * len(vals)))
             vals = [self.vm.take(prod, slice(i * n, (i + 1) * n)) for i in range(len(vals))]
-        # a filtered COUNT sums the mask itself
-        ones = mask if mask is not None else self.vm.public(np.ones(n, np.int64))
+        # a COUNT sums the filter mask itself, or ones where nothing is filtered
+        counted = mask
+        if counted is None and None in overs:
+            counted = self.vm.public(np.ones(n, np.int64))
         vals = iter(vals)
-        cols = {out: ones if o is None else next(vals) for o, (_, _, out) in zip(overs, aggs)}
+        cols = {out: counted if o is None else next(vals) for o, (_, _, out) in zip(overs, aggs)}
         scales = {out: r.scale_of(o) for o, (_, _, out) in zip(overs, aggs)
                   if o is not None and r.scale_of(o)}
         if not group:

@@ -167,21 +167,25 @@ class SecretSharingVM:
             tuple(np.array([s.sum(dtype=_DTYPE)], dtype=_DTYPE) for s in a.shares)
         )
 
-    # -------------------------------------------------------- Beaver triples
-    def _beaver_triple(self, n: int) -> tuple[SharedVector, SharedVector, SharedVector]:
-        """Trusted-dealer triple generation (semi-honest preprocessing)."""
-        a = self._rng.bit_generator.random_raw(n)
-        b = self._rng.bit_generator.random_raw(n)
-        c = a * b
-        return self._reshare(a), self._reshare(b), self._reshare(c)
-
+    # ---------------------------------------------------- Beaver multiply
     def mul(self, x: SharedVector, y: SharedVector) -> SharedVector:
-        """Real Beaver-triple multiplication: open d=x-a and e=y-b, then
-        z = c + d·b + e·a + d·e (the public d·e added by one party)."""
+        """Real Beaver-triple multiplication. A trusted dealer (semi-honest
+        preprocessing) gives each party i shares a_i, b_i, c_i of random a,
+        b and c = a·b; the parties open d = x - a and e = y - b, and party i
+        takes z_i = c_i + d·b_i + e·a_i, party 0 adding the public d·e.
+
+        The dealer draws the shares party by party, the last party's being
+        what remains of a, b and c, and each party's z_i is built in place,
+        so the protocol holds about nine vectors of n words at a time."""
         n = len(x)
-        a, b, c = self._beaver_triple(n)
-        d = self._reconstruct_ring(self.sub(x, a))
-        e = self._reconstruct_ring(self.sub(y, b))
+        draw = self._rng.bit_generator.random_raw
+        a, b = draw(n), draw(n)
+        c = a * b
+        # the opened d = Σ x_i - Σ a_i, as Σ a_i = a; e likewise
+        d = self._reconstruct_ring(x)
+        d -= a
+        e = self._reconstruct_ring(y)
+        e -= b
         # Two openings in one round (batched), each n words to each of the
         # other parties from each party.
         self.meter.charge_comm(
@@ -189,11 +193,24 @@ class SecretSharingVM:
             bytes_sent=2 * n * _WORD_BYTES * self.n_parties * (self.n_parties - 1),
         )
         z_shares = []
-        for i in range(self.n_parties):
-            zi = c.shares[i] + d * b.shares[i] + e * a.shares[i]
-            if i == 0:
-                zi = zi + d * e
+        for _ in range(self.n_parties - 1):
+            # the party's shares of b, c and a, each drawn, used and dropped
+            # in turn; what remains of a, b and c is the last party's
+            share = draw(n)
+            zi = d * share
+            b -= share
+            share = draw(n)
+            zi += share
+            c -= share
+            share = draw(n)
+            zi += e * share
+            a -= share
             z_shares.append(zi)
+        zi = d * b
+        zi += c
+        zi += e * a
+        z_shares.append(zi)
+        z_shares[0] += d * e
         return SharedVector(tuple(z_shares))
 
     # ----------------------------------------------------- ABB nonlinear ops

@@ -225,11 +225,17 @@ class Engine:
         dag = plan.dag
         self._cons = dag.consumers()
         values: dict[int, object] = {}
+        unread = {k: len(c) for k, c in self._cons.items()}
         try:
             for n in dag.topo_order():
                 val = values[id(n)] = self._exec_node(n, inputs, values)
                 if any(self._collects(c) for c in self._cons.get(id(n), [])):
                     self._noted.update((id(df), df) for df in self._frames(val))
+                # a value is dropped once every consumer has read it
+                for p in n.parents:
+                    unread[id(p)] -= 1
+                    if not unread[id(p)]:
+                        del values[id(p)]
         finally:
             self._noted.clear()
             self._held.clear()

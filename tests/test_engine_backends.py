@@ -372,6 +372,28 @@ def test_a_boundary_shares_every_frame_in_one_round(spark, backend):
         assert eng.meter.bytes_sent == (18 * 2 + 1 * 2) * 8
 
 
+def test_a_value_is_dropped_once_every_consumer_has_read_it(spark, monkeypatch):
+    """The engine holds a node's value, its MPC shares included, only until
+    its last consumer has run: when the output runs, the one value left is
+    its parent's."""
+    from repro.queries import credit_card
+
+    held = {}
+    exec_node = Engine._exec_node
+
+    def spy(self, n, inputs, values):
+        held[n.name] = set(values)
+        return exec_node(self, n, inputs, values)
+
+    monkeypatch.setattr(Engine, "_exec_node", spy)
+    spec = credit_card.build()
+    plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
+    gen = credit_card.gen_inputs(n_holders=40, seed=2)
+    Engine(spark, ["a", "b", "c"]).run(plan, gen_to_spark(spark, gen))
+    (out,) = plan.dag.outputs
+    assert held[out.name] == {id(out.parents[0])}
+
+
 #: frames in the one boundary batch of each benchmark plan
 _BATCH_FRAMES = {"hhi-mpc": 3, "aspirin-public": 4, "credit-hybrid": 3}
 

@@ -91,6 +91,38 @@ def test_beaver_multiplication_correct(vm):
     np.testing.assert_array_equal(vm.reveal(vm.mul(av, bv)), a * b)
 
 
+@pytest.mark.parametrize("n_parties", [2, 3, 4])
+def test_beaver_product_shares_are_uniformish(n_parties):
+    """Each party's share of a product of public zeros looks uniform: the
+    dealer's shares mask it, including the remainder the last party gets."""
+    vm = SecretSharingVM(n_parties=n_parties, meter=Meter(), seed=3)
+    zero = vm.public(np.zeros(4000, dtype=np.int64))
+    z = vm.mul(zero, zero)
+    np.testing.assert_array_equal(vm.reveal(z), 0)
+    for party_share in z.shares:
+        top = (party_share >> np.uint64(56)).astype(np.int64)
+        counts = np.bincount(top, minlength=256)
+        assert counts.max() < 4 * counts.mean()
+        assert len(np.unique(party_share)) > 3900
+
+
+def test_beaver_multiplication_holds_few_vectors(vm):
+    """The dealer's shares are drawn party by party and each product
+    share is built in place: a multiplication of n elements holds at most
+    ten vectors of n words at a time (its three output shares included)."""
+    import tracemalloc
+
+    n = 50_000
+    av, bv = vm.share(np.arange(n, dtype=np.int64)), vm.share(np.ones(n, np.int64))
+    tracemalloc.start()
+    try:
+        vm.mul(av, bv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.1 * n * 8
+
+
 def test_beaver_multiplication_charges_communication(vm):
     av = vm.share(np.arange(1000, dtype=np.int64))
     r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
