@@ -157,10 +157,11 @@ class SharemindBackend:
         counted = mask
         if counted is None and None in overs:
             counted = self.vm.public(np.ones(n, np.int64))
-        vals = iter(vals)
-        cols = {out: counted if o is None else next(vals) for o, (_, _, out) in zip(overs, aggs)}
-        scales = {out: r.scale_of(o) for o, (_, _, out) in zip(overs, aggs)
-                  if o is not None and r.scale_of(o)}
+        vals, cols, scales = iter(vals), {}, {}
+        for o, (_, _, out) in zip(overs, aggs):
+            cols[out] = counted if o is None else next(vals)
+            if o is not None and r.scale_of(o):
+                scales[out] = r.scale_of(o)
         if not group:
             return SharedRelation({c: self.vm.sum(v) for c, v in cols.items()}, scales)
         key, outs = group[0], list(cols)

@@ -13,9 +13,14 @@ Push-down moves work out of MPC into local per-party preprocessing:
 
 Push-up moves reversible post-processing out of MPC to the recipient:
 scalar multiplication/division and reordering projections are reversible
-(the output determines the input), and a leaf COUNT aggregation is
+(the output determines the input), arithmetic over columns the recipient
+receives anyway reveals nothing new, and a leaf COUNT aggregation is
 rewritten into an MPC projection of the group columns plus a cleartext
 count at the recipient.
+
+Before both, sibling aggregations (one input, the same group columns)
+merge into one aggregation with several outputs, so the input is sorted
+and scanned once.
 """
 from __future__ import annotations
 
@@ -25,12 +30,16 @@ from . import dag as D
 _DISTRIBUTIVE = (D.Project, D.Filter, D.Arith)
 
 
+def _projection(parent: D.Node, cols: list[str]) -> D.Project:
+    return D.Project([parent], list(cols), cols=list(cols))
+
+
 def _clone_unary(op: D.Node, parent: D.Node) -> D.Node:
     """Copy a distributive unary operator onto a new parent. The clone
     inherits the parent's owner so the fixpoint loop sees fresh
     ownership without a full re-propagation."""
     if isinstance(op, D.Project):
-        clone = D.Project([parent], list(op.cols), cols=list(op.cols))
+        clone = _projection(parent, op.cols)
     elif isinstance(op, D.Filter):
         clone = D.Filter(
             [parent], list(op.out_cols), col=op.col, op=op.op, value=op.value
@@ -128,7 +137,7 @@ def merge_aggregations(dag: D.Dag) -> int:
             group_cols=list(first.group_cols), aggs=aggs,
         )
         for agg in group:
-            dag.replace_node(agg, D.Project([merged], list(agg.out_cols), cols=list(agg.out_cols)))
+            dag.replace_node(agg, _projection(merged, agg.out_cols))
         applied += 1
     for join in dag.nodes_of_type(D.Join):
         left, right = join.parents
@@ -139,7 +148,7 @@ def merge_aggregations(dag: D.Dag) -> int:
             and right.parents[0] is agg
             and agg.group_cols == [join.left_key] == [join.right_key]
         ):
-            dag.replace_node(join, D.Project([agg], list(join.out_cols), cols=list(join.out_cols)))
+            dag.replace_node(join, _projection(agg, join.out_cols))
     return applied
 
 
@@ -179,10 +188,7 @@ def push_up(dag: D.Dag) -> int:
                 and not cur.secondary
                 and cur.forced_site is None  # not a §5.3 hybrid aggregation
             ):
-                proj = D.Project(
-                    [cur.parents[0]], list(cur.group_cols), cols=list(cur.group_cols)
-                )
-                cur.parents = [proj]
+                cur.parents = [_projection(cur.parents[0], cur.group_cols)]
                 cur.forced_site = ("clear", recipient)
                 applied += 1
                 break

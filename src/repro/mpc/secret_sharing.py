@@ -176,7 +176,8 @@ class SecretSharingVM:
 
         The dealer draws the shares party by party, the last party's being
         what remains of a, b and c, and each party's z_i is built in place,
-        so the protocol holds about nine vectors of n words at a time."""
+        so the protocol holds about ten vectors of n words at a time, its
+        output included."""
         n = len(x)
         draw = self._rng.bit_generator.random_raw
         a, b = draw(n), draw(n)

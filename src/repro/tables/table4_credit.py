@@ -3,7 +3,8 @@
 Two systems over growing total record counts:
 
 * **conclave-hybrid** — trust annotations make the regulator an STP, so
-  the compiler emits a hybrid join + hybrid aggregations;
+  the compiler emits a hybrid join and one hybrid aggregation for the
+  SUM and the COUNT, and the regulator divides in the clear;
 * **sharemind** — the same query entirely under secret-sharing MPC,
   whose O(n²) join stops scaling in the tens of thousands (the paper's
   baseline does not complete 30k within two hours; our simulated VM

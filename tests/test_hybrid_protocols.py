@@ -101,7 +101,7 @@ def test_boundary_join_without_match_is_empty(spark, mode):
 
 def test_credit_with_disjoint_ssns_is_empty(spark):
     """No bank SSN is the regulator's: the hybrid join matches nothing,
-    and the hybrid aggregations see zero rows."""
+    and the hybrid aggregation sees zero rows."""
     gen = credit_card.gen_inputs(n_holders=60)
     for bank in ("scores_b", "scores_c"):
         gen[bank] = gen[bank].assign(ssn=gen[bank]["ssn"] + 1_000_000)
