@@ -5,7 +5,8 @@ Three systems over growing per-party trip counts:
 * **conclave** — full compiler (frontier push-down + aggregation split):
   all heavy lifting in local Spark jobs, a few rows under MPC;
 * **sharemind** — the whole query under secret-sharing MPC (push-down
-  disabled), which dies in the ~100k regime like the paper's baseline;
+  and sort elimination disabled: the parties' rows are sorted under MPC,
+  not merged), which dies in the ~100k regime like the paper's baseline;
 * **insecure spark** — the query in the clear on the unioned data.
 
 The paper runs to 1.3 B rows on a 9-node cluster; we sweep to 1 M rows
@@ -41,10 +42,12 @@ def point(spark: SparkSession, system: str, n_per_party: int) -> Meter:
         meter = Meter()
         run_query_clear(spark, spec.output, data).collect()
         return meter
+    conclave = system == "conclave"
     opts = CompileOptions(
         parties=spec.parties,
-        allow_cardinality_leaking_pushdown=(system == "conclave"),
-        enable_push_up=(system == "conclave"),
+        allow_cardinality_leaking_pushdown=conclave,
+        enable_push_up=conclave,
+        enable_sort_elimination=conclave,
     )
     plan = compile_query(spec.output, opts)
     eng = Engine(spark, [p.name for p in spec.parties])

@@ -11,7 +11,9 @@ keyed data, compiled three ways:
   altogether.
 
 Aggregation splitting is disabled so the benchmark measures the
-operator, not the push-down (as in the paper's Figure 5 setup).
+operator, not the push-down (as in the paper's Figure 5 setup), and so
+is §5.4 sort elimination, so that the MPC aggregation sorts its input
+rather than merging the parties' pre-sorted parts.
 
 :func:`repro.bench_util.sweep` drives :data:`SIZES` through :func:`point`.
 """
@@ -73,7 +75,8 @@ def point(spark: SparkSession, system: str, n_per_party: int) -> Meter:
     output, parties = _join_query(mode) if op == "join" else _agg_query(mode)
     plan = compile_query(
         output,
-        CompileOptions(parties=parties, allow_cardinality_leaking_pushdown=False),
+        CompileOptions(parties=parties, allow_cardinality_leaking_pushdown=False,
+                       enable_sort_elimination=False),
     )
     if system == "mpc-join":
         assert [j.site for j in plan.dag.nodes_of_type(D.Join)] == [("mpc",)]
