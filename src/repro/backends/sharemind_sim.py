@@ -9,6 +9,8 @@ column ``__mask``.
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import pandas as pd
 
@@ -110,7 +112,7 @@ class SharemindBackend:
 
     def aggregate(
         self, r: SharedRelation, group: list[str], aggs: list[tuple[str, str | None, str]],
-        *, input_sorted: bool = False, stp: str | None = None,
+        *, runs: Sequence[int] | None = None, stp: str | None = None,
     ) -> SharedRelation:
         """The SUM and COUNT outputs ``(op, over, out_col)`` of the rows a
         filter kept, grouped by at most one column, all in one pass.
@@ -118,7 +120,9 @@ class SharemindBackend:
         (:func:`P.aggregate_sum_by_key`), which scans every output's values
         in the same multiplications (a COUNT scans ones, free to make; a
         filtered one, the filter mask) and sums the mask with them to drop
-        the groups a filter emptied.
+        the groups a filter emptied. ``runs`` are the lengths of the runs
+        the rows come in, each in group-key order (see
+        :func:`P.oblivious_sort`).
 
         With ``stp`` it is the §5.3 hybrid aggregation: the columns it
         reads are shuffled, the group column is revealed to the STP, and
@@ -173,7 +177,7 @@ class SharemindBackend:
             cols[MASK] = mask
         return P.aggregate_sum_by_key(
             self.vm, SharedRelation({key: r.columns[key], **cols}, scales), key, outs,
-            self.rng, input_sorted=input_sorted, count=count, same=same,
+            self.rng, runs=runs, count=count, same=same,
         ).project([key] + outs)
 
     def join(
@@ -206,24 +210,31 @@ class SharemindBackend:
         return self.shuffle([joined])[0]
 
     def distinct_count(
-        self, r: SharedRelation, col: str, out_col: str, *, input_sorted: bool
+        self, r: SharedRelation, col: str, out_col: str, *,
+        runs: Sequence[int] | None = None,
     ) -> SharedRelation:
+        """COUNT(DISTINCT col) over the rows a filter kept; ``runs`` as in
+        :meth:`aggregate`."""
         key = r.columns[col]
         mask = r.columns.get(MASK)
-        if not input_sorted:
+        if runs is None or len(runs) > 1:
             work_cols = {col: key}
             if mask is not None:
                 work_cols[MASK] = mask
-            work = P.oblivious_sort(self.vm, SharedRelation(work_cols), col)
+            work = P.oblivious_sort(self.vm, SharedRelation(work_cols), col, runs=runs)
             key = work.columns[col]
             mask = work.columns.get(MASK)
         cnt = P.distinct_count_sorted(self.vm, key, mask)
         return SharedRelation({out_col: cnt})
 
-    def sort_by(self, r: SharedRelation, col: str, ascending: bool) -> SharedRelation:
+    def sort_by(
+        self, r: SharedRelation, col: str, ascending: bool, *,
+        runs: Sequence[int] | None = None,
+    ) -> SharedRelation:
+        """ORDER BY col; ``runs`` as in :meth:`aggregate`, in this order."""
         if MASK in r.columns:
             raise NotImplementedError("sort over filtered MPC relations")
-        return P.oblivious_sort(self.vm, r, col, descending=not ascending)
+        return P.oblivious_sort(self.vm, r, col, descending=not ascending, runs=runs)
 
     def take(self, r: SharedRelation, idx) -> SharedRelation:
         """Rows at public positions ``idx`` (an index array or a slice):

@@ -11,13 +11,13 @@
    (§5.3): a join or aggregation is pinned to ``("hybrid", stp)`` or
    ``("public", party)`` in place;
 5. push-up of reversible leaf operators, column arithmetic over columns
-   the recipient receives anyway included (§5.2), and sort-order tracking /
-   oblivious-sort elimination (§5.4);
+   the recipient receives anyway included (§5.2);
 6. site assignment — every node is pinned to ``("clear", party)``,
    ``("mpc",)``, ``("hybrid", stp)`` or ``("public", party)``: a site
-   pinned by step 4 or 5 first, else ``("clear", owner)``, else MPC; the
-   runtime engine interprets the annotated DAG in topological order,
-   entering/leaving MPC at site transitions.
+   pinned by step 4 or 5 first, else ``("clear", owner)``, else MPC —
+   then sort-order tracking / oblivious-sort elimination (§5.4), which
+   reads the sites; the runtime engine interprets the annotated DAG in
+   topological order, entering/leaving MPC at site transitions.
 
 All passes are deterministic, so every party derives the identical plan
 (the paper's requirement that parties agree on the computation).
@@ -108,13 +108,13 @@ def compile_query(
         enable_public_join=options.enable_public_join,
     )
 
-    # 5: push-up + sort tracking
+    # 5: push-up
     if options.enable_push_up:
         rewrites["push_up"] = push_up(dag)
         propagate_ownership(dag)
         propagate_trust(dag, options.parties)
-    track_sort_orders(dag, enabled=options.enable_sort_elimination)
 
-    # 6: site assignment
+    # 6: site assignment, then sort tracking, which reads the sites
     _assign_sites(dag)
+    track_sort_orders(dag, enabled=options.enable_sort_elimination)
     return Plan(dag=dag, options=options, rewrites=rewrites)

@@ -9,6 +9,20 @@ free). When a sort-based MPC aggregation or distinct-count sees input
 already sorted by its key, its ``input_sorted`` flag is set and the
 engine skips the oblivious sort — the optimization that reduces the
 aspirin-count MPC from O(n log n) to O(n) (§7.4).
+
+A sort-based MPC operator keyed on one column — a grouped, non-hybrid
+aggregation, a distinct-count or an order-by — whose input is an MPC
+concat of parts that are each clear at a party, read by this operator
+alone, gets a :class:`~repro.core.dag.Runs` instead. (Filters,
+projections and arithmetic between them are never left there: the §5.2
+push-down moves them into each party's part.) Each party then sorts its
+own part by that key, in the operator's direction, before inputToMPC
+(§5.2: the work moves to the party's clear stage), and under MPC the
+operator runs only the merge levels of the Batcher network over these
+runs. A party ordering its own rows reveals nothing, and the run lengths
+are the part sizes inputToMPC makes public.
+
+Runs after site assignment, which it reads.
 """
 from __future__ import annotations
 
@@ -20,7 +34,37 @@ def _pinned(n: D.Node, kind: str) -> bool:
     return n.forced_site is not None and n.forced_site[0] == kind
 
 
+def _sort_key(n: D.Node) -> tuple[str, bool] | None:
+    """The column an MPC operator sorts its input by and whether
+    descending, or None if it does not sort."""
+    if n.site != ("mpc",):
+        return None
+    if isinstance(n, D.Aggregate) and len(n.group_cols) == 1:
+        return n.group_cols[0], False
+    if isinstance(n, D.DistinctCount):
+        return n.col, False
+    if isinstance(n, D.SortBy):
+        return n.col, not n.ascending
+    return None
+
+
+def _runs(n: D.Node, cons: dict[int, list[D.Node]]) -> D.Runs | None:
+    """:class:`D.Runs` for a sort-based MPC operator whose input is an MPC
+    concat of clear parts read by it alone, or None."""
+    sort = _sort_key(n)
+    p = n.parents[0] if sort else None
+    if (
+        isinstance(p, D.Concat)
+        and p.site == ("mpc",)
+        and len(cons[id(p)]) == 1
+        and all(q.site[0] == "clear" for q in p.parents)
+    ):
+        return D.Runs(p, *sort)
+    return None
+
+
 def track_sort_orders(dag: D.Dag, *, enabled: bool = True) -> None:
+    cons = dag.consumers()
     for n in dag.topo_order():
         n.input_sorted = False
         if isinstance(n, D.Input):
@@ -52,3 +96,5 @@ def track_sort_orders(dag: D.Dag, *, enabled: bool = True) -> None:
             n.sorted_by = None
         else:  # Concat, MPC or hybrid Join
             n.sorted_by = None
+        if enabled and not n.input_sorted:
+            n.input_sorted = _runs(n, cons) or False

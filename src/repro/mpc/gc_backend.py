@@ -33,6 +33,7 @@ Calibration constants (documented in DESIGN.md §2.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -190,7 +191,7 @@ class GCBackend:
 
     def aggregate(
         self, rel: GCRelation, group: list[str], aggs: list[tuple[str, str | None, str]],
-        *, input_sorted: bool = False, stp: str | None = None,
+        *, runs: Sequence[int] | None = None, stp: str | None = None,
     ) -> GCRelation:
         """The SUM and COUNT outputs ``(op, over, out_col)`` of mask=1
         rows, grouped by at most one column, all in one circuit.
@@ -198,9 +199,10 @@ class GCBackend:
         Ungrouped, an adder chain per output. Grouped, a sort-based
         grouped sum (Jónsson et al. in circuits) over the projected
         (key, values) records, each output's value widening the record by
-        ``BIT_WIDTH``: a Batcher sorting network, skipped when the input
-        is sorted, then a linear oblivious scan of an eq and, per value,
-        an add and two muxes. The output is unpadded (leaks the group
+        ``BIT_WIDTH``: a Batcher sorting network, only its merge levels
+        when the input comes in sorted ``runs`` (none for one run), then
+        a linear oblivious scan of an eq and, per value, an add and two
+        muxes. The output is unpadded (leaks the group
         count), matching SMCQL/Conclave behaviour (§7.4). The §5.3 hybrid
         aggregation (``stp``) needs the secret-sharing backend."""
         if stp is not None:
@@ -228,36 +230,39 @@ class GCBackend:
         mux_and, _ = gate_counts("mux", BIT_WIDTH)
         swap_and, _ = gate_counts("cmp_swap", (1 + k) * BIT_WIDTH)
         gates = n * (eq_and + k * (add_and + 2 * mux_and))
-        if not input_sorted:
-            gates += sort_comparators(n) * swap_and
+        gates += sort_comparators(n, runs) * swap_and
         self.meter.charge_gates(and_gates=gates)
         self._charge_live("gc aggregation", self._bits(n, 2 + k) * 2)
         sums = rel.kept().groupby(key, as_index=False)
         return GCRelation(sums.agg(**{out: (o, "sum") for out, o in outs.items()}))
 
     def distinct_count(
-        self, rel: GCRelation, col: str, out_col: str, *, input_sorted: bool
+        self, rel: GCRelation, col: str, out_col: str, *,
+        runs: Sequence[int] | None = None,
     ) -> GCRelation:
         """COUNT(DISTINCT col) (over mask=1 rows if filtered): sort
-        network + eq-scan + counter adds."""
+        network (``runs`` as in :meth:`aggregate`) + eq-scan + counter
+        adds."""
         n = rel.n_rows
         eq_and, _ = gate_counts("eq", BIT_WIDTH)
         add_and, _ = gate_counts("add", BIT_WIDTH)
         swap_and, _ = gate_counts("cmp_swap", BIT_WIDTH)
-        gates = n * (eq_and + add_and)
-        if not input_sorted:
-            gates += sort_comparators(n) * swap_and
+        gates = n * (eq_and + add_and) + sort_comparators(n, runs) * swap_and
         self.meter.charge_gates(and_gates=gates)
         self._charge_live("gc distinct", self._bits(n, 2))
         return GCRelation(pd.DataFrame({out_col: [np.int64(rel.kept()[col].nunique())]}))
 
-    def sort_by(self, rel: GCRelation, col: str, ascending: bool) -> GCRelation:
-        """ORDER BY col: a full sorting network over the records."""
+    def sort_by(
+        self, rel: GCRelation, col: str, ascending: bool, *,
+        runs: Sequence[int] | None = None,
+    ) -> GCRelation:
+        """ORDER BY col: a sorting network over the records (``runs`` as
+        in :meth:`aggregate`, in this order)."""
         if MASK in rel.pdf.columns:
             raise NotImplementedError("sort over filtered MPC relations")
         n = rel.n_rows
         swap_and, _ = gate_counts("cmp_swap", 2 * BIT_WIDTH)
-        self.meter.charge_gates(and_gates=sort_comparators(n) * swap_and)
+        self.meter.charge_gates(and_gates=sort_comparators(n, runs) * swap_and)
         self._charge_live("gc sort", self._bits(n, rel.n_cols) * 2)
         out = rel.pdf.sort_values(col, ascending=ascending, kind="stable")
         return GCRelation(out.reset_index(drop=True))

@@ -19,7 +19,7 @@ the communication they would cost in a real deployment.
 """
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,9 +48,10 @@ def oblivious_shuffle(
 
 
 # -------------------------------------------------------------------- sort
-def _batcher_pairs(n: int):
-    """Compare-exchange layers of Batcher's odd-even mergesort on n rows.
-    Yields (i_idx, j_idx) index arrays per layer, with i < j.
+def _batcher_pairs(n: int, first: int = 1):
+    """Compare-exchange layers of Batcher's odd-even mergesort on n rows,
+    from the merge of ``first``-blocks up (a power of two; 1 is the whole
+    sort). Yields (i_idx, j_idx) index arrays per layer, with i < j.
 
     Layer (p, k) pairs x with x + k for every x in [k % p, n - k) that
     starts a k-block at offset k % p and stays inside its 2p-block. For n
@@ -58,7 +59,7 @@ def _batcher_pairs(n: int):
     n rounded up to a power of two, and a layer left empty is dropped: a
     padded row would hold a key no real key passes, so no comparator
     touching one would swap."""
-    p = 1
+    p = first
     while p < n:
         k = p
         while k >= 1:
@@ -71,9 +72,58 @@ def _batcher_pairs(n: int):
         p *= 2
 
 
-def sort_comparators(n: int) -> int:
-    """Compare-exchanges :func:`oblivious_sort` runs on ``n`` rows."""
-    return sum(len(i) for i, _ in _batcher_pairs(n))
+def _merge_pairs(at: np.ndarray, block: int):
+    """Batcher's odd-even merge of sorted runs, one run per ``block``
+    positions of ``at`` (the row at each position, -1 at a pad; a pad
+    sorts after every row). Yields each layer's comparators of two rows
+    as (i_idx, j_idx) row arrays. A comparator of a pad and a later row
+    always moves the row up: it is done on ``at`` in place, since where
+    the pads are is public, and costs nothing."""
+    for i, j in _batcher_pairs(len(at), block):
+        ri, rj = _merge_step(at, i, j)
+        if len(ri):
+            yield ri, rj
+
+
+def _merge_step(at: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """One layer of :func:`_merge_pairs`: move rows up past pads in ``at``,
+    return the comparators of two rows (disjoint from the moves). Its
+    temporaries, as long as the layer, are gone before the caller
+    compares."""
+    ri, rj = at[i], at[j]
+    up = (ri < 0) & (rj >= 0)
+    at[i[up]], at[j[up]] = rj[up], -1
+    both = (ri >= 0) & (rj >= 0)
+    return ri[both], rj[both]
+
+
+def _sort_layers(n: int, runs: Sequence[int] | None):
+    """The layers :func:`oblivious_sort` runs on ``n`` rows, and the array
+    its :func:`_merge_pairs` updates (None for the whole sort).
+
+    ``runs`` None is the whole pruned sort. Otherwise the rows are sorted
+    runs of these lengths, in order: each non-empty run is laid out in a
+    block of the next power of two at or above the longest, the blocks
+    padded to a power of two with empty ones, and only the merge levels
+    above the block run. The layout is public bookkeeping: no share is
+    padded."""
+    if runs is None:
+        return _batcher_pairs(n), None
+    if sum(runs) != n:
+        raise ValueError(f"runs {list(runs)} do not cover {n} rows")
+    runs = [r for r in runs if r]
+    block = 1 << max(0, int(max(runs, default=0)) - 1).bit_length()
+    at = np.full(block << max(0, len(runs) - 1).bit_length(), -1, np.int32)
+    starts = np.cumsum(runs) - runs
+    for t, (s, r) in enumerate(zip(starts, runs)):
+        at[t * block:t * block + r] = np.arange(s, s + r)
+    return _merge_pairs(at, block), at
+
+
+def sort_comparators(n: int, runs: Sequence[int] | None = None) -> int:
+    """Compare-exchanges :func:`oblivious_sort` runs on ``n`` rows, or on
+    sorted ``runs`` of these lengths."""
+    return sum(len(i) for i, _ in _sort_layers(n, runs)[0])
 
 
 def _own(v: SharedVector) -> SharedVector:
@@ -87,26 +137,42 @@ def oblivious_sort(
     key: str,
     *,
     descending: bool = False,
+    runs: Sequence[int] | None = None,
 ) -> SharedRelation:
     """Sort a shared relation by one column with a Batcher network of
     oblivious compare-exchanges over its n rows: O(n log² n) comparisons.
     Each layer compares its pairs' keys in one batch, then swaps every
     column of every out-of-order pair with one batched Beaver
-    multiplication, so one round per layer, whatever the column count."""
-    if rel.n_rows <= 1:
+    multiplication, so one round per layer, whatever the column count.
+
+    With ``runs`` (public lengths of consecutive runs already in the
+    order asked for, summing to n) only the merge levels of the network
+    run (:func:`_sort_layers`): with k runs of at most L rows, k and L
+    rounded up to powers of two, log₂k·(log₂L + 1) + log₂k·(log₂k − 1)/2
+    layers at most instead of the whole sort's; a single run is returned
+    as it is. Only comparators of two rows are charged, and which ones
+    depends on the run lengths alone. A row keeps its slot in the share
+    arrays: a comparator that touches a pad only changes which slot
+    stands at which position of the layout, and at the end a public
+    permutation (share-local) reads the slots in position order."""
+    if rel.n_rows <= 1 or (runs is not None and np.count_nonzero(runs) <= 1):
         return rel
     cols = {name: _own(v) for name, v in rel.columns.items()}
-    for i_idx, j_idx in _batcher_pairs(rel.n_rows):
+    layers, at = _sort_layers(rel.n_rows, runs)
+    for i_idx, j_idx in layers:
         ki = vm.take(cols[key], i_idx)
         kj = vm.take(cols[key], j_idx)
-        # swap if out of order
+        # swap if out of order, once per column
         swap = vm.lt(kj, ki) if not descending else vm.lt(ki, kj)
-        diffs = [
+        swap = vm.concat([swap] * len(cols))
+        diffs = vm.concat([
             vm.sub(kj, ki) if name == key
             else vm.sub(vm.take(v, j_idx), vm.take(v, i_idx))
             for name, v in cols.items()
-        ]
-        delta = vm.mul(vm.concat([swap] * len(diffs)), vm.concat(diffs))
+        ])
+        # only the multiplication's operands are held while it runs
+        del ki, kj
+        delta = vm.mul(swap, diffs)
         # the comparators of one layer are disjoint, so updating in place
         # reads no value this layer has already written
         m = len(i_idx)
@@ -115,6 +181,11 @@ def oblivious_sort(
             for s, d in zip(v.shares, delta.shares):
                 s[i_idx] += d[part]
                 s[j_idx] -= d[part]
+    if at is not None:
+        # the pads end last, so the rows' final order is ``at`` without them
+        order = at[at >= 0]
+        for name in cols:
+            cols[name] = vm.take(cols[name], order)
     return rel.with_columns(cols)
 
 
@@ -205,7 +276,7 @@ def aggregate_sum_by_key(
     values: str | list[str],
     rng: np.random.Generator,
     *,
-    input_sorted: bool = False,
+    runs: Sequence[int] | None = None,
     count: str | None = None,
     same: SharedVector | None = None,
 ) -> SharedRelation:
@@ -215,8 +286,9 @@ def aggregate_sum_by_key(
     group-end flags, keep group ends. Leaks the number of distinct keys
     (the paper's protocol does not pad either, §7.4 comorbidity).
 
-    With ``input_sorted=True`` the oblivious sort is skipped — the §5.4
-    sort-elimination optimization. With ``same`` (shared flags [row i has
+    With ``runs`` (the lengths of the runs the rows come in, each already
+    in key order) the sort is only a merge of the runs, or skipped for one
+    run — the §5.4 sort elimination. With ``same`` (shared flags [row i has
     the key of row i-1] of rows already in key order, as the §5.3 hybrid
     aggregation's STP sends them) the sort and the equality flags are both
     skipped. ``count`` names a 0/1 column (a filter mask, or one of
@@ -226,8 +298,8 @@ def aggregate_sum_by_key(
     values = [values] if isinstance(values, str) else values
     work = rel.project([key, *values] + ([count] if count not in (None, *values) else []))
     if same is None:
-        if not input_sorted and work.n_rows > 1:
-            work = oblivious_sort(vm, work, key)
+        if (runs is None or len(runs) > 1) and work.n_rows > 1:
+            work = oblivious_sort(vm, work, key, runs=runs)
         same = _same_key_flags(vm, work.columns[key])
     summed = [c for c in work.column_names if c != key]
     sums = segmented_scan_sum(vm, [work.columns[c] for c in summed], same)

@@ -30,6 +30,11 @@ one thread per frame), as the parties' own clusters would send their
 ``inputToMPC`` at once; the batch finishes before the backend call of
 the node that asked for it.
 
+A sort-based MPC operator compiled with :class:`~repro.core.dag.Runs`
+merges its input's parts: the node that shares them (their concat) has
+each party sort its collected frame by the key first, and the parts'
+lengths are the runs the operator's backend call merges.
+
 The engine itself holds only Spark and cleartext work: every step under
 MPC is a call on one backend object, which owns the format of its MPC
 relations. All MPC/communication work is charged to one :class:`Meter`.
@@ -98,6 +103,10 @@ class Engine:
         self._cons: dict[int, list[D.Node]] = {}
         self._noted: dict[int, DataFrame] = {}
         self._held: dict[int, pd.DataFrame] = {}
+        # the §5.4 merge: each concat whose parts the parties sort, by id,
+        # with its consumer's Runs, and once shared, its parts' lengths
+        self._presort: dict[int, D.Runs] = {}
+        self._run_lengths: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------ helpers
     def _to_spark(self, pdf: pd.DataFrame) -> DataFrame:
@@ -138,14 +147,21 @@ class Engine:
             return [df for _, df in sorted(val.parts.items())]
         return []
 
-    def _ensure_mpc_all(self, vals: list) -> list:
+    def _ensure_mpc_all(self, vals: list, runs: D.Runs | None = None) -> list:
         """inputToMPC for every parent of a node: collect all their clear
         frames in one batch, then secret-share them in parent and party
         order, every frame in the same round. A partitioned value is
         shared part by part and concatenated; an MPC value passes
-        through."""
+        through. With ``runs`` (the node is its concat), each party first
+        sorts its frame by the key, stably, and the frames' lengths are
+        kept for the operator that merges them."""
         frames = [self._frames(v) for v in vals]
         pdfs = self._collect([df for fs in frames for df in fs])
+        if runs is not None:
+            pdfs = [pdf.sort_values(runs.key, ascending=not runs.descending,
+                                    kind="stable", ignore_index=True)
+                    for pdf in pdfs]
+            self._run_lengths[id(runs.concat)] = [len(pdf) for pdf in pdfs]
         with self.meter.together():
             shares = iter([self._share(pdf) for pdf in pdfs])
         out = []
@@ -224,6 +240,8 @@ class Engine:
         self.meter.restart_wall()
         dag = plan.dag
         self._cons = dag.consumers()
+        flags = [n.input_sorted for n in dag.topo_order()]
+        self._presort = {id(r.concat): r for r in flags if isinstance(r, D.Runs)}
         values: dict[int, object] = {}
         unread = {k: len(c) for k, c in self._cons.items()}
         try:
@@ -239,6 +257,7 @@ class Engine:
         finally:
             self._noted.clear()
             self._held.clear()
+            self._run_lengths.clear()
         out = values[id(dag.outputs[0])]
         assert isinstance(out, ClearVal)
         return out.df
@@ -270,8 +289,9 @@ class Engine:
     # --------------------------------------------------------------- mpc
     def _exec_mpc(self, n: D.Node, pvals):
         be = self.backend
-        args = self._ensure_mpc_all(pvals)
+        args = self._ensure_mpc_all(pvals, self._presort.get(id(n)))
         stp = n.site[1] if n.site[0] == "hybrid" else None
+        runs = self._runs(n, args[0])
         if isinstance(n, D.Concat):
             return be.concat(args)
         if isinstance(n, D.Project):
@@ -284,19 +304,25 @@ class Engine:
             return be.arith(args[0], n.out_col, n.left, n.op, n.right)
         if isinstance(n, D.Aggregate):
             return be.aggregate(
-                args[0], n.group_cols, n.aggs, input_sorted=n.input_sorted, stp=stp
+                args[0], n.group_cols, n.aggs, runs=runs, stp=stp
             )
         if isinstance(n, D.Join):
             return be.join(args[0], args[1], n.left_key, n.right_key, stp=stp)
         if isinstance(n, D.DistinctCount):
-            return be.distinct_count(
-                args[0], n.col, n.out_col, input_sorted=n.input_sorted
-            )
+            return be.distinct_count(args[0], n.col, n.out_col, runs=runs)
         if isinstance(n, D.SortBy):
-            return be.sort_by(args[0], n.col, n.ascending)
+            return be.sort_by(args[0], n.col, n.ascending, runs=runs)
         if isinstance(n, D.Limit):
             return be.limit(args[0], n.n)
         raise NotImplementedError(type(n))  # pragma: no cover
+
+    def _runs(self, n: D.Node, rel) -> list[int] | None:
+        """The lengths of the sorted runs ``n``'s MPC input ``rel`` comes
+        in: one run when it is sorted already, its concat's parts for a
+        §5.4 merge, None otherwise."""
+        if isinstance(n.input_sorted, D.Runs):
+            return self._run_lengths[id(n.input_sorted.concat)]
+        return [rel.n_rows] if n.input_sorted else None
 
     # ------------------------------------------------------- public join
     def _exec_public_join(self, n: D.Join, pvals):

@@ -194,7 +194,7 @@ def test_hybrid_join_runs_both_sides_in_the_same_rounds(be):
 @pytest.mark.parametrize("presorted", [True, False])
 def test_distinct_count_paths(be, presorted):
     r = be.input_rel(_pdf(c=[1, 1, 2, 3, 3, 3]))
-    out = be.reveal(be.distinct_count(r, "c", "dc", input_sorted=presorted), "p0")
+    out = be.reveal(be.distinct_count(r, "c", "dc", runs=[6] if presorted else None), "p0")
     assert out["dc"].iloc[0] == 3
 
 
@@ -445,7 +445,7 @@ def test_gc_adapter_arith_unsupported(gc):
 
 def test_gc_adapter_distinct_count(gc):
     r = gc.input_rel(_pdf(c=[5, 5, 6]))
-    out = gc.distinct_count(r, "c", "dc", input_sorted=True)
+    out = gc.distinct_count(r, "c", "dc", runs=[3])
     assert out.pdf["dc"].iloc[0] == 2
 
 

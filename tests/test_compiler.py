@@ -350,6 +350,38 @@ def test_sortby_then_aggregate_eliminates_sort():
     assert agg.input_sorted
 
 
+def _over_concat(tail, **opts):
+    """Compile ``tail`` applied to the MPC concat of two parties' tables
+    (``g`` trusted to party c, the STP), and return the sort flags of its
+    MPC and hybrid nodes, in topological order."""
+    pa, pb, pc = Party("a"), Party("b"), Party("c")
+    cols = lambda: [Column("g", trust=(pc,)), Column("v")]  # noqa: E731
+    rows = concat([newTable(cols(), at=pa, name="xa"), newTable(cols(), at=pb, name="xb")])
+    plan = compile_query(tail(rows).collect(to=[pa]), CompileOptions(
+        parties=[pa, pb, pc], allow_cardinality_leaking_pushdown=False, **opts))
+    return [n.input_sorted for n in plan.nodes() if n.site[0] in ("mpc", "hybrid")]
+
+
+def test_a_sort_over_the_parties_concat_becomes_a_merge():
+    """Each party pre-sorts its part for a sort-based MPC operator that
+    reads the concat of the parties' parts, in the operator's direction;
+    not with sort elimination off, not for a hybrid aggregation (its STP
+    sorts in the clear), and not for a concat read twice."""
+    agg = lambda r: r.aggregate("s", D.SUM, group=["g"], over="v")  # noqa: E731
+    [cat, merged] = _over_concat(lambda r: agg(r.project(["g", "v"])), enable_hybrid=False)
+    assert cat is False
+    assert (merged.key, merged.descending) == ("g", False)
+    assert isinstance(merged.concat, D.Concat)
+    [_, top] = _over_concat(lambda r: r.sort_by("v", ascending=False))
+    assert (top.key, top.descending) == ("v", True)
+    [_, dc] = _over_concat(lambda r: r.distinct_count("g"))
+    assert (dc.key, dc.descending) == ("g", False)
+    assert not any(_over_concat(agg, enable_hybrid=False, enable_sort_elimination=False))
+    assert not any(_over_concat(agg))  # hybrid: pinned to the STP
+    twice = lambda r: agg(r).cross(r.distinct_count("v"))  # noqa: E731
+    assert not any(_over_concat(twice, enable_hybrid=False))
+
+
 # -------------------------------------------------------- site assignment
 def test_every_node_has_a_site():
     for spec in [
@@ -377,12 +409,13 @@ def test_comorbidity_plan_shape():
 _MARKET_LOCAL = ["Input clear:{0}", "Filter clear:{0}", "Project clear:{0}",
                  "Aggregate clear:{0}"]
 _MARKET = [s.format(p) for p in "abc" for s in _MARKET_LOCAL] + [
-    "Concat mpc", "Aggregate mpc", "Aggregate mpc", "Join mpc", "Arith mpc",
+    # each party sorts its pre-aggregates: the combiner merges three runs
+    "Concat mpc", "Aggregate mpc merged", "Aggregate mpc", "Join mpc", "Arith mpc",
     "Arith mpc", "Aggregate mpc", "Output clear:a",
 ]
 _COMORBIDITY = [
     "Input clear:h1", "Aggregate clear:h1", "Input clear:h2", "Aggregate clear:h2",
-    "Concat mpc", "Aggregate mpc", "SortBy mpc", "Limit mpc", "Output clear:h1",
+    "Concat mpc", "Aggregate mpc merged", "SortBy mpc", "Limit mpc", "Output clear:h1",
 ]
 _ASPIRIN_INPUTS = ["Input clear:h1", "Input clear:h2", "Concat mpc"] * 2
 _CREDIT_INPUTS = ["Input clear:a", "Input clear:b", "Input clear:c", "Concat mpc"]
@@ -418,10 +451,13 @@ PLAN_PINS = [
          for q, o, _ in PLAN_PINS],
 )
 def test_paper_query_plans_are_pinned(query, options, pins):
-    """Every node's type, site and sort elimination, in topological order:
-    a change to placement has to show itself here."""
+    """Every node's type, site and sort elimination (skipped, or a merge of
+    sorted runs), in topological order: a change to placement has to show
+    itself here."""
     plan = _compile(query.build(), **options)
     assert [
-        f"{type(n).__name__} {':'.join(n.site)}" + (" sorted" if n.input_sorted else "")
+        f"{type(n).__name__} {':'.join(n.site)}"
+        + (" merged" if isinstance(n.input_sorted, D.Runs)
+           else " sorted" if n.input_sorted else "")
         for n in plan.nodes()
     ] == pins

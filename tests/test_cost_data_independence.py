@@ -79,9 +79,12 @@ def _hhi():
 def _comorbidity():
     """Each party's twin holds the same set of diagnosis codes, relabelled,
     with new multiplicities: the group counts stay, the counts the top-k
-    sort compares change."""
+    sort compares change. The parties share half their codes, so the
+    relabelling also changes how the codes of the two parties' pre-sorted
+    runs interleave in the combiner's merge."""
     spec = comorbidity.build()
     gen = comorbidity.gen_inputs(n_per_party=80, distinct_key_frac=0.2, seed=1)
+    gen["cdiag_h2"]["diag"] += 8
     twin = _twin(gen, "diag", [], seed=2)
     g = np.random.default_rng(3)
     for df in twin.values():

@@ -302,6 +302,127 @@ def test_fractional_column_into_mpc_raises(spark, backend, leaking):
         eng.run(plan, gen_to_spark(spark, gen))
 
 
+# ------------------------------------- §5.4 merge of pre-sorted parts
+def _merged(plan) -> list[D.Runs]:
+    return [n.input_sorted for n in plan.nodes() if isinstance(n.input_sorted, D.Runs)]
+
+
+def _revenue():
+    """The per-company revenue of the HHI query over its three parties'
+    trip books: the MPC aggregation that HHI wholly under MPC merges."""
+    from repro.queries import market_concentration
+
+    spec = market_concentration.build()
+    gen = market_concentration.gen_inputs(n_per_party=50, seed=1)
+    taxi = concat([newTable([Column("companyID"), Column("price")], at=p,
+                            name=f"taxi_{p.name}") for p in spec.parties])
+    out = (taxi.aggregate("rev", D.SUM, group=["companyID"], over="price")
+           .collect(to=[spec.parties[0]]))
+    sql = " UNION ALL ".join(f"SELECT * FROM taxi_{p.name}" for p in spec.parties)
+    sql = f"SELECT companyID, SUM(price) AS rev FROM ({sql}) GROUP BY companyID"
+    return out, spec.parties, {"allow_cardinality_leaking_pushdown": False}, gen, sql
+
+
+def _hhi():
+    from repro.queries import market_concentration
+
+    spec = market_concentration.build()
+    gen = market_concentration.gen_inputs(n_per_party=50, seed=1)
+    opts = {"allow_cardinality_leaking_pushdown": False, "enable_push_up": False}
+    return spec.output, spec.parties, opts, gen, spec.oracle_sql
+
+
+def _mpc_agg():
+    from repro.tables.table3_hybrid import _agg_query
+
+    out, parties = _agg_query("mpc")
+    g = np.random.default_rng(2)
+    gen = {n: _pdf(k=g.integers(-3, 9, 40), v=g.integers(-50, 50, 40))
+           for n in ("ga", "gb")}
+    sql = ("SELECT k, SUM(v) AS s FROM (SELECT * FROM ga UNION ALL SELECT * FROM gb) "
+           "GROUP BY k")
+    return out, parties, {"allow_cardinality_leaking_pushdown": False}, gen, sql
+
+
+def _comorbidity():
+    from repro.queries import comorbidity
+
+    spec = comorbidity.build()
+    gen = comorbidity.gen_inputs(n_per_party=120, distinct_key_frac=0.2, seed=3)
+    return spec.output, spec.parties, {}, gen, spec.oracle_sql
+
+
+#: the garbled-circuit backend runs no arithmetic, so HHI runs on the
+#: secret-sharing backend only; its merged aggregation runs on both
+_MERGED = [("hhi", "sharemind", _hhi)] + [
+    (name, backend, case) for name, case in
+    (("revenue", _revenue), ("mpc-agg", _mpc_agg), ("comorbidity", _comorbidity))
+    for backend in BACKENDS
+]
+
+
+@pytest.mark.parametrize("name,backend,case", _MERGED,
+                         ids=[f"{n}-{b}" for n, b, _ in _MERGED])
+def test_a_merge_of_pre_sorted_parts_matches_duckdb(spark, name, backend, case):
+    """Each party sorts its part of the MPC concat before inputToMPC, and
+    the sort-based aggregation merges the runs: the results are DuckDB's."""
+    out, parties, opts, gen, sql = case()
+    plan = compile_query(out, CompileOptions(parties=parties, **opts))
+    [runs] = _merged(plan)
+    assert isinstance(runs.concat, D.Concat) and not runs.descending
+    eng = Engine(spark, [p.name for p in parties], backend=backend)
+    assert_equivalent(eng.run(plan, gen_to_spark(spark, gen)), sql, **gen)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_concat_with_an_mpc_part_is_sorted_in_full(spark, backend):
+    """A part computed under MPC has no party to sort it: the aggregation
+    over the concat sorts all its rows, and still matches DuckDB."""
+    a, b, c = Party("a"), Party("b"), Party("c")
+    left = newTable([Column("k"), Column("v")], at=a, name="l")
+    right = newTable([Column("k"), Column("w")], at=b, name="r")
+    joined = left.join(right, left="k", right="k").project(["k", "v"])
+    third = newTable([Column("k"), Column("v")], at=c, name="t")
+    out = (concat([joined, third]).aggregate("s", D.SUM, group=["k"], over="v")
+           .collect(to=[a]))
+    plan = compile_query(
+        out, CompileOptions(parties=[a, b, c], allow_cardinality_leaking_pushdown=False)
+    )
+    agg = [n for n in plan.dag.nodes_of_type(D.Aggregate) if n.site == ("mpc",)]
+    assert [n.input_sorted for n in agg] == [False]
+    gen = {"l": _pdf(k=[3, 1, 2, 5], v=[10, 20, 30, 40]),
+           "r": _pdf(k=[1, 2, 2, 9], w=[0, 0, 0, 0]),
+           "t": _pdf(k=[2, 7, 1], v=[1, 2, 3])}
+    eng = Engine(spark, ["a", "b", "c"], backend=backend)
+    assert_equivalent(
+        eng.run(plan, gen_to_spark(spark, gen)),
+        "SELECT k, SUM(v) AS s FROM (SELECT l.k, l.v FROM l JOIN r ON l.k = r.k "
+        "UNION ALL SELECT * FROM t) GROUP BY k",
+        **gen,
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_descending_sort_over_a_concat_merges(spark, backend):
+    """ORDER BY v DESC over three parties' rows: each party sorts its part
+    descending, and the merged rows come out in DuckDB's order."""
+    parties = [Party(p) for p in "abc"]
+    rows = concat([newTable([Column("k"), Column("v")], at=p, name=f"s{p.name}")
+                   for p in parties])
+    out = rows.sort_by("v", ascending=False).collect(to=[parties[0]])
+    plan = compile_query(out, CompileOptions(parties=parties))
+    [runs] = _merged(plan)
+    assert (runs.key, runs.descending) == ("v", True)
+    g = np.random.default_rng(9)
+    gen = {f"s{p}": _pdf(k=np.arange(n) + 100 * i, v=g.integers(-4, 5, n))
+           for i, (p, n) in enumerate(zip("abc", (9, 0, 14)))}
+    eng = Engine(spark, ["a", "b", "c"], backend=backend)
+    got = eng.run(plan, gen_to_spark(spark, gen)).toPandas()
+    want = pd.concat(gen.values(), ignore_index=True)
+    np.testing.assert_array_equal(got["v"], np.sort(want["v"])[::-1])
+    assert sorted(zip(got["k"], got["v"])) == sorted(zip(want["k"], want["v"]))
+
+
 # ----------------------------------------------- inputs as they were loaded
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_input_with_extra_and_reordered_columns_is_projected(spark, backend):

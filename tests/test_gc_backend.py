@@ -126,7 +126,7 @@ def test_agg_presorted_cheaper():
         rel = _rel(be, k=np.sort(np.random.default_rng(1).integers(0, 50, 500)),
                    v=np.ones(500, np.int64))
         g0 = be.meter.gc_and_gates
-        be.aggregate(rel, ["k"], [("sum", "v", "v")], input_sorted=presorted)
+        be.aggregate(rel, ["k"], [("sum", "v", "v")], runs=[500] if presorted else None)
         gates.append(be.meter.gc_and_gates - g0)
     assert gates[1] < gates[0] / 2
 
@@ -141,7 +141,8 @@ def test_agg_outputs_widen_one_network(presorted):
     rel = _rel(be, k=np.arange(n) % 7, v=np.arange(n), w=np.ones(n, np.int64))
     outputs = [("sum", "v", "s"), ("count", None, "c"), ("sum", "w", "t")]
     g0 = be.meter.gc_and_gates
-    out = be.aggregate(rel, ["k"], outputs, input_sorted=presorted).pdf.sort_values("k")
+    out = be.aggregate(rel, ["k"], outputs, runs=[n] if presorted else None)
+    out = out.pdf.sort_values("k")
     (eq, _), (add, _), (mux, _) = (gate_counts(g, 32) for g in ("eq", "add", "mux"))
     swap, _ = gate_counts("cmp_swap", 4 * 32)
     want = n * (eq + 3 * (add + 2 * mux))
@@ -154,7 +155,7 @@ def test_agg_outputs_widen_one_network(presorted):
 def test_distinct_count(presorted):
     be = _backend()
     rel = _rel(be, c=[3, 1, 3, 2, 2, 3])
-    out = be.distinct_count(rel, "c", "dc", input_sorted=presorted)
+    out = be.distinct_count(rel, "c", "dc", runs=[6] if presorted else None)
     assert out.pdf["dc"].tolist() == [3]
 
 
@@ -162,7 +163,7 @@ def test_distinct_count_with_mask():
     be = _backend()
     rel = _rel(be, c=[1, 2, 3], f=[1, 0, 1])
     rel = be.filter_eq(rel, "f", 1)
-    assert be.distinct_count(rel, "c", "dc", input_sorted=False).pdf["dc"].tolist() == [2]
+    assert be.distinct_count(rel, "c", "dc").pdf["dc"].tolist() == [2]
 
 
 def test_top_k_by():

@@ -7,6 +7,8 @@ import pytest
 
 from repro.backends.sharemind_sim import SharemindBackend
 from repro.mpc.accounting import Meter, SimulatedOOM
+from repro.mpc.circuits import gate_counts
+from repro.mpc.gc_backend import BIT_WIDTH, GCBackend
 from repro.mpc import protocols as P
 from repro.mpc.secret_sharing import SecretSharingVM
 from repro.mpc.shared_rel import SharedRelation, reveal_relation, share_dataframe
@@ -213,6 +215,120 @@ def test_oblivious_sort_swaps_all_columns_in_one_round(n_cols):
     assert vm.meter.bytes_sent - b0 == comparators * (5 + 2 * n_cols) * 8 * 3 * 2
 
 
+# ------------------------------------------------------------------- merge
+def _random_runs(g) -> list[int]:
+    """One to six run lengths, empty and one-row runs among them."""
+    return [int(g.choice([0, 1, int(g.integers(2, 40))]))
+            for _ in range(int(g.integers(1, 7)))]
+
+
+def _run_keys(g, runs, descending=False) -> np.ndarray:
+    """Keys with ties and negative values, each run sorted on its own."""
+    parts = [np.sort(g.integers(-6, 6, r)) for r in runs]
+    return np.concatenate([p[::-1] if descending else p for p in parts])
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_merge_of_sorted_runs_sorts(descending):
+    """The merge of runs of random lengths sorts like ``np.sort`` and keeps
+    every row whole."""
+    g = np.random.default_rng(21 + descending)
+    for _ in range(60):
+        runs = _random_runs(g)
+        keys = _run_keys(g, runs, descending)
+        vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=2)
+        rel = _share(vm, k=keys, v=np.arange(len(keys)))
+        got = reveal_relation(
+            vm, P.oblivious_sort(vm, rel, "k", descending=descending, runs=runs)
+        )
+        want = np.sort(keys)[::-1] if descending else np.sort(keys)
+        np.testing.assert_array_equal(got["k"], want)
+        # each row once, with its own key
+        np.testing.assert_array_equal(np.sort(got["v"]), np.arange(len(keys)))
+        np.testing.assert_array_equal(keys[got["v"]], got["k"])
+
+
+def test_merge_charges_the_comparators_of_two_rows(monkeypatch):
+    """The lt elements a merge charges are ``sort_comparators(n, runs)``,
+    each layer one comparison batch and one multiplication round, and the
+    charges are the same for any keys in runs of the same lengths."""
+    lt, counted = SecretSharingVM.lt, []
+
+    def counting_lt(self, a, b):
+        counted.append(len(a))
+        return lt(self, a, b)
+
+    monkeypatch.setattr(SecretSharingVM, "lt", counting_lt)
+    g = np.random.default_rng(8)
+    for _ in range(30):
+        runs = _random_runs(g)
+        n = sum(runs)
+        charges = []
+        for seed in (1, 2):
+            vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=seed)
+            keys = _run_keys(np.random.default_rng(seed), runs)
+            rel = _share(vm, k=keys, v=keys * 3)
+            counted.clear()
+            r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
+            P.oblivious_sort(vm, rel, "k", runs=runs)
+            charges.append((list(counted), vm.meter.rounds - r0, vm.meter.bytes_sent - b0))
+        assert charges[0] == charges[1]
+        assert sum(charges[0][0]) == P.sort_comparators(n, runs)
+        assert charges[0][1] == len(charges[0][0]) * (8 + 1)
+
+
+@pytest.mark.parametrize("runs", [[9], [0, 9, 0], [1], []])
+def test_one_run_is_not_sorted(vm, runs):
+    """Rows in one run are in order already: no layer runs, nothing is
+    charged and the relation comes back as it is."""
+    rel = _share(vm, k=np.arange(sum(runs)))
+    cost = (vm.meter.rounds, vm.meter.bytes_sent)
+    assert P.oblivious_sort(vm, rel, "k", runs=runs) is rel
+    assert (vm.meter.rounds, vm.meter.bytes_sent) == cost
+    assert P.sort_comparators(sum(runs), runs) == 0
+
+
+def test_merge_network_of_three_runs_is_pinned():
+    """Three runs of about 3.9k rows (the hhi-mpc parts at seed 1) merge in
+    27 layers and 141,121 comparators; the whole sort takes 105 layers and
+    540,203."""
+    runs, n = [3928, 3916, 3901], 11_745
+    assert len(list(P._sort_layers(n, runs)[0])) == 27
+    assert len(list(P._batcher_pairs(n))) == 105
+    assert P.sort_comparators(n, runs) == 141_121
+    assert P.sort_comparators(n) == 540_203
+
+
+@pytest.mark.parametrize("op", ["aggregate", "distinct_count", "sort_by"])
+def test_gc_charges_the_merge_the_vm_runs(monkeypatch, op):
+    """Every GC sort over runs is charged one compare-and-swap circuit per
+    comparator the secret-sharing merge compares."""
+    runs = [7, 0, 12, 1, 5]
+    keys = _run_keys(np.random.default_rng(4), runs)
+    lt, counted = SecretSharingVM.lt, []
+    monkeypatch.setattr(SecretSharingVM, "lt",
+                        lambda self, a, b: counted.append(len(a)) or lt(self, a, b))
+    vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=1)
+    P.oblivious_sort(vm, _share(vm, k=keys, v=keys), "k", runs=runs)
+
+    gc = GCBackend(Meter())
+    rel = gc.input_rel(pd.DataFrame({"k": keys, "v": keys}))
+    n, width = len(keys), 2 * BIT_WIDTH
+    (eq, _), (add, _), (mux, _) = (gate_counts(c, BIT_WIDTH) for c in ("eq", "add", "mux"))
+    g0 = gc.meter.gc_and_gates
+    if op == "aggregate":
+        gc.aggregate(rel, ["k"], [("sum", "v", "s")], runs=runs)
+        scan = n * (eq + add + 2 * mux)
+    elif op == "distinct_count":
+        gc.distinct_count(rel, "k", "d", runs=runs)
+        scan, width = n * (eq + add), BIT_WIDTH
+    else:
+        gc.sort_by(rel, "k", True, runs=runs)
+        scan = 0
+    swap, _ = gate_counts("cmp_swap", width)
+    assert gc.meter.gc_and_gates - g0 == scan + sum(counted) * swap
+
+
 def test_protocol_costs_are_pinned():
     """Simulated rounds and bytes of sort, grouped sum and masked distinct
     count on fixed inputs. Any change here is a cost-model change."""
@@ -337,7 +453,7 @@ def test_aggregate_sum_by_key_presorted_skips_sort(vm):
     rel = _share(vm, k=keys, v=vals)
     r0 = vm.meter.rounds
     got = reveal_relation(
-        vm, P.aggregate_sum_by_key(vm, rel, "k", "v", _rng(), input_sorted=True)
+        vm, P.aggregate_sum_by_key(vm, rel, "k", "v", _rng(), runs=[6])
     )
     rounds_sorted = vm.meter.rounds - r0
     got = got.sort_values("k").reset_index(drop=True)
@@ -346,7 +462,7 @@ def test_aggregate_sum_by_key_presorted_skips_sort(vm):
     # and the unsorted path must cost strictly more rounds
     vm2 = SecretSharingVM(n_parties=3, meter=Meter(), seed=1)
     rel2 = _share(vm2, k=keys, v=vals)
-    P.aggregate_sum_by_key(vm2, rel2, "k", "v", _rng(), input_sorted=False)
+    P.aggregate_sum_by_key(vm2, rel2, "k", "v", _rng())
     assert vm2.meter.rounds > rounds_sorted
 
 
