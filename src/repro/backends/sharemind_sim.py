@@ -188,10 +188,13 @@ class SharemindBackend:
         Cartesian product's equality flags (:func:`P.cartesian_join_pairs`)
         or, with ``stp``, from the §5.3 hybrid join (Figure 3): the
         shuffled sides' key columns are revealed to the STP, which joins
-        them in the clear and secret-shares the index relations. Oblivious
-        indexing then rebuilds the matching rows under MPC, both sides'
-        masks kept, and a last shuffle hides the pair order. Steps where
-        neither side reads the other's result run side by side."""
+        them in the clear. Oblivious indexing then rebuilds the matching
+        rows under MPC, both sides' masks kept, and a last shuffle hides
+        the pair order. In the hybrid join the STP, which holds the index
+        pairs, deals each side's read permutation in place of the
+        parties' oblivious sort of the index records; nothing else is
+        secret-shared. Steps where neither side reads the other's result
+        run side by side."""
         if not lk:  # cross join: broadcast a 1-row right side
             if right.n_rows != 1:
                 raise NotImplementedError("cross join needs a scalar right side")
@@ -202,11 +205,10 @@ class SharemindBackend:
             li, ri = P.join_index_pairs(
                 *self.reveal_col_to([(left, lk), (right, rk)], stp), by_key=False
             )
-            self.vm.share(np.concatenate([li, ri]))
         else:
             li, ri = P.cartesian_join_pairs(self.vm, left.columns[lk], right.columns[rk])
         right = self.project(right, [c for c in right.column_names if c != rk])
-        joined = self.concat_columns(*self.select_rows([(left, li), (right, ri)]))
+        joined = self.concat_columns(*self.select_rows([(left, li), (right, ri)], stp))
         return self.shuffle([joined])[0]
 
     def distinct_count(
@@ -259,10 +261,12 @@ class SharemindBackend:
         return self.vm.reveal_to([r.columns[c] for r, c in cols], party)
 
     def select_rows(
-        self, batches: list[tuple[SharedRelation, np.ndarray]]
+        self, batches: list[tuple[SharedRelation, np.ndarray]], stp: str | None = None,
     ) -> list[SharedRelation]:
-        """The rows ``idx`` of each ``(r, idx)``, by oblivious indexing."""
-        return P.select_by_public_index(self.vm, batches)
+        """The rows ``idx`` of each ``(r, idx)``, by oblivious indexing;
+        ``stp`` names the party that holds the indexes in the clear and
+        deals the read permutations."""
+        return P.select_by_public_index(self.vm, batches, stp)
 
     def reorder_public(self, r: SharedRelation, order: np.ndarray) -> SharedRelation:
         return r.with_columns(

@@ -396,15 +396,19 @@ def cartesian_join_pairs(
 
 
 def select_by_public_index(
-    vm: SecretSharingVM, batches: list[tuple[SharedRelation, np.ndarray]]
+    vm: SecretSharingVM, batches: list[tuple[SharedRelation, np.ndarray]],
+    dealer: str | None = None,
 ) -> list[SharedRelation]:
     """Oblivious indexing (hybrid join step 6): the rows ``idx`` of each
     batch's relation ``(rel, idx)``. The indexes were produced over
     *shuffled* row identities (by the STP, or by the Cartesian join's
     equality flags), so applying them is charged as the Laud-style select
     protocol, one read of every column; independent relations are read
-    side by side."""
-    cols = vm.gather([(list(r.columns.values()), idx) for r, idx in batches])
+    side by side. ``dealer`` names the party that holds the indexes in
+    the clear (the hybrid join's STP): it deals the read permutation, so
+    the parties sort no index record (:meth:`SecretSharingVM.gather`)."""
+    cols = vm.gather([(list(r.columns.values()), idx) for r, idx in batches],
+                     dealer)
     return [r.with_columns(dict(zip(r.columns, c)))
             for (r, _), c in zip(batches, cols)]
 

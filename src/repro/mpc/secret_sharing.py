@@ -282,26 +282,38 @@ class SecretSharingVM:
                 for vs, perm in batches]
 
     def gather(
-        self, batches: list[tuple[list[SharedVector], np.ndarray]]
+        self, batches: list[tuple[list[SharedVector], np.ndarray]],
+        dealer: str | int | None = None,
     ) -> list[list[SharedVector]]:
         """Oblivious parallel read (Laud, PoPETs 2015): for each batch
         ``(vs, idx)``, pick the rows at secret positions ``idx`` of every
         vector of ``vs`` (all of one length n). The part that depends only
-        on the m indexes, sorting the n+m index records into a prepared
-        permutation, is charged once per batch: ⌈log₂(n+m)⌉ rounds and
-        (n+m)·log₂(n+m) words per party pair. Each vector then costs the
-        linear part, two applications of that permutation to its n+m
-        records with a local prefix sum between them: 2(n+m) words per
-        party pair, in 2p rounds shared by all the vectors. Independent
-        batches run side by side: the rounds of the longest, the words of
-        all. A batch with no vector reads nothing."""
+        on the m indexes builds the read permutation σ of the n+m index
+        records, once per batch. With no ``dealer`` the parties sort the
+        records obliviously into a prepared permutation: ⌈log₂(n+m)⌉
+        rounds and (n+m)·log₂(n+m) words per party pair. A ``dealer`` (a
+        party that holds every ``idx`` in the clear, as a hybrid join's
+        STP does) computes σ itself and deals it as a prepared permutation
+        instead: each other party gets a piece drawn at random, whatever
+        the indexes, and the dealer keeps the piece that completes σ. The
+        deal is one round for all batches, n+m words from the dealer to
+        each of the p−1 others, so (n+m)/p words per party pair. Each
+        vector then costs the linear part, two applications of σ to its
+        n+m records with a local prefix sum between them: 2(n+m) words
+        per party pair, in 2p rounds shared by all the vectors.
+        Independent batches run side by side: the rounds of the longest,
+        the words of all. A batch with no vector reads nothing."""
         rounds, words = 0, 0.0
         for vs, idx in batches:
             if vs:
                 records = len(vs[0]) + len(idx)
-                logf = max(1.0, np.log2(max(2, records)))
-                rounds = max(rounds, int(np.ceil(logf)) + 2 * self.n_parties)
-                words += records * (logf + 2 * len(vs))
+                if dealer is None:
+                    logf = max(1.0, np.log2(max(2, records)))
+                    index_rounds, index_words = int(np.ceil(logf)), logf
+                else:
+                    index_rounds, index_words = 1, 1 / self.n_parties
+                rounds = max(rounds, index_rounds + 2 * self.n_parties)
+                words += records * (index_words + 2 * len(vs))
         self.meter.charge_comm(
             rounds=rounds,
             bytes_sent=words * _WORD_BYTES * self.n_parties * (self.n_parties - 1),

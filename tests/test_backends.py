@@ -143,11 +143,13 @@ def test_join_with_a_key_only_side(be, stp):
     assert sorted(got.itertuples(index=False)) == [(2, 20), (2, 30), (3, 40)]
 
 
-def test_hybrid_join_stp_shares_only_index_relations(be, monkeypatch):
-    """After both key columns reach the STP, the only value secret-shared
-    is the STP's index relations, both in one share."""
+def test_hybrid_join_stp_shares_nothing_after_the_key_reveal(be, monkeypatch):
+    """After both key columns reach the STP, it secret-shares nothing: its
+    index pairs reach the parties only as the read permutations it deals
+    to the oblivious indexing, which it is named in."""
     events = []
     share, reveal_col_to = SecretSharingVM.share, SharemindBackend.reveal_col_to
+    select_rows = SharemindBackend.select_rows
 
     def share_spy(self, values):
         events.append(("share", len(values)))
@@ -157,20 +159,26 @@ def test_hybrid_join_stp_shares_only_index_relations(be, monkeypatch):
         events.append(("reveal_col_to", [c for _, c in cols]))
         return reveal_col_to(self, cols, party)
 
+    def select_spy(self, batches, stp=None):
+        events.append(("select_rows", stp))
+        return select_rows(self, batches, stp)
+
     l = be.input_rel(_pdf(k=[1, 2, 2], a=[1, 2, 3]))
     r = be.input_rel(_pdf(j=[2, 4, 2], b=[5, 6, 7]))
     monkeypatch.setattr(SecretSharingVM, "share", share_spy)
     monkeypatch.setattr(SharemindBackend, "reveal_col_to", reveal_spy)
+    monkeypatch.setattr(SharemindBackend, "select_rows", select_spy)
     out = be.join(l, r, "k", "j", stp="p0")
     assert out.n_rows == 4
-    assert events == [("reveal_col_to", ["k", "j"]), ("share", 8)]
+    assert events == [("reveal_col_to", ["k", "j"]), ("select_rows", "p0")]
 
 
 def test_hybrid_join_runs_both_sides_in_the_same_rounds(be):
     """Neither side of a hybrid join reads the other's shuffle, key reveal
     or oblivious indexing, so the two run side by side: the join costs
-    the rounds of one side's three steps, the index share and the last
-    shuffle, not those of both sides."""
+    the rounds of one side's three steps and the last shuffle, not those
+    of both sides. The indexing is the STP's deal of the read permutation,
+    one round, then its two applications, p rounds each."""
     l = be.input_rel(_pdf(k=[1, 2, 2, 3], a=[1, 2, 3, 4]))
     r = be.input_rel(_pdf(j=[2, 4, 2, 1], b=[5, 6, 7, 8]))
     meter = be.vm.meter
@@ -181,14 +189,18 @@ def test_hybrid_join_runs_both_sides_in_the_same_rounds(be):
         return meter.rounds - r0, out
 
     joined_rounds, out = rounds(lambda: be.join(l, r, "k", "j", stp="p0"))
-    one_side = sum(rounds(step)[0] for step in (
+    select = rounds(
+        lambda: be.select_rows([(l, np.arange(out.n_rows) % l.n_rows)], "p0")
+    )[0]
+    deal, apply_twice = 1, 2 * be.vm.n_parties
+    assert select == deal + apply_twice
+    one_side = select + sum(rounds(step)[0] for step in (
         lambda: be.shuffle([l]),
         lambda: be.reveal_col_to([(l, "k")], "p0"),
-        lambda: be.select_rows([(l, np.arange(out.n_rows) % l.n_rows)]),
     ))
-    share, last_shuffle = 1, rounds(lambda: be.shuffle([out]))[0]
+    last_shuffle = rounds(lambda: be.shuffle([out]))[0]
     assert out.n_rows == 5
-    assert joined_rounds == one_side + share + last_shuffle
+    assert joined_rounds == one_side + last_shuffle
 
 
 @pytest.mark.parametrize("presorted", [True, False])

@@ -5,7 +5,7 @@ import pytest
 from repro.mpc.accounting import Meter
 from repro.mpc.secret_sharing import SecretSharingVM
 
-from .laud_reference import parallel_read
+from .laud_reference import deal, parallel_read, read_permutation
 
 
 @pytest.fixture()
@@ -191,24 +191,51 @@ def test_permutations_and_gather(vm):
 @pytest.mark.parametrize("n,m", [(1, 1), (10, 3), (7, 0), (100, 250), (1000, 1000)])
 def test_gather_charges_the_laud_read(n_parties, n, m):
     """``gather`` of k = 1..6 columns charges what the reference's steps
-    of Laud's parallel read cost, whose rows are the ones it reads."""
+    of Laud's parallel read cost, whose rows are the ones it reads: both
+    kinds of read, the one whose index records the parties sort and the
+    one whose permutation an STP deals (``dealer``)."""
     g = np.random.default_rng(n + m)
     vm = SecretSharingVM(n_parties=n_parties, meter=Meter(), seed=3)
     idx = g.integers(0, n, m)
-    for k in range(1, 7):
-        cols = [g.integers(-(2**40), 2**40, n) for _ in range(k)]
-        shared = [vm.share(c) for c in cols]
-        r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
-        [got] = vm.gather([(shared, idx)])
-        rounds, bytes_sent = vm.meter.rounds - r0, vm.meter.bytes_sent - b0
-        read, steps = parallel_read([c.view(np.uint64) for c in cols], idx, n_parties)
-        for c, rv, gv in zip(cols, read, got):
-            np.testing.assert_array_equal(rv.view(np.int64), c[idx])
-            np.testing.assert_array_equal(vm.reveal(gv), c[idx])
-        assert rounds == sum(s.rounds for s in steps)
-        assert bytes_sent == pytest.approx(
-            sum(s.words for s in steps) * 8 * n_parties * (n_parties - 1), rel=1e-12
-        )
+    for dealer, deal_rng in ((None, None), (0, np.random.default_rng(5))):
+        for k in range(1, 7):
+            cols = [g.integers(-(2**40), 2**40, n) for _ in range(k)]
+            shared = [vm.share(c) for c in cols]
+            r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
+            [got] = vm.gather([(shared, idx)], dealer)
+            rounds, bytes_sent = vm.meter.rounds - r0, vm.meter.bytes_sent - b0
+            read, steps = parallel_read(
+                [c.view(np.uint64) for c in cols], idx, n_parties, deal_rng
+            )
+            for c, rv, gv in zip(cols, read, got):
+                np.testing.assert_array_equal(rv.view(np.int64), c[idx])
+                np.testing.assert_array_equal(vm.reveal(gv), c[idx])
+            assert rounds == sum(s.rounds for s in steps)
+            assert bytes_sent == pytest.approx(
+                sum(s.words for s in steps) * 8 * n_parties * (n_parties - 1),
+                rel=1e-12,
+            )
+
+
+def test_dealt_pieces_do_not_depend_on_the_indexes():
+    """The pieces an STP deals to the other parties are drawn from its
+    coins alone: at one seed they are the same for two index vectors of
+    one length, and only the STP's own piece, which completes the read
+    permutation, differs."""
+    n, n_parties = 50, 3
+    g = np.random.default_rng(1)
+    a, b = g.integers(0, n, 40), g.integers(0, n, 40)
+    sigmas = [read_permutation(n, idx) for idx in (a, b)]
+    assert not np.array_equal(*sigmas)
+    dealt = [deal(s, n_parties, np.random.default_rng(9)) for s in sigmas]
+    for pieces, sigma in zip(dealt, sigmas):
+        composed = np.arange(len(sigma))
+        for piece in pieces:
+            composed = composed[piece]
+        np.testing.assert_array_equal(composed, sigma)
+    for other_a, other_b in zip(dealt[0][:-1], dealt[1][:-1]):
+        np.testing.assert_array_equal(other_a, other_b)
+    assert not np.array_equal(dealt[0][-1], dealt[1][-1])
 
 
 def test_oblivious_permute_produces_fresh_shares(vm):
