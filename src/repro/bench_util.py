@@ -51,12 +51,15 @@ def run_point(system: str, n: int, fn: Callable[[], Meter]) -> Point:
 
 def sweep(spark, table: ModuleType, *, quick: bool = False) -> list[Point]:
     """Run ``table.point`` over every (system, n) cell of ``table.SIZES``,
-    in declaration order, on the quick or the full sizes."""
-    return [
-        run_point(system, n, lambda: table.point(spark, system, n))
-        for system, (full, q) in table.SIZES.items()
-        for n in (q if quick else full)
-    ]
+    in declaration order, on the quick or the full sizes. The first cell
+    runs once more before the sweep, untimed and unreported, so that no
+    reported point carries Spark's and the JVM's warm-up."""
+    cells = [(system, n) for system, (full, q) in table.SIZES.items()
+             for n in (q if quick else full)]
+    if cells:
+        run_point(*cells[0], lambda: table.point(spark, *cells[0]))
+    return [run_point(system, n, lambda: table.point(spark, system, n))
+            for system, n in cells]
 
 
 def format_table(title: str, points: list[Point]) -> str:

@@ -104,6 +104,24 @@ def test_sweep_runs_sizes_in_order(quick, want):
     assert all(p.sim > 0 for p in pts if p.status == "ok")
 
 
+def test_sweep_warms_up_on_the_first_cell():
+    """The sweep runs its first cell once before the timed cells, and
+    reports only the timed run of each cell."""
+    calls = []
+    table = _stub_table()
+    point = table.point
+
+    def counted(spark, system, n):
+        calls.append((system, n))
+        return point(spark, system, n)
+
+    table.point = counted
+    pts = sweep(None, table)
+    assert calls == [("runs", 10), ("runs", 10), ("runs", 20), ("runs", 30),
+                     ("ooms", 40), ("ooms", 50)]
+    assert [(p.system, p.n) for p in pts] == calls[1:]
+
+
 def test_format_table():
     pts = [
         Point("a", 100, 1.5, "ok", wall=1.0, sim=0.5),
