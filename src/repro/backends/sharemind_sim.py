@@ -37,8 +37,10 @@ class SharemindBackend:
         self.rng = rng
 
     # -------------------------------------------------------------- I/O
-    def input_rel(self, pdf: pd.DataFrame) -> SharedRelation:
-        return share_dataframe(self.vm, pdf)
+    def input_rel(self, pdf: pd.DataFrame, public: Sequence[str] = ()) -> SharedRelation:
+        """inputToMPC of a frame; the ``public`` columns, which every
+        party holds in the clear already, enter as trivial sharings."""
+        return share_dataframe(self.vm, pdf, public)
 
     def reveal(self, r: SharedRelation, party: str) -> pd.DataFrame:
         """Open to ``party``, de-scaling fixed-point columns to float. A
@@ -129,7 +131,9 @@ class SharemindBackend:
         the STP's clear sort and same-key flags replace the oblivious sort
         and the equality flags. The STP sends the sort order in the clear
         (each party reorders its shares locally) and secret-shares the
-        flags."""
+        flags. It breaks ties between equal keys at random, so the order
+        every party sees is a uniformly random permutation, whatever the
+        group sizes."""
         if len(group) > 1:
             raise NotImplementedError("multi-column group-by")
         # the column each output sums; None: it counts rows
@@ -140,8 +144,9 @@ class SharemindBackend:
             # shuffle only the columns read below (and the mask)
             (r,) = self.shuffle([self.project(r, group + list(dict.fromkeys(summed)))])
             (keys,) = self.reveal_col_to([(r, group[0])], stp)
-            # STP: sort in the clear; stability breaks ties by row position
-            order = np.argsort(keys, kind="stable")
+            # STP: sort in the clear, ties in random order (a stable sort
+            # would keep each group's rows in place and show its size)
+            order = np.lexsort((self.rng.random(len(keys)), keys))
             # the order travels to every party in the clear
             self.vm.meter.charge_comm(
                 rounds=1, bytes_sent=float(len(order)) * self.vm.n_parties * 8
@@ -216,9 +221,12 @@ class SharemindBackend:
         runs: Sequence[int] | None = None,
     ) -> SharedRelation:
         """COUNT(DISTINCT col) over the rows a filter kept; ``runs`` as in
-        :meth:`aggregate`."""
+        :meth:`aggregate`. A public key (a public join's) needs no sort:
+        :func:`P.distinct_count_public` counts its public groups."""
         key = r.columns[col]
         mask = r.columns.get(MASK)
+        if key.public:
+            return SharedRelation({out_col: P.distinct_count_public(self.vm, key, mask)})
         if runs is None or len(runs) > 1:
             work_cols = {col: key}
             if mask is not None:

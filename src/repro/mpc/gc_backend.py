@@ -92,9 +92,10 @@ class GCBackend:
         self.meter.charge_memory(what, bits * WIRE_BYTES)
 
     # -------------------------------------------------------------- input
-    def input_rel(self, pdf: pd.DataFrame) -> GCRelation:
+    def input_rel(self, pdf: pd.DataFrame, public: Sequence[str] = ()) -> GCRelation:
         """Encode a cleartext relation into wire labels (garbler side) /
-        receive labels via OT (evaluator side)."""
+        receive labels via OT (evaluator side). ``public`` is ignored:
+        every column is encoded."""
         pdf = pdf.reset_index(drop=True).astype(np.int64)
         bits = self._bits(len(pdf), len(pdf.columns))
         self._charge_live("gc input staging", bits * 3)

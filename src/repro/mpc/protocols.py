@@ -12,14 +12,16 @@ These implement the sub-protocols the paper's operators rely on (§5.3,
   join, O(n·m) nonlinear operations; leaks output size, as the paper's
   Sharemind baseline does),
 * oblivious indexing ("select", Laud [45]) used by the hybrid join,
-* oblivious filtering and distinct-count.
+* oblivious filtering, and distinct count: over a secret key by a scan
+  of the key-sorted rows, over a public key by share-local sums of the
+  public groups and one equality batch.
 
 All operators take the :class:`SecretSharingVM` whose meter accumulates
 the communication they would cost in a real deployment.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -190,24 +192,22 @@ def oblivious_sort(
 
 
 # ---------------------------------------------------------- segmented scan
-def segmented_scan(
-    vm: SecretSharingVM,
-    cols: list[SharedVector],
-    same_seg: SharedVector,
-    combine: Callable[[SecretSharingVM, SharedVector, SharedVector], SharedVector],
+def segmented_scan_sum(
+    vm: SecretSharingVM, cols: list[SharedVector], same_seg: SharedVector
 ) -> list[SharedVector]:
-    """Inclusive segmented scan of each of ``cols`` (Brent–Kung, work-
-    efficient: about 2n Beaver products per column and n for the flags,
-    in about 2 log n steps). ``same_seg[i] = [row i is in the same segment as row i-1]``
-    (``same_seg[0] = 0``).
+    """Inclusive segmented prefix sum of each of ``cols`` (Brent–Kung,
+    work-efficient: about 2n Beaver products per column and n for the
+    flags, in about 2 log n steps). ``same_seg[i] = [row i is in the same
+    segment as row i-1]`` (``same_seg[0] = 0``).
 
     A step folds row ``i - d`` into row ``i`` with the pair operator
-    (f₁, v₁)∘(f₂, v₂) = (f₁f₂, combine(v₂, f₂·v₁)), ``f`` starting as
+    (f₁, v₁)∘(f₂, v₂) = (f₁f₂, v₂ + f₂·v₁), ``f`` starting as
     ``same_seg``. The up-sweep folds every row i ≡ 2d−1 (mod 2d), for
     d = 1, 2, 4, …, updating ``f`` too; the down-sweep then folds every row
     i ≡ d−1 (mod 2d) with i ≥ 3d−1, from the top d down, updating the
     values only. A step's products, for every column, are one batched
-    Beaver multiplication; a step with no rows costs nothing."""
+    Beaver multiplication (one round); a step with no rows costs
+    nothing."""
     n = len(same_seg)
     vs, f = [_own(c) for c in cols], _own(same_seg)
 
@@ -220,7 +220,7 @@ def segmented_scan(
         prods = vm.mul(vm.concat([f_hi] * len(targets)),
                        vm.concat([vm.take(t, lo) for t in targets]))
         new = [vm.take(prods, slice(c * m, (c + 1) * m)) for c in range(len(targets))]
-        new[:len(vs)] = [combine(vm, vm.take(v, hi), p) for v, p in zip(vs, new)]
+        new[:len(vs)] = [vm.add(vm.take(v, hi), p) for v, p in zip(vs, new)]
         # every new value is computed before the first write
         for t, x in zip(targets, new):
             for s, xs in zip(t.shares, x.shares):
@@ -237,27 +237,6 @@ def segmented_scan(
     return vs
 
 
-def _or(vm: SecretSharingVM, a: SharedVector, b: SharedVector) -> SharedVector:
-    """or(a, b) = a + b - a*b over shared 0/1 values."""
-    return vm.sub(vm.add(a, b), vm.mul(a, b))
-
-
-def segmented_scan_sum(
-    vm: SecretSharingVM, cols: list[SharedVector], same_seg: SharedVector
-) -> list[SharedVector]:
-    """Inclusive segmented prefix sum of each of ``cols``, all scanned in
-    the same multiplications (one round per step)."""
-    return segmented_scan(vm, cols, same_seg, SecretSharingVM.add)
-
-
-def segmented_scan_or(
-    vm: SecretSharingVM, bits: SharedVector, same_seg: SharedVector
-) -> SharedVector:
-    """Inclusive segmented prefix OR over shared 0/1 values (two rounds
-    per step: the OR multiplies by the carried product)."""
-    return segmented_scan(vm, [bits], same_seg, _or)[0]
-
-
 def _same_key_flags(vm: SecretSharingVM, key: SharedVector) -> SharedVector:
     """same[i] = [key[i] == key[i-1]] (shared), same[0] = 0."""
     n = len(key)
@@ -266,6 +245,15 @@ def _same_key_flags(vm: SecretSharingVM, key: SharedVector) -> SharedVector:
     inner = vm.eq(vm.take(key, np.arange(1, n)), vm.take(key, np.arange(0, n - 1)))
     zero = vm.public(np.zeros(1, np.int64))
     return vm.concat([zero, inner])
+
+
+def _group_ends(vm: SecretSharingVM, same: SharedVector) -> SharedVector:
+    """end[i] = [row i is the last of its group], share-local from the
+    same-key flags: the next row starts a new group. same[0] = 0, so
+    rolling the flags by one gives the last row 0 and makes it an end."""
+    n = len(same)
+    next_same = vm.take(same, np.roll(np.arange(n), -1))
+    return vm.sub(vm.public(np.ones(n, np.int64)), next_same)
 
 
 # ------------------------------------------------------------- aggregation
@@ -303,14 +291,9 @@ def aggregate_sum_by_key(
         same = _same_key_flags(vm, work.columns[key])
     summed = [c for c in work.column_names if c != key]
     sums = segmented_scan_sum(vm, [work.columns[c] for c in summed], same)
-    n = work.n_rows
-    # group end: the next row starts a new group; same[0] = 0, so rolling
-    # the flags by one gives the last row 0 and makes it an end
-    next_same = vm.take(same, np.roll(np.arange(n), -1))
-    is_end = vm.sub(vm.public(np.ones(n, np.int64)), next_same)
     return keep_group_ends(
         vm, work.with_columns({key: work.columns[key], **dict(zip(summed, sums))}),
-        is_end, rng, count=count,
+        _group_ends(vm, same), rng, count=count,
     )
 
 
@@ -431,24 +414,47 @@ def distinct_count_sorted(
 ) -> SharedVector:
     """Count distinct key values (optionally only among rows with
     ``mask=1``) given the relation is already sorted by ``key`` — the
-    post-sort-elimination form used by the aspirin-count query.
+    post-sort-elimination form of a distinct count over a secret key.
 
-    distinct = Σ_i mask_i · (1 − prefixOR of mask over earlier same-key
-    rows); all operations are vectorized oblivious arithmetic."""
+    Unmasked, each group's first row counts 1: Σ (1 − same). Masked, the
+    segmented SUM scan leaves each group's kept-row count in its last
+    row, and one batched equality finds the groups with a count:
+    Σ is_end · (1 − [sum = 0]). That is the same-key equality, the scan,
+    one equality and one Beaver multiplication over the n rows."""
     n = len(key)
+    if n == 0:
+        return vm.public(np.zeros(1, np.int64))
+    one = vm.public(np.ones(n, np.int64))
     same = _same_key_flags(vm, key)
     if mask is None:
-        one = vm.public(np.ones(n, np.int64))
         # first row of each group contributes 1
-        contrib = vm.sub(one, same)
-        return vm.sum(contrib)
-    scan = segmented_scan_or(vm, mask, same)
-    # seen-before(i) = OR of mask over earlier rows in the segment
-    # = (scan shifted by one within segment) = same[i] * scan[i-1]
-    shifted = vm.concat(
-        [vm.public(np.zeros(1, np.int64)), vm.take(scan, np.arange(0, n - 1))]
-    )
-    seen_before = vm.mul(same, shifted)
-    one = vm.public(np.ones(n, np.int64))
-    contrib = vm.mul(mask, vm.sub(one, seen_before))
-    return vm.sum(contrib)
+        return vm.sum(vm.sub(one, same))
+    (kept,) = segmented_scan_sum(vm, [mask], same)
+    nonzero = vm.sub(one, vm.eq(kept, vm.public(np.zeros(n, np.int64))))
+    return vm.sum(vm.mul(_group_ends(vm, same), nonzero))
+
+
+def distinct_count_public(
+    vm: SecretSharingVM,
+    key: SharedVector,
+    mask: SharedVector | None = None,
+) -> SharedVector:
+    """Count distinct values of a *public* key (:attr:`SharedVector.public`:
+    every party holds it in the clear, as after a §5.3 public join),
+    optionally only among rows with ``mask=1``. The rows need no order.
+
+    Every party knows the G groups, so unmasked the count is the public
+    constant G. Masked, each party sums its mask shares per group (share-
+    local), one batched equality over the G sums finds the groups the
+    mask emptied, and the count is G − Σ [sum = 0]: ``_CMP_ROUNDS``
+    rounds and G comparisons, whatever the row count."""
+    keys = vm.public_values(key)
+    order = np.argsort(keys, kind="stable")
+    # each group's first position in key order
+    _, starts = np.unique(keys[order], return_index=True)
+    groups = vm.public(np.array([len(starts)], np.int64))
+    if mask is None or not len(starts):
+        return groups
+    sums = vm.sum(vm.take(mask, order), starts=starts)
+    empty = vm.eq(sums, vm.public(np.zeros(len(starts), np.int64)))
+    return vm.sub(groups, vm.sum(empty))

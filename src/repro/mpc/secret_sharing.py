@@ -48,9 +48,21 @@ _DIV_WORDS_PER_ELEM = 12
 
 @dataclass(frozen=True)
 class SharedVector:
-    """An additively-shared vector: ``shares[i]`` is party *i*'s share."""
+    """An additively-shared vector: ``shares[i]`` is party *i*'s share.
+
+    ``public`` marks the trivial sharing of values every party holds in
+    the clear (:meth:`SecretSharingVM.public`: party 0's share is the
+    values, every other share is zero). The mark is refused on shares
+    that are not trivial, and only the share-local ``take`` and
+    ``concat`` of public vectors keep it: every other op returns a secret
+    vector."""
 
     shares: tuple[np.ndarray, ...]
+    public: bool = False
+
+    def __post_init__(self):
+        if self.public and any(s.any() for s in self.shares[1:]):
+            raise ValueError("only a trivial sharing can be marked public")
 
     def __len__(self) -> int:
         return len(self.shares[0])
@@ -103,8 +115,16 @@ class SecretSharingVM:
         already, so this is share-local and costs nothing."""
         ring = _as_ring(values)
         return SharedVector(
-            (ring,) + tuple(np.zeros_like(ring) for _ in range(self.n_parties - 1))
+            (ring,) + tuple(np.zeros_like(ring) for _ in range(self.n_parties - 1)),
+            public=True,
         )
+
+    def public_values(self, sv: SharedVector) -> np.ndarray:
+        """The values of a public vector (signed int64), which every party
+        holds already: free. A secret vector's values are refused."""
+        if not sv.public:
+            raise ValueError("the values of a secret vector are not public")
+        return _from_ring(sv.shares[0])
 
     def _reshare(self, cleartext_ring: np.ndarray) -> SharedVector:
         """Produce a fresh sharing of an internally-computed result
@@ -161,11 +181,15 @@ class SecretSharingVM:
         cr = _as_ring(np.broadcast_to(np.asarray(c, dtype=np.int64), (len(a),)))
         return SharedVector(tuple(s * cr for s in a.shares))
 
-    def sum(self, a: SharedVector) -> SharedVector:
-        """Share-local sum over the vector → length-1 shared vector."""
-        return SharedVector(
-            tuple(np.array([s.sum(dtype=_DTYPE)], dtype=_DTYPE) for s in a.shares)
-        )
+    def sum(self, a: SharedVector, starts: np.ndarray | None = None) -> SharedVector:
+        """Share-local sum over the vector → length-1 shared vector. With
+        ``starts`` (the public, strictly ascending first positions of the
+        consecutive segments that cover the vector), one sum per segment."""
+        if starts is None:
+            return SharedVector(
+                tuple(np.array([s.sum(dtype=_DTYPE)], dtype=_DTYPE) for s in a.shares)
+            )
+        return SharedVector(tuple(np.add.reduceat(s, starts) for s in a.shares))
 
     # ---------------------------------------------------- Beaver multiply
     def mul(self, x: SharedVector, y: SharedVector) -> SharedVector:
@@ -327,9 +351,10 @@ class SecretSharingVM:
             tuple(
                 np.concatenate([v.shares[i] for v in vs])
                 for i in range(vs[0].n_parties)
-            )
+            ),
+            public=all(v.public for v in vs),
         )
 
     def take(self, a: SharedVector, mask_or_slice) -> SharedVector:
         """Share-local selection by public mask/slice/index array."""
-        return SharedVector(tuple(s[mask_or_slice] for s in a.shares))
+        return SharedVector(tuple(s[mask_or_slice] for s in a.shares), public=a.public)

@@ -10,6 +10,7 @@ reveal; every protocol that rebuilds a relation keeps the scales.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -52,9 +53,13 @@ class SharedRelation:
         return self.with_columns({n: self.columns[n] for n in names})
 
 
-def share_dataframe(vm: SecretSharingVM, pdf: pd.DataFrame) -> SharedRelation:
+def share_dataframe(
+    vm: SecretSharingVM, pdf: pd.DataFrame, public: Sequence[str] = ()
+) -> SharedRelation:
     """inputToMPC: secret-share every column of a cleartext pandas frame,
-    all columns sent in the same round.
+    all columns sent in the same round. A ``public`` column, which every
+    party holds in the clear already, enters as its trivial sharing
+    (:meth:`SecretSharingVM.public`), free.
 
     All MPC-resident columns must be integral (the compiler guarantees
     this: money is cents, codes are int-encoded).
@@ -67,7 +72,8 @@ def share_dataframe(vm: SecretSharingVM, pdf: pd.DataFrame) -> SharedRelation:
                 raise TypeError(
                     f"MPC column {name!r} must be integer, got {vals.dtype}"
                 )
-            cols[name] = vm.share(vals.astype(np.int64))
+            vals = vals.astype(np.int64)
+            cols[name] = vm.public(vals) if name in public else vm.share(vals)
     return SharedRelation(cols)
 
 

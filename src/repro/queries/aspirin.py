@@ -7,9 +7,12 @@ diagnoses to medications per patient, filters for a c.diff diagnosis
 and an aspirin prescription, and counts distinct patients.
 
 Under Conclave the join compiles to a §5.3 *public join* (keys public),
-so only rows for patient IDs present at both hospitals enter MPC, the
-clear join leaves the rows sorted by patient ID, and §5.4 sort
-elimination turns the oblivious distinct-count into a linear scan.
+so only rows for patient IDs present at both hospitals enter MPC, and
+the patient ID enters it public. The distinct count then needs no sort
+or scan: each party sums the filter mask per patient share-locally, and
+one equality batch over the patients finds those the filters emptied
+(beyond the paper's Conclave, which scans the rows the clear join left
+sorted by patient ID, §5.4).
 """
 from __future__ import annotations
 

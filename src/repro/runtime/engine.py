@@ -174,15 +174,16 @@ class Engine:
             out.append(v)
         return out
 
-    def _share(self, pdf: pd.DataFrame):
-        """inputToMPC of one collected frame. MPC holds integers, so a
-        fractional column is refused rather than truncated."""
+    def _share(self, pdf: pd.DataFrame, public: tuple[str, ...] = ()):
+        """inputToMPC of one collected frame, its ``public`` columns as
+        trivial sharings. MPC holds integers, so a fractional column is
+        refused rather than truncated."""
         for col, dtype in pdf.dtypes.items():
             if dtype.kind == "f":
                 raise NotImplementedError(
                     f"fractional column {col!r} ({dtype}) cannot enter MPC"
                 )
-        return self.backend.input_rel(pdf.astype(np.int64))
+        return self.backend.input_rel(pdf.astype(np.int64), public=public)
 
     def _reveal_to(self, val, party: str) -> ClearVal:
         """revealTo: open an MPC value at one party as a Spark DataFrame."""
@@ -347,10 +348,11 @@ class Engine:
         self._charge_transfer(len(lkeys) + len(rkeys), 2)
         # clear join at the chosen party
         lgid, rgid = join_index_pairs(lkeys, rkeys)
-        # index pairs go back to every party
-        self._charge_transfer(len(lgid) * len(self.parties), 2)
+        to_mpc = self._downstream_has_mpc(n)
+        # index pairs go back to every party, with their key if it enters MPC
+        self._charge_transfer(len(lgid) * len(self.parties), 3 if to_mpc else 2)
 
-        if not self._downstream_has_mpc(n):
+        if not to_mpc:
             # assemble the join result in the clear at the site's party
             # (reaches the recipient anyway; §7.2 "public join avoids MPC")
             lfull = pd.concat(parts_l, ignore_index=True)
@@ -367,9 +369,11 @@ class Engine:
             return ClearVal(n.site[1], self._to_spark(out[n.out_cols]))
 
         # share only the matching rows of each partition into MPC
-        def matched_shared(parts, gids: np.ndarray, drop_col: str | None):
-            """Share the rows ``gids`` names, each once, in row-id order;
-            also return each pair's position among the shared rows."""
+        def matched_shared(parts, gids: np.ndarray, drop_col: str | None,
+                           public: tuple[str, ...] = ()):
+            """Share the rows ``gids`` names, each once, in row-id order,
+            the ``public`` columns as trivial sharings; also return each
+            pair's position among the shared rows."""
             needed, pos = np.unique(gids, return_inverse=True)
             cols = [c for c in parts[0].columns if c != drop_col]
             shared, offset = [], 0
@@ -377,16 +381,16 @@ class Engine:
                 local = needed[(needed >= offset) & (needed < offset + len(pdf))]
                 if len(local):
                     rows = pdf.iloc[local - offset][cols]
-                    shared.append(self._share(rows))
+                    shared.append(self._share(rows, public))
                 offset += len(pdf)
             if not shared:
                 empty = pd.DataFrame({c: np.zeros(0, np.int64) for c in cols})
-                return self.backend.input_rel(empty), pos
+                return self.backend.input_rel(empty, public=public), pos
             return self.backend.concat(shared), pos
 
         # the matching rows of both sides go out in the same round
         with self.meter.together():
-            left_shared, li = matched_shared(parts_l, lgid, None)
+            left_shared, li = matched_shared(parts_l, lgid, None, (n.left_key,))
             right_shared, ri = matched_shared(parts_r, rgid, n.right_key)
         # public indices: selection is share-local (free)
         left_sel = self.backend.take(left_shared, li)

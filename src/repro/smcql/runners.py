@@ -9,9 +9,10 @@ Three runners, matching the paper's Figure 7 comparison:
 * ``run_aspirin_conclave`` — Conclave on the same slices: single-party
   slices processed locally in Spark, the shared slices run through the
   compiled aspirin plan (``compile_query`` + ``Engine.run``: §5.3 public
-  join into one secret-sharing MPC, §5.4 sort elimination making the
-  MPC distinct-count a linear scan). The slicing is applied by hand, as
-  in the paper; the compiler has no slicing pass;
+  join into one secret-sharing MPC, whose distinct count over the public
+  patient ID sums the filter mask per patient share-locally and makes
+  one equality batch over the patients). The slicing is applied by
+  hand, as in the paper; the compiler has no slicing pass;
 * ``run_comorbidity`` — the compiled comorbidity plan (§5.2 split
   aggregation: local Spark pre-counts, then the MPC combine, sort and
   limit) on the MPC backend it is given. Conclave runs it on the

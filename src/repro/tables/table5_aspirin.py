@@ -3,10 +3,12 @@
 * **conclave** — SMCQL's slicing, applied by hand as in the paper: the
   single-party slices are counted locally in Spark, and the shared
   slices run through the compiled aspirin plan (``compile_query`` +
-  ``Engine.run``: §5.3 public join, §5.4 sort elimination) on the
-  secret-sharing backend. The clear Spark work dominates; only
-  shared-patient rows see MPC, with a linear scan. The point's hybrid
-  clock spans the slicing, the local counts and the engine.
+  ``Engine.run``: §5.3 public join, then a distinct count over the
+  public patient ID) on the secret-sharing backend. The clear Spark
+  work dominates; only shared-patient rows see MPC, where the count is
+  share-local sums per patient and one equality batch over the
+  patients. The point's hybrid clock spans the slicing, the local
+  counts and the engine.
 * **smcql** — slicing + one ObliVM garbled-circuit MPC per shared
   patient slice (quadratic within slices, ~1 s setup per slice), which
   puts 40k rows in the ~15-minute regime and DNFs beyond, as in the

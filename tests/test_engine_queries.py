@@ -9,7 +9,9 @@ import pytest
 
 import duckdb
 
+from repro.core.columns import Column, Party
 from repro.core.compiler import CompileOptions, compile_query
+from repro.core.lang import concat, newTable
 from repro.oracle import assert_equivalent
 from repro.queries import aspirin, comorbidity, credit_card, market_concentration
 from repro.queries.base import gen_to_spark
@@ -176,6 +178,10 @@ def test_aspirin_no_cross_party_overlap(spark):
 
 
 def test_aspirin_sort_elimination_same_answer_lower_cost(spark):
+    """Over the public join's public key, the distinct count sorts under
+    neither setting: same answer, same cost. Over a secret key, sort
+    elimination merges the parties' pre-sorted parts instead of sorting
+    them all: same answer, fewer rounds."""
     gen = aspirin.gen_inputs(n_per_party=400, overlap_frac=0.2)
     results, costs = {}, {}
     for elim in (True, False):
@@ -187,9 +193,27 @@ def test_aspirin_sort_elimination_same_answer_lower_cost(spark):
         eng = Engine(spark, [p.name for p in spec.parties])
         df = eng.run(plan, gen_to_spark(spark, gen))
         results[elim] = df.toPandas()["rx_cnt"].iloc[0]
-        costs[elim] = eng.meter.rounds
+        costs[elim] = eng.meter.rounds, eng.meter.bytes_sent
     assert results[True] == results[False]
-    assert costs[True] < costs[False]  # no oblivious sort rounds
+    assert costs[True] == costs[False]
+
+    pa, pb = Party("a"), Party("b")
+    rows = concat([newTable([Column("k"), Column("v")], at=p, name=f"t{p.name}")
+                   for p in (pa, pb)])
+    g = np.random.default_rng(4)
+    data = {f"t{p}": pd.DataFrame({"k": g.integers(0, 30, 120), "v": g.integers(0, 9, 120)})
+            for p in ("a", "b")}
+    for elim in (True, False):
+        plan = compile_query(
+            rows.distinct_count("k", "dc").collect(to=[pa]),
+            CompileOptions(parties=[pa, pb], enable_sort_elimination=elim),
+        )
+        eng = Engine(spark, ["a", "b"])
+        results[elim] = eng.run(plan, gen_to_spark(spark, data)).toPandas()["dc"].iloc[0]
+        costs[elim] = eng.meter.rounds
+    assert results[True] == results[False] == len(np.unique(
+        np.concatenate([d["k"] for d in data.values()])))
+    assert costs[True] < costs[False]  # a merge of two runs, not a whole sort
 
 
 def test_aspirin_public_join_only_shares_overlap(spark):
@@ -210,9 +234,9 @@ def test_aspirin_public_join_only_shares_overlap(spark):
 
 def test_boundary_operator_costs_are_pinned(spark):
     """Results and simulated rounds and bytes of the compiled aspirin plan
-    (public join + sort-eliminated distinct count) and credit plan (hybrid
-    join + one hybrid aggregation) on fixed inputs. Any change here is a
-    cost-model change."""
+    (public join + distinct count over its public key) and credit plan
+    (hybrid join + one hybrid aggregation) on fixed inputs. Any change
+    here is a cost-model change."""
     from repro.core import dag as D
 
     gen = aspirin.gen_inputs(n_per_party=300, overlap_frac=0.2, seed=1)
@@ -220,7 +244,7 @@ def test_boundary_operator_costs_are_pinned(spark):
     assert any(j.site[0] == "public" for j in plan.dag.nodes_of_type(D.Join))
     assert all(n.input_sorted for n in plan.dag.nodes_of_type(D.DistinctCount))
     assert df.toPandas()["rx_cnt"].tolist() == [49]
-    assert (eng.meter.rounds, eng.meter.bytes_sent) == (65, 406_168.0)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (29, 216_528.0)
 
     plan, eng = _check_credit(spark, credit_card.gen_inputs(n_holders=150, seed=1))
     assert any(j.site[0] == "hybrid" for j in plan.dag.nodes_of_type(D.Join))

@@ -10,7 +10,9 @@ from repro.core import dag as D
 from repro.core.columns import Column, Party
 from repro.core.compiler import CompileOptions, compile_query
 from repro.core.lang import concat, newTable
+from repro.mpc.accounting import Meter
 from repro.mpc.secret_sharing import SecretSharingVM
+from repro.mpc.shared_rel import share_dataframe
 from repro.queries import aspirin, credit_card
 from repro.queries.base import gen_to_spark
 from repro.runtime import engine as engine_mod
@@ -269,8 +271,10 @@ def test_hybrid_agg_stp_sees_only_group_column(spark, monkeypatch):
 
 
 def test_hybrid_agg_order_matches_spark_order_by(spark, monkeypatch):
-    """With duplicate group keys, the STP's clear sort reorders the rows
-    exactly as a Spark ``orderBy("k", "idx")`` of the revealed keys."""
+    """With duplicate group keys, the STP's clear sort puts the revealed
+    keys in the order of a Spark ``orderBy("k")``, and breaks ties at
+    random: the order is a new one at each seed, never the stable one,
+    which would keep each group's rows in place."""
     keys, orders = [], []
     reveal_col_to = SharemindBackend.reveal_col_to
     reorder_public = SharemindBackend.reorder_public
@@ -291,17 +295,46 @@ def test_hybrid_agg_order_matches_spark_order_by(spark, monkeypatch):
     df = lambda: pd.DataFrame(  # noqa: E731
         {"k": g.integers(0, 4, 40), "v": g.integers(0, 9, 40)}
     ).astype(np.int64)
-    eng = Engine(spark, [p.name for p in parties])
-    eng.run(
-        plan, {"ga": spark.createDataFrame(df()), "gb": spark.createDataFrame(df())}
-    )
-    assert len(keys) == len(orders) == 1
-    kdf = spark.createDataFrame(
-        pd.DataFrame({"k": keys[0], "idx": np.arange(len(keys[0]))})
-    )
-    expected = kdf.orderBy("k", "idx").toPandas()["idx"].to_numpy()
-    assert len(np.unique(keys[0])) < len(keys[0])
-    np.testing.assert_array_equal(orders[0], expected)
+    data = {"ga": spark.createDataFrame(df()), "gb": spark.createDataFrame(df())}
+    for seed in (1, 2):
+        Engine(spark, [p.name for p in parties], seed=seed).run(plan, data)
+    assert len(keys) == len(orders) == 2
+    for k, order in zip(keys, orders):
+        kdf = spark.createDataFrame(pd.DataFrame({"k": k}))
+        expected = kdf.orderBy("k").toPandas()["k"].to_numpy()
+        assert len(np.unique(k)) < len(k)
+        np.testing.assert_array_equal(np.sort(order), np.arange(len(k)))
+        np.testing.assert_array_equal(k[order], expected)
+        assert not np.array_equal(order, np.argsort(k, kind="stable"))
+    assert not np.array_equal(orders[0], orders[1])
+
+
+def test_hybrid_agg_opened_order_hides_group_sizes(monkeypatch):
+    """The order the STP opens to every party has, over seeds, the same
+    number of descents whether the n rows form one group or n groups:
+    about (n−1)/2, a uniformly random permutation's. A stable sort would
+    open the identity for one group (no descent) and so show where each
+    group ends."""
+    n, orders = 16, []
+    reorder_public = SharemindBackend.reorder_public
+
+    def reorder_spy(self, rel, order):
+        orders.append(order)
+        return reorder_public(self, rel, order)
+
+    monkeypatch.setattr(SharemindBackend, "reorder_public", reorder_spy)
+
+    def mean_descents(keys):
+        orders.clear()
+        for seed in range(200):
+            vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=seed)
+            rel = share_dataframe(vm, pd.DataFrame({"k": keys, "v": np.ones(n, np.int64)}))
+            SharemindBackend(vm, np.random.default_rng(seed)).aggregate(
+                rel, ["k"], [("sum", "v", "s")], stp="c")
+        return np.mean([np.count_nonzero(np.diff(o) < 0) for o in orders])
+
+    assert abs(mean_descents(np.zeros(n, np.int64)) - (n - 1) / 2) < 0.5
+    assert abs(mean_descents(np.arange(n, dtype=np.int64)) - (n - 1) / 2) < 0.5
 
 
 def test_hybrid_ops_require_secret_sharing_backend(spark):

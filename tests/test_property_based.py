@@ -3,7 +3,7 @@ laws of the secret-sharing VM, sorting-network correctness on arbitrary
 inputs, and garbled-vs-cleartext circuit agreement."""
 import numpy as np
 import pandas as pd
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mpc import circuits as C
 from repro.mpc import protocols as P
@@ -87,6 +87,32 @@ def test_distinct_count_matches_set(keys):
     arr = np.sort(np.array(keys, np.int64))
     cnt = vm.reveal(P.distinct_count_sorted(vm, vm.share(arr)))[0]
     assert cnt == len(set(keys))
+
+
+@st.composite
+def _keys_and_mask(draw):
+    keys = draw(st.lists(st.integers(-3, 8), max_size=25))
+    mask = draw(st.none() | st.lists(st.integers(0, 1), min_size=len(keys),
+                                     max_size=len(keys)))
+    return keys, mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(_keys_and_mask())
+@example(([], None))                       # no rows
+@example(([], []))
+@example(([3, 1, 3, 2], [0, 0, 0, 0]))     # every row masked out
+@example(([5] * 7, [0, 1, 0, 0, 1, 0, 0]))  # one group
+@example(([4, 0, 7, 2, 9], [1, 0, 1, 1, 0]))  # all-singleton groups
+@example(([2, 2, 1, 0, 2], None))          # no mask
+def test_public_distinct_count_matches_np_unique(keys_mask):
+    """The public-key distinct count over unsorted keys, masked or not."""
+    keys, mask = (np.array(x, np.int64) if x is not None else None for x in keys_mask)
+    vm = _vm(6)
+    m = vm.share(mask) if mask is not None else None
+    cnt = vm.reveal(P.distinct_count_public(vm, vm.public(keys), m))[0]
+    kept = keys if mask is None else keys[mask == 1]
+    assert cnt == len(np.unique(kept))
 
 
 @settings(max_examples=15, deadline=None)

@@ -10,7 +10,7 @@ from repro.mpc.accounting import Meter, SimulatedOOM
 from repro.mpc.circuits import gate_counts
 from repro.mpc.gc_backend import BIT_WIDTH, GCBackend
 from repro.mpc import protocols as P
-from repro.mpc.secret_sharing import SecretSharingVM
+from repro.mpc.secret_sharing import _CMP_ROUNDS, _CMP_WORDS_PER_ELEM, SecretSharingVM
 from repro.mpc.shared_rel import SharedRelation, reveal_relation, share_dataframe
 
 
@@ -350,7 +350,7 @@ def test_protocol_costs_are_pinned():
     ) == (525, 10_878_720)
     key = vm.share(np.sort(g.integers(0, 37, 1000)))
     mask = vm.share(g.integers(0, 2, 1000))
-    assert cost(lambda: P.distinct_count_sorted(vm, key, mask)) == (46, 908_112)
+    assert cost(lambda: P.distinct_count_sorted(vm, key, mask)) == (35, 861_648)
 
 
 # ------------------------------------------------------------------- scans
@@ -359,13 +359,6 @@ def test_segmented_scan_sum(vm):
     same = np.array([0, 1, 0, 1, 1], dtype=np.int64)  # segments [1,2],[3,4,5]
     (out,) = P.segmented_scan_sum(vm, [vm.share(vals)], vm.share(same))
     np.testing.assert_array_equal(vm.reveal(out), [1, 3, 3, 7, 12])
-
-
-def test_segmented_scan_or(vm):
-    bits = np.array([0, 1, 0, 0, 0, 1, 1], dtype=np.int64)
-    same = np.array([0, 1, 1, 0, 1, 1, 1], dtype=np.int64)
-    out = vm.reveal(P.segmented_scan_or(vm, vm.share(bits), vm.share(same)))
-    np.testing.assert_array_equal(out, [0, 1, 1, 0, 0, 1, 1])
 
 
 def _scan_reference(vals, same, op):
@@ -378,7 +371,7 @@ def _scan_reference(vals, same, op):
 
 def test_segmented_scans_match_a_cleartext_reference():
     """Every n from 1 to 300, random segment flags (and one segment over
-    all rows): SUM, OR, and two columns summed in one scan."""
+    all rows): two columns summed in one scan."""
     vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=2)
     g = np.random.default_rng(7)
     for n in range(1, 301):
@@ -390,17 +383,13 @@ def test_segmented_scans_match_a_cleartext_reference():
             vm.reveal(sums[0]), _scan_reference(vals, same, np.add), err_msg=str(n))
         np.testing.assert_array_equal(
             vm.reveal(sums[1]), _scan_reference(bits, same, np.add), err_msg=str(n))
-        ors = P.segmented_scan_or(vm, vm.share(bits), vm.share(same))
-        np.testing.assert_array_equal(
-            vm.reveal(ors), _scan_reference(bits, same, np.bitwise_or), err_msg=str(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 100, 1000, 1024, 1025])
 def test_segmented_scan_rounds_per_step(n):
     """A Brent–Kung scan has an up-sweep step for every power of two d
-    with 2d <= n and a down-sweep step for every d with 3d <= n. A SUM
-    step is one Beaver round, for any number of columns; an OR step is
-    two (the OR multiplies by the carried product)."""
+    with 2d <= n and a down-sweep step for every d with 3d <= n. A step
+    is one Beaver round, for any number of columns."""
     steps = sum(2 * d <= n for d in (2 ** e for e in range(12)))
     steps += sum(3 * d <= n for d in (2 ** e for e in range(12)))
     vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=3)
@@ -413,21 +402,22 @@ def test_segmented_scan_rounds_per_step(n):
 
     assert rounds(lambda: P.segmented_scan_sum(vm, [ones], same)) == steps
     assert rounds(lambda: P.segmented_scan_sum(vm, [ones, ones, ones], same)) == steps
-    assert rounds(lambda: P.segmented_scan_or(vm, ones, same)) == 2 * steps
 
 
-@pytest.mark.parametrize("op", ["sum", "or"])
+@pytest.mark.parametrize("op", ["sum", "distinct"])
 @pytest.mark.parametrize("n", [100, 1000])
 def test_segmented_scan_bytes_grow_linearly(op, n):
     """O(n) Beaver products: four times the rows cost at most 4.2 times
-    the bytes (a Hillis–Steele scan, O(n log n), costs 4.9–5.4 times)."""
+    the bytes (a Hillis–Steele scan, O(n log n), costs 4.9–5.4 times),
+    for the scan and for the masked distinct count over a secret key
+    built on it."""
     def cost(rows):
         vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=4)
         ones = vm.share(np.ones(rows, np.int64))
         if op == "sum":
             P.segmented_scan_sum(vm, [ones], ones)
         else:
-            P.segmented_scan_or(vm, ones, ones)
+            P.distinct_count_sorted(vm, ones, ones)
         return vm.meter.bytes_sent
 
     assert cost(4 * n) <= 4.2 * cost(n)
@@ -605,6 +595,31 @@ def test_distinct_count_sorted(vm, keys, mask, expected):
     key = vm.share(np.array(keys, dtype=np.int64))
     m = vm.share(np.array(mask, dtype=np.int64)) if mask is not None else None
     assert vm.reveal(P.distinct_count_sorted(vm, key, m))[0] == expected
+
+
+def test_public_distinct_count_cost_depends_on_the_groups_alone():
+    """Over a public key, a masked distinct count is one equality batch
+    over the G group sums: ``_CMP_ROUNDS`` rounds and G comparisons'
+    bytes, whatever the row count, the group sizes or the mask. With no
+    mask the count is the public G, free."""
+    def cost(keys, mask):
+        vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=8)
+        key, m = vm.public(np.array(keys, np.int64)), vm.share(np.array(mask, np.int64))
+        r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
+        cnt = P.distinct_count_public(vm, key, m)
+        spent = (vm.meter.rounds - r0, vm.meter.bytes_sent - b0)
+        return (vm.reveal(cnt)[0], *spent)
+
+    g = 4
+    want_bytes = g * _CMP_WORDS_PER_ELEM * 8 * 3 * 2
+    assert cost([1, 2, 3, 4], [1, 1, 1, 1]) == (4, _CMP_ROUNDS, want_bytes)
+    assert cost([9, 9, 9, 9, 9, 9, 1, 5, 7], [0] * 9) == (0, _CMP_ROUNDS, want_bytes)
+    assert cost([3, 1, 3, 2, 1, 7, 7, 2], [1, 0, 0, 0, 1, 1, 0, 1]) == (
+        4, _CMP_ROUNDS, want_bytes)
+    vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=8)
+    got = P.distinct_count_public(vm, vm.public(np.array([3, 1, 3], np.int64)))
+    assert got.public and vm.public_values(got)[0] == 2
+    assert (vm.meter.rounds, vm.meter.bytes_sent) == (0, 0)
 
 
 # ------------------------------------------------------------------- top-k

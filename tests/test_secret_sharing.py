@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.mpc.accounting import Meter
-from repro.mpc.secret_sharing import SecretSharingVM
+from repro.mpc.secret_sharing import SecretSharingVM, SharedVector
 
 from .laud_reference import deal, parallel_read, read_permutation
 
@@ -134,6 +134,52 @@ def test_beaver_multiplication_charges_communication(vm):
 def test_sum(vm):
     av = vm.share(np.array([1, 2, 3, 4, 5], dtype=np.int64))
     assert vm.reveal(vm.sum(av))[0] == 15
+
+
+def test_sum_per_segment_is_share_local(vm):
+    av = vm.share(np.array([1, 2, 3, 4, -5], dtype=np.int64))
+    r0, b0 = vm.meter.rounds, vm.meter.bytes_sent
+    sums = vm.sum(av, starts=np.array([0, 2, 3]))
+    empty = vm.sum(vm.take(av, slice(0, 0)), starts=np.array([], np.int64))
+    assert (vm.meter.rounds, vm.meter.bytes_sent) == (r0, b0)
+    np.testing.assert_array_equal(vm.reveal(sums), [3, 3, -1])
+    assert len(empty) == 0
+
+
+def test_only_trivial_sharings_are_public(vm):
+    """The public mark: set by ``vm.public``, kept by ``take`` and by a
+    ``concat`` of public vectors only, refused on a secret sharing; the
+    values of a secret vector cannot be read."""
+    pub = vm.public(np.array([4, 5, 6], dtype=np.int64))
+    sec = vm.share(np.array([1, 2, 3], dtype=np.int64))
+    assert pub.public and not sec.public
+    np.testing.assert_array_equal(vm.public_values(pub), [4, 5, 6])
+    assert vm.take(pub, np.array([2, 0])).public
+    assert vm.take(pub, slice(1, 3)).public
+    assert vm.concat([pub, pub]).public
+    np.testing.assert_array_equal(
+        vm.public_values(vm.concat([pub, vm.take(pub, slice(0, 1))])), [4, 5, 6, 4])
+    secret = {
+        "concat_with_secret": vm.concat([pub, sec]),
+        "take_of_secret": vm.take(sec, slice(0, 2)),
+        "add": vm.add(pub, pub),
+        "sub": vm.sub(pub, pub),
+        "mul_public": vm.mul_public(pub, 2),
+        "sum": vm.sum(pub),
+        "mul": vm.mul(pub, pub),
+        "eq": vm.eq(pub, pub),
+        "lt": vm.lt(pub, pub),
+        "div_fixed": vm.div_fixed(pub, pub, 4),
+        "permute_public": vm.permute_public(pub, np.array([2, 1, 0])),
+        "shuffle": vm.oblivious_permute([([pub], np.array([2, 1, 0]))])[0][0],
+        "gather": vm.gather([([pub], np.array([0, 2]))])[0][0],
+    }
+    for name, v in secret.items():
+        assert not v.public, name
+        with pytest.raises(ValueError):
+            vm.public_values(v)
+    with pytest.raises(ValueError):
+        SharedVector(sec.shares, public=True)
 
 
 @pytest.mark.parametrize(

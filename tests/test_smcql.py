@@ -102,7 +102,7 @@ def test_aspirin_conclave_cost_is_pinned(spark):
     gen = aspirin.gen_inputs(n_per_party=300, overlap_frac=0.2, seed=1)
     got, meter = run_aspirin_conclave(spark, gen)
     assert got == _oracle_count(gen) == 49
-    assert (meter.rounds, meter.bytes_sent) == (59, 124_776.0)
+    assert (meter.rounds, meter.bytes_sent) == (29, 62_600.0)
 
 
 def test_aspirin_conclave_one_empty_shared_slice(spark):
