@@ -128,18 +128,23 @@ class SharemindBackend:
 
         With ``stp`` it is the §5.3 hybrid aggregation: the columns it
         reads are shuffled, the group column is revealed to the STP, and
-        the STP's clear sort and same-key flags replace the oblivious sort
-        and the equality flags. The STP sends the sort order in the clear
-        (each party reorders its shares locally) and secret-shares the
-        flags. It breaks ties between equal keys at random, so the order
-        every party sees is a uniformly random permutation, whatever the
-        group sizes."""
+        the STP's clear sort replaces the oblivious sort. The STP sends the
+        sort order in the clear (each party reorders its shares locally),
+        breaking ties between equal keys at random, so the order every
+        party sees is a uniformly random permutation, whatever the group
+        sizes. The STP knows where each group ends, so the sums come from
+        share-local prefix sums and one read of the group ends whose
+        permutation it deals (:func:`P.sum_sorted_groups`). In the deal's
+        round it secret-shares the G group keys and, with no filter, the
+        G group sizes, which are the COUNTs. A filtered aggregation shuffles
+        its G rows before the groups the filter emptied are found and
+        dropped (:func:`P.drop_empty_groups`)."""
         if len(group) > 1:
             raise NotImplementedError("multi-column group-by")
         # the column each output sums; None: it counts rows
         overs = [None if op == "count" else over for op, over, _ in aggs]
         summed = [o for o in overs if o is not None]
-        same = None
+        keys = None
         if stp is not None:
             # shuffle only the columns read below (and the mask)
             (r,) = self.shuffle([self.project(r, group + list(dict.fromkeys(summed)))])
@@ -153,18 +158,16 @@ class SharemindBackend:
             )
             r = self.reorder_public(r, order)
             keys = keys[order]
-            flags = np.zeros(len(keys), np.int64)
-            flags[1:] = keys[1:] == keys[:-1]
-            same = self.vm.share(flags)
         n, mask = r.n_rows, r.columns.get(MASK)
         vals = [r.columns[o] for o in summed]
         if mask is not None and vals:
             # every summed column times the mask, in one multiplication
             prod = self.vm.mul(self.vm.concat(vals), self.vm.concat([mask] * len(vals)))
             vals = [self.vm.take(prod, slice(i * n, (i + 1) * n)) for i in range(len(vals))]
-        # a COUNT sums the filter mask itself, or ones where nothing is filtered
+        # a COUNT sums the filter mask itself, or ones where nothing is
+        # filtered (the STP's group sizes, in the hybrid aggregation)
         counted = mask
-        if counted is None and None in overs:
+        if counted is None and None in overs and keys is None:
             counted = self.vm.public(np.ones(n, np.int64))
         vals, cols, scales = iter(vals), {}, {}
         for o, (_, _, out) in zip(overs, aggs):
@@ -180,10 +183,26 @@ class SharemindBackend:
             count = next((out for o, (_, _, out) in zip(overs, aggs) if o is None), MASK)
         if count == MASK:
             cols[MASK] = mask
-        return P.aggregate_sum_by_key(
-            self.vm, SharedRelation({key: r.columns[key], **cols}, scales), key, outs,
-            self.rng, runs=runs, count=count, same=same,
-        ).project([key] + outs)
+        if keys is None:
+            return P.aggregate_sum_by_key(
+                self.vm, SharedRelation({key: r.columns[key], **cols}, scales), key,
+                outs, self.rng, runs=runs, count=count,
+            ).project([key] + outs)
+        # STP: each group's key, size and last row
+        group_keys, sizes = np.unique(keys, return_counts=True)
+        counts = [c for c, v in cols.items() if v is None]
+        read = SharedRelation({c: v for c, v in cols.items() if v is not None}, scales)
+        with self.vm.meter.together():
+            shared = {key: self.vm.share(group_keys)}
+            if counts:
+                shared.update(dict.fromkeys(counts, self.vm.share(sizes)))
+            sums = P.sum_sorted_groups(self.vm, read, np.cumsum(sizes) - 1, stp)
+        out = sums.with_columns({**shared, **sums.columns})
+        if count is not None:
+            # shuffled, the opened empty flags do not sit at a group's key rank
+            (out,) = self.shuffle([out])
+            out = P.drop_empty_groups(self.vm, out, count)
+        return out.project([key] + outs)
 
     def join(
         self, left: SharedRelation, right: SharedRelation, lk: str, rk: str,

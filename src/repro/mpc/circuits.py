@@ -155,14 +155,6 @@ def evaluate(circuit: Circuit, input_bits: list[int]) -> list[int]:
     return [wires[w] for w in circuit.outputs]
 
 
-def int_to_bits(x: int, k: int) -> list[int]:
-    return [(x >> i) & 1 for i in range(k)]
-
-
-def bits_to_int(bits: list[int]) -> int:
-    return sum(b << i for i, b in enumerate(bits))
-
-
 # ---------------------------------------------------------- gate counting
 def _count(build_fn, k: int) -> tuple[int, int]:
     b = Builder()

@@ -7,7 +7,9 @@ These implement the sub-protocols the paper's operators rely on (§5.3,
 * oblivious sort — a real Batcher odd-even mergesort network executed
   with oblivious compare-exchanges (``lt`` + Beaver multiplications),
 * sort-based grouped aggregation (Jónsson et al. [39]) with an oblivious
-  work-efficient segmented scan,
+  work-efficient segmented scan, and the §5.3 hybrid aggregation's group
+  sums: share-local prefix sums and one read of the group ends, which the
+  STP deals,
 * the Cartesian-product join's matching step (the paper's standard MPC
   join, O(n·m) nonlinear operations; leaks output size, as the paper's
   Sharemind baseline does),
@@ -266,7 +268,6 @@ def aggregate_sum_by_key(
     *,
     runs: Sequence[int] | None = None,
     count: str | None = None,
-    same: SharedVector | None = None,
 ) -> SharedRelation:
     """Sort-based grouped SUM (Jónsson et al.) of one value column or
     several: sort by key, obliviously accumulate each group into its last
@@ -276,19 +277,15 @@ def aggregate_sum_by_key(
 
     With ``runs`` (the lengths of the runs the rows come in, each already
     in key order) the sort is only a merge of the runs, or skipped for one
-    run — the §5.4 sort elimination. With ``same`` (shared flags [row i has
-    the key of row i-1] of rows already in key order, as the §5.3 hybrid
-    aggregation's STP sends them) the sort and the equality flags are both
-    skipped. ``count`` names a 0/1 column (a filter mask, or one of
-    ``values``): it is summed in the same multiplications as ``values``,
-    and a group whose sum of it is 0 is dropped (see
-    :func:`keep_group_ends`)."""
+    run — the §5.4 sort elimination. ``count`` names a 0/1 column (a
+    filter mask, or one of ``values``): it is summed in the same
+    multiplications as ``values``, and a group whose sum of it is 0 is
+    dropped (see :func:`keep_group_ends`)."""
     values = [values] if isinstance(values, str) else values
     work = rel.project([key, *values] + ([count] if count not in (None, *values) else []))
-    if same is None:
-        if (runs is None or len(runs) > 1) and work.n_rows > 1:
-            work = oblivious_sort(vm, work, key, runs=runs)
-        same = _same_key_flags(vm, work.columns[key])
+    if (runs is None or len(runs) > 1) and work.n_rows > 1:
+        work = oblivious_sort(vm, work, key, runs=runs)
+    same = _same_key_flags(vm, work.columns[key])
     summed = [c for c in work.column_names if c != key]
     sums = segmented_scan_sum(vm, [work.columns[c] for c in summed], same)
     return keep_group_ends(
@@ -311,19 +308,52 @@ def keep_group_ends(
     group) each kept row came from; the number of groups is revealed.
 
     With ``count`` (the column holding each group's number of rows a
-    filter kept), a group whose count is 0 is dropped too: one batched
-    equality and one reveal over the kept rows. They are shuffled, so this
-    reveals only how many groups the filter emptied."""
+    filter kept), a group whose count is 0 is dropped too
+    (:func:`drop_empty_groups` over the kept rows, which are shuffled)."""
     staged = rel.with_columns({**rel.columns, "__end": is_end})
     [(shuffled, _)] = oblivious_shuffle(vm, [staged], rng)
     flags = vm.reveal(shuffled.columns["__end"])
     keep = np.nonzero(flags == 1)[0]
-    kept = {n: vm.take(shuffled.columns[n], keep) for n in rel.columns}
-    if count is not None:
-        zero = vm.public(np.zeros(len(keep), np.int64))
-        empty = vm.reveal(vm.eq(kept[count], zero))
-        kept = {n: vm.take(v, np.nonzero(empty == 0)[0]) for n, v in kept.items()}
-    return rel.with_columns(kept)
+    kept = rel.with_columns({n: vm.take(shuffled.columns[n], keep) for n in rel.columns})
+    return kept if count is None else drop_empty_groups(vm, kept, count)
+
+
+def drop_empty_groups(
+    vm: SecretSharingVM, rel: SharedRelation, count: str
+) -> SharedRelation:
+    """Drop the groups (rows of ``rel``) whose ``count`` is 0: one batched
+    equality, opened to every party. The rows must come shuffled, so that
+    the opened flags show only how many groups are empty, not which."""
+    zero = vm.public(np.zeros(rel.n_rows, np.int64))
+    empty = vm.reveal(vm.eq(rel.columns[count], zero))
+    keep = np.nonzero(empty == 0)[0]
+    return rel.with_columns({n: vm.take(v, keep) for n, v in rel.columns.items()})
+
+
+def sum_sorted_groups(
+    vm: SecretSharingVM, rel: SharedRelation, ends: np.ndarray, dealer: str
+) -> SharedRelation:
+    """The sum of every column of ``rel`` over each group of its rows,
+    which come in group order, for the §5.3 hybrid aggregation. ``ends``
+    are the groups' last rows, e₁ < … < e_G, which only ``dealer`` (the
+    STP, which sorted the group column in the clear) holds.
+
+    Each party takes the inclusive prefix sums P of its shares, share-
+    local (they wrap mod 2^64, and so do the values'). One oblivious read
+    of the rows ``ends`` (:meth:`SecretSharingVM.gather`), whose read
+    permutation the dealer deals, gives P[e_g] for every column, and each
+    group's sum is P[e_g] − P[e_{g−1}] (P[e₀] = 0), share-local again. So
+    the sums cost 1 + 2p rounds and (n + G)(1/p + 2·cols) words per party
+    pair, with no segmented scan; the parties learn G, and random pieces
+    of the read permutation."""
+    prefixes = [vm.cumsum(v) for v in rel.columns.values()]
+    (at_ends,) = vm.gather([(prefixes, ends)], dealer)
+    zero = vm.public(np.zeros(1, np.int64))
+    # P[e_{g−1}]: the read prefixes one group down, 0 before the first
+    return rel.with_columns({
+        name: vm.sub(p, vm.take(vm.concat([zero, p]), slice(0, len(ends))))
+        for name, p in zip(rel.columns, at_ends)
+    })
 
 
 # -------------------------------------------------------------------- join

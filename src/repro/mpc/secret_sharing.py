@@ -173,10 +173,6 @@ class SecretSharingVM:
     def sub(self, a: SharedVector, b: SharedVector) -> SharedVector:
         return SharedVector(tuple(x - y for x, y in zip(a.shares, b.shares)))
 
-    def add_public(self, a: SharedVector, c: np.ndarray | int) -> SharedVector:
-        c = np.broadcast_to(np.asarray(c, dtype=np.int64), (len(a),))
-        return self.add(a, self.public(c))
-
     def mul_public(self, a: SharedVector, c: np.ndarray | int) -> SharedVector:
         cr = _as_ring(np.broadcast_to(np.asarray(c, dtype=np.int64), (len(a),)))
         return SharedVector(tuple(s * cr for s in a.shares))
@@ -190,6 +186,11 @@ class SecretSharingVM:
                 tuple(np.array([s.sum(dtype=_DTYPE)], dtype=_DTYPE) for s in a.shares)
             )
         return SharedVector(tuple(np.add.reduceat(s, starts) for s in a.shares))
+
+    def cumsum(self, a: SharedVector) -> SharedVector:
+        """Share-local inclusive prefix sum. Each party's prefix sums wrap
+        mod 2^64 as the values' do, so they share the values' prefixes."""
+        return SharedVector(tuple(np.cumsum(s, dtype=_DTYPE) for s in a.shares))
 
     # ---------------------------------------------------- Beaver multiply
     def mul(self, x: SharedVector, y: SharedVector) -> SharedVector:

@@ -76,7 +76,3 @@ def share_dataframe(
             cols[name] = vm.public(vals) if name in public else vm.share(vals)
     return SharedRelation(cols)
 
-
-def reveal_relation(vm: SecretSharingVM, rel: SharedRelation) -> pd.DataFrame:
-    """Open every column of a shared relation to all parties."""
-    return pd.DataFrame({n: vm.reveal(v) for n, v in rel.columns.items()})

@@ -6,9 +6,9 @@ The regulator (party a) holds ssn→zip demographics; two credit agencies
 ``trust=[a]``, making the regulator an STP. Conclave then compiles the
 join into a §5.3 *hybrid join*. The per-ZIP SUM and COUNT are sibling
 aggregations of the joined relation with the same group column, so they
-merge into one *hybrid aggregation* that sorts and scans the relation
-once, and the join on ``zip`` that put them side by side becomes a
-projection. The average is computed in the clear at the regulator
+merge into one *hybrid aggregation* over one clear sort of the relation
+at the STP, and the join on ``zip`` that put them side by side becomes
+a projection. The average is computed in the clear at the regulator
 (push-up of the final division): the regulator receives ``total`` and
 ``cnt`` anyway.
 """

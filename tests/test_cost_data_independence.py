@@ -176,6 +176,11 @@ def test_charges_do_not_depend_on_the_data(spark, monkeypatch, case):
         # the oblivious indexing's charge, and the 3-column reveal is one
         # charge, so this plan makes exactly nine
         assert len(comm) == 9
+    elif case == "hybrid_agg":
+        # four input columns, then the shuffle, the key reveal to the STP,
+        # its order, its share of the group keys and the dealt read of the
+        # group ends, and the output reveal
+        assert len(comm) == 10
     elif case.endswith(_GC):
         # two inputs (staging memory and OT each), then the combining
         # aggregation (projection memory, gates, memory), the top-k sort

@@ -249,7 +249,7 @@ def test_boundary_operator_costs_are_pinned(spark):
     plan, eng = _check_credit(spark, credit_card.gen_inputs(n_holders=150, seed=1))
     assert any(j.site[0] == "hybrid" for j in plan.dag.nodes_of_type(D.Join))
     assert any(a.site[0] == "hybrid" for a in plan.dag.nodes_of_type(D.Aggregate))
-    assert (eng.meter.rounds, eng.meter.bytes_sent) == (40, 289_056.0)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (29, 198_576.0)
 
 
 # ---------------------------------------------------------- comorbidity

@@ -5,6 +5,8 @@ import pytest
 from repro.mpc import circuits as C
 from repro.mpc.garbled import Garbler, evaluate_garbled, run_two_party
 
+from .reference import int_to_bits
+
 
 def _rng():
     return np.random.default_rng(13)
@@ -28,8 +30,8 @@ def test_two_party_split_inputs():
     """Garbler holds x, evaluator holds y; both learn x == y only."""
     b = C.Builder()
     circ = C.BUILDERS["eq"](b, 8)
-    assert run_two_party(circ, C.int_to_bits(42, 8), C.int_to_bits(42, 8)) == [1]
-    assert run_two_party(circ, C.int_to_bits(42, 8), C.int_to_bits(43, 8)) == [0]
+    assert run_two_party(circ, int_to_bits(42, 8), int_to_bits(42, 8)) == [1]
+    assert run_two_party(circ, int_to_bits(42, 8), int_to_bits(43, 8)) == [0]
 
 
 def test_evaluator_sees_exactly_one_valid_label_per_wire():
@@ -58,7 +60,7 @@ def test_garbled_tables_are_input_independent():
         assert rows == [16, 16, 16, 16]
     # same garbling evaluates correctly on two different inputs
     for x, y in [(3, 200), (200, 3)]:
-        bits = C.int_to_bits(x, 8) + C.int_to_bits(y, 8)
+        bits = int_to_bits(x, 8) + int_to_bits(y, 8)
         got, _ = evaluate_garbled(garbler.garbled, garbler.encode_inputs(bits))
         assert got == [int(x < y)]
 

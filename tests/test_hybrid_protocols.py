@@ -348,25 +348,61 @@ def test_hybrid_ops_require_secret_sharing_backend(spark):
             eng.run(plan, data)
 
 
-def test_hybrid_agg_stp_shares_only_same_key_flags(spark, monkeypatch):
-    """After the group column reaches the STP, the only value secret-shared
-    is the STP's same-key flags: the group ends are computed from them
-    share-locally."""
+def test_hybrid_agg_stp_shares_only_group_keys_and_counts(monkeypatch):
+    """After the group column reaches the STP, the only values secret-shared
+    are the STP's G group keys and, with no filter, the G group sizes (the
+    COUNT). No flag is shared: the sums come from a read of the group ends,
+    and a filtered COUNT is the sum of the mask."""
     events = []
     share, reveal_col_to = SecretSharingVM.share, SharemindBackend.reveal_col_to
 
     def share_spy(self, values):
-        events.append("share")
+        events.append(("share", np.asarray(values).tolist()))
         return share(self, values)
 
     def reveal_spy(self, cols, party):
-        events.extend("reveal_col_to" for _ in cols)
+        events.extend(("reveal_col_to", None) for _ in cols)
         return reveal_col_to(self, cols, party)
 
     monkeypatch.setattr(SecretSharingVM, "share", share_spy)
     monkeypatch.setattr(SharemindBackend, "reveal_col_to", reveal_spy)
-    plan, parties = _agg_plan("hybrid")
-    eng = Engine(spark, [p.name for p in parties])
-    eng.run(plan, _agg_data(spark, seed=7)).collect()
-    assert events.count("reveal_col_to") == 1
-    assert events[events.index("reveal_col_to") + 1:] == ["share"]
+    pdf = pd.DataFrame({"k": [3, 1, 3, 2, 1, 3], "v": [4, 5, 6, 7, 8, 9],
+                        "x": [5, 5, 0, 5, 5, 5]}).astype(np.int64)
+    for filtered, sizes in ((False, [[2, 1, 3]]), (True, [])):
+        vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=1)
+        be = SharemindBackend(vm, np.random.default_rng(1))
+        r = be.input_rel(pdf)
+        if filtered:
+            r = be.filter_eq(r, "x", 5)
+        events.clear()
+        be.aggregate(r, ["k"], [("sum", "v", "s"), ("count", None, "c")], stp="c")
+        assert events.count(("reveal_col_to", None)) == 1
+        after = events[events.index(("reveal_col_to", None)) + 1:]
+        assert after == [("share", v) for v in [[1, 2, 3]] + sizes]
+
+
+def test_hybrid_agg_empty_group_flags_hide_the_emptied_group():
+    """A filtered hybrid aggregation opens to every party which of its G
+    rows a filter emptied. The rows are shuffled first, so over seeds the
+    opened 1-flag of the one emptied group falls at many positions, not at
+    that group's key rank (2 of 5)."""
+    keys = np.repeat(np.arange(5), 4)
+    pdf = pd.DataFrame({"k": keys, "v": np.arange(20), "x": np.where(keys == 2, 0, 5)})
+    positions = []
+    for seed in range(30):
+        vm = SecretSharingVM(n_parties=3, meter=Meter(), seed=seed)
+        opened = []
+
+        def reveal(v, _reveal=vm.reveal):
+            opened.append(_reveal(v))
+            return opened[-1]
+
+        vm.reveal = reveal
+        be = SharemindBackend(vm, np.random.default_rng(seed))
+        r = be.filter_eq(be.input_rel(pdf.astype(np.int64)), "x", 5)
+        out = be.aggregate(r, ["k"], [("sum", "v", "s")], stp="c")
+        ((pos,),) = [np.flatnonzero(f) for f in opened]
+        positions.append(pos)
+        assert out.n_rows == 4
+    assert len(set(positions)) >= 3
+    assert positions.count(2) < len(positions) / 2

@@ -1,16 +1,20 @@
 """Property-based tests (hypothesis) for the MPC substrates: algebraic
 laws of the secret-sharing VM, sorting-network correctness on arbitrary
-inputs, and garbled-vs-cleartext circuit agreement."""
+inputs, the hybrid aggregation against pandas, and garbled-vs-cleartext
+circuit agreement."""
 import numpy as np
 import pandas as pd
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.backends.sharemind_sim import MASK, SharemindBackend
 from repro.mpc import circuits as C
 from repro.mpc import protocols as P
 from repro.mpc.accounting import Meter
 from repro.mpc.garbled import Garbler, evaluate_garbled
 from repro.mpc.secret_sharing import SecretSharingVM
-from repro.mpc.shared_rel import reveal_relation, share_dataframe
+from repro.mpc.shared_rel import share_dataframe
+
+from .reference import bits_to_int, int_to_bits, reveal_relation
 
 _vals = st.lists(
     st.integers(min_value=-(2**40), max_value=2**40), min_size=1, max_size=40
@@ -115,13 +119,63 @@ def test_public_distinct_count_matches_np_unique(keys_mask):
     assert cnt == len(np.unique(kept))
 
 
+_BIG = 2**62 - 3
+
+
+@st.composite
+def _hybrid_agg_rows(draw):
+    """Group keys, values (some near ±2⁶², so the prefix sums wrap), a
+    fixed-point column and perhaps a filter mask, all of one length."""
+    n = draw(st.integers(0, 30))
+    rows = lambda elems: st.lists(elems, min_size=n, max_size=n)  # noqa: E731
+    keys = draw(rows(st.integers(0, 6)))
+    vals = draw(rows(st.integers(-1000, 1000) | st.sampled_from([_BIG, -_BIG])))
+    fixed = draw(rows(st.integers(-(2**20), 2**20)))
+    mask = draw(st.none() | rows(st.integers(0, 1)))
+    return keys, vals, fixed, mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hybrid_agg_rows())
+@example(([], [], [], None))                                  # no rows
+@example(([4] * 5, [1, -2, 3, _BIG, -_BIG], [1] * 5, None))   # one group
+@example(([5, 0, 3, 1], [7, -1, 2, 9], [3, 2, 1, 0], None))   # all singletons
+@example(([0, 0, 1, 1, 2], [_BIG, _BIG, _BIG, _BIG, -_BIG], [0] * 5, None))  # wraps
+@example(([2, 1, 2, 0, 1], [5, 6, 7, 8, 9], [1] * 5, [1, 0, 1, 1, 0]))  # a group emptied
+def test_hybrid_aggregation_matches_pandas(rows):
+    """The §5.3 hybrid aggregation's SUM, COUNT and fixed-point SUM of the
+    rows a filter kept equal pandas' groupby; a group the filter emptied is
+    dropped."""
+    keys, vals, fixed, mask = rows
+    pdf = pd.DataFrame({"k": keys, "v": vals, "f": fixed}, dtype=np.int64)
+    kept = pdf if mask is None else pdf[np.array(mask, bool)]
+    # a group's SUM must fit in int64, as in SQL; the prefixes need not
+    assume(all(abs(sum(map(int, g))) < 2**63 for _, g in kept.groupby("k")["v"]))
+    vm = _vm(7)
+    be = SharemindBackend(vm, np.random.default_rng(7))
+    rel = be.input_rel(pdf)
+    cols = dict(rel.columns)
+    if mask is not None:
+        cols[MASK] = vm.share(np.array(mask, np.int64))
+    # "f" holds fixed-point values with 4 fraction bits
+    rel = rel.with_columns(cols)
+    rel.scales["f"] = 4
+    out = be.aggregate(rel, ["k"], [("sum", "v", "s"), ("count", None, "c"),
+                                    ("sum", "f", "t")], stp="c")
+    got = be.reveal(out, "a").sort_values("k").reset_index(drop=True)
+    expected = kept.groupby("k", as_index=False).agg(
+        s=("v", "sum"), c=("v", "size"), t=("f", "sum"))
+    expected["t"] = expected["t"] / 16
+    pd.testing.assert_frame_equal(got, expected, check_dtype=False)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_garbled_eq_all_byte_pairs(x, y):
     b = C.Builder()
     circ = C.BUILDERS["eq"](b, 8)
     g = Garbler(circ)
-    bits = C.int_to_bits(x, 8) + C.int_to_bits(y, 8)
+    bits = int_to_bits(x, 8) + int_to_bits(y, 8)
     got, _ = evaluate_garbled(g.garbled, g.encode_inputs(bits))
     assert got == [int(x == y)]
 
@@ -132,6 +186,6 @@ def test_garbled_add_16bit(x, y):
     b = C.Builder()
     circ = C.BUILDERS["add"](b, 16)
     g = Garbler(circ)
-    bits = C.int_to_bits(x, 16) + C.int_to_bits(y, 16)
+    bits = int_to_bits(x, 16) + int_to_bits(y, 16)
     got, _ = evaluate_garbled(g.garbled, g.encode_inputs(bits))
-    assert C.bits_to_int(got) == (x + y) % (1 << 16)
+    assert bits_to_int(got) == (x + y) % (1 << 16)

@@ -11,7 +11,9 @@ from repro.mpc.circuits import gate_counts
 from repro.mpc.gc_backend import BIT_WIDTH, GCBackend
 from repro.mpc import protocols as P
 from repro.mpc.secret_sharing import _CMP_ROUNDS, _CMP_WORDS_PER_ELEM, SecretSharingVM
-from repro.mpc.shared_rel import SharedRelation, reveal_relation, share_dataframe
+from repro.mpc.shared_rel import SharedRelation, share_dataframe
+
+from .reference import reveal_relation
 
 
 @pytest.fixture()

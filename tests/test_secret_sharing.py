@@ -6,6 +6,7 @@ from repro.mpc.accounting import Meter
 from repro.mpc.secret_sharing import SecretSharingVM, SharedVector
 
 from .laud_reference import deal, parallel_read, read_permutation
+from .reference import add_public
 
 
 @pytest.fixture()
@@ -58,7 +59,7 @@ def test_linear_ops_cost_no_communication(vm):
     vm.add(av, bv)
     vm.sub(av, bv)
     vm.mul_public(av, 17)
-    vm.add_public(av, 5)
+    add_public(vm, av, 5)
     vm.sum(av)
     vm.public(np.array([1, -1], dtype=np.int64))
     assert vm.meter.rounds == before_rounds
@@ -67,7 +68,7 @@ def test_linear_ops_cost_no_communication(vm):
 
 def test_add_public_mul_public(vm):
     av = vm.share(np.array([5, -2, 100], dtype=np.int64))
-    np.testing.assert_array_equal(vm.reveal(vm.add_public(av, 10)), [15, 8, 110])
+    np.testing.assert_array_equal(vm.reveal(add_public(vm, av, 10)), [15, 8, 110])
     np.testing.assert_array_equal(vm.reveal(vm.mul_public(av, -3)), [-15, 6, -300])
     np.testing.assert_array_equal(
         vm.reveal(vm.mul_public(av, np.array([1, 2, 3]))), [5, -4, 300]
