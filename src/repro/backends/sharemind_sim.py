@@ -246,14 +246,8 @@ class SharemindBackend:
         mask = r.columns.get(MASK)
         if key.public:
             return SharedRelation({out_col: P.distinct_count_public(self.vm, key, mask)})
-        if runs is None or len(runs) > 1:
-            work_cols = {col: key}
-            if mask is not None:
-                work_cols[MASK] = mask
-            work = P.oblivious_sort(self.vm, SharedRelation(work_cols), col, runs=runs)
-            key = work.columns[col]
-            mask = work.columns.get(MASK)
-        cnt = P.distinct_count_sorted(self.vm, key, mask)
+        work = P.oblivious_sort(self.vm, self.project(r, [col]), col, runs=runs)
+        cnt = P.distinct_count_sorted(self.vm, work.columns[col], work.columns.get(MASK))
         return SharedRelation({out_col: cnt})
 
     def sort_by(

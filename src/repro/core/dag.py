@@ -10,11 +10,11 @@ Nodes carry the results of the analysis passes:
   ``("public", party)``;
 * ``forced_site`` — a site a rewrite pinned, which site assignment
   takes over ownership;
-* ``sorted_by`` / ``input_sorted`` — sort-order tracking for the §5.4
-  sort-elimination optimization: ``input_sorted`` is True when a sort-
-  based MPC operator's input is already in its key order, or
-  :class:`Runs` when it is a concat of parties' parts that each party
-  orders before inputToMPC, so the sort is only a merge.
+* ``sorted_by`` / ``input_sorted`` / ``presort`` — sort-order tracking
+  for the §5.4 sort-elimination optimization: ``input_sorted`` is True
+  when a sort-based MPC operator's input comes in its key order, as one
+  run or as the parts of a concat whose ``presort`` has each party
+  order its part before inputToMPC, so the sort is only a merge.
 
 The §5.2 push-down rewrites replace nodes. The §5.3 hybrid rewrites and
 the §5.2 push-up only pin sites: a hybrid or public join is a ``Join``
@@ -53,22 +53,11 @@ class Node:
     #: rewrites, ``("clear", recipient)`` by the §5.2 push-up
     forced_site: tuple | None = None
     sorted_by: str | None = None
-    input_sorted: "bool | Runs" = False
+    input_sorted: bool = False
 
     def __post_init__(self):
         if not self.name:
             self.name = f"{type(self).__name__.lower()}_{next(_ids)}"
-
-
-class Runs(NamedTuple):
-    """``input_sorted`` of a sort-based MPC operator whose input is the MPC
-    ``concat``'s parts in order: each party sorts its part by ``key``
-    (``descending`` or not) before inputToMPC, and the operator merges
-    these sorted runs, whose lengths inputToMPC makes public."""
-
-    concat: Node
-    key: str
-    descending: bool
 
 
 @dataclass(eq=False)
@@ -82,7 +71,12 @@ class Input(Node):
 @dataclass(eq=False)
 class Concat(Node):
     """Duplicate-preserving union of same-schema relations (possibly
-    owned by different parties) — the paper's multi-party input builder."""
+    owned by different parties) — the paper's multi-party input builder.
+    Under MPC, ``presort`` (key, descending) has each party sort its part
+    by the key before inputToMPC, for the operator that merges the parts
+    as sorted runs, whose lengths inputToMPC makes public."""
+
+    presort: tuple[str, bool] | None = None
 
 
 @dataclass(eq=False)

@@ -13,9 +13,10 @@ aspirin-count MPC from O(n log n) to O(n) (§7.4).
 A sort-based MPC operator keyed on one column — a grouped, non-hybrid
 aggregation, a distinct-count or an order-by — whose input is an MPC
 concat of parts that are each clear at a party, read by this operator
-alone, gets a :class:`~repro.core.dag.Runs` instead. (Filters,
-projections and arithmetic between them are never left there: the §5.2
-push-down moves them into each party's part.) Each party then sorts its
+alone, has ``input_sorted`` set too, and the concat gets a ``presort``
+of the operator's key and direction. (Filters, projections and
+arithmetic between them are never left there: the §5.2 push-down moves
+them into each party's part.) Each party then sorts its
 own part by that key, in the operator's direction, before inputToMPC
 (§5.2: the work moves to the party's clear stage), and under MPC the
 operator runs only the merge levels of the Batcher network over these
@@ -48,9 +49,10 @@ def _sort_key(n: D.Node) -> tuple[str, bool] | None:
     return None
 
 
-def _runs(n: D.Node, cons: dict[int, list[D.Node]]) -> D.Runs | None:
-    """:class:`D.Runs` for a sort-based MPC operator whose input is an MPC
-    concat of clear parts read by it alone, or None."""
+def _mark_merge(n: D.Node, cons: dict[int, list[D.Node]]) -> bool:
+    """Whether a sort-based MPC operator ``n`` merges its input's parts:
+    it does when its input is an MPC concat of clear parts read by ``n``
+    alone, which then gets ``n``'s key and direction as its ``presort``."""
     sort = _sort_key(n)
     p = n.parents[0] if sort else None
     if (
@@ -59,14 +61,17 @@ def _runs(n: D.Node, cons: dict[int, list[D.Node]]) -> D.Runs | None:
         and len(cons[id(p)]) == 1
         and all(q.site[0] == "clear" for q in p.parents)
     ):
-        return D.Runs(p, *sort)
-    return None
+        p.presort = sort
+        return True
+    return False
 
 
 def track_sort_orders(dag: D.Dag, *, enabled: bool = True) -> None:
     cons = dag.consumers()
     for n in dag.topo_order():
         n.input_sorted = False
+        if isinstance(n, D.Concat):
+            n.presort = None
         if isinstance(n, D.Input):
             n.sorted_by = None
         elif isinstance(n, D.Join) and _pinned(n, "public"):
@@ -97,4 +102,4 @@ def track_sort_orders(dag: D.Dag, *, enabled: bool = True) -> None:
         else:  # Concat, MPC or hybrid Join
             n.sorted_by = None
         if enabled and not n.input_sorted:
-            n.input_sorted = _runs(n, cons) or False
+            n.input_sorted = _mark_merge(n, cons)

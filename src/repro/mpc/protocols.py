@@ -242,8 +242,8 @@ def segmented_scan_sum(
 def _same_key_flags(vm: SecretSharingVM, key: SharedVector) -> SharedVector:
     """same[i] = [key[i] == key[i-1]] (shared), same[0] = 0."""
     n = len(key)
-    if n == 1:
-        return vm.public(np.zeros(1, np.int64))
+    if n <= 1:
+        return vm.public(np.zeros(n, np.int64))
     inner = vm.eq(vm.take(key, np.arange(1, n)), vm.take(key, np.arange(0, n - 1)))
     zero = vm.public(np.zeros(1, np.int64))
     return vm.concat([zero, inner])
@@ -283,8 +283,7 @@ def aggregate_sum_by_key(
     dropped (see :func:`keep_group_ends`)."""
     values = [values] if isinstance(values, str) else values
     work = rel.project([key, *values] + ([count] if count not in (None, *values) else []))
-    if (runs is None or len(runs) > 1) and work.n_rows > 1:
-        work = oblivious_sort(vm, work, key, runs=runs)
+    work = oblivious_sort(vm, work, key, runs=runs)
     same = _same_key_flags(vm, work.columns[key])
     summed = [c for c in work.column_names if c != key]
     sums = segmented_scan_sum(vm, [work.columns[c] for c in summed], same)

@@ -30,10 +30,9 @@ one thread per frame), as the parties' own clusters would send their
 ``inputToMPC`` at once; the batch finishes before the backend call of
 the node that asked for it.
 
-A sort-based MPC operator compiled with :class:`~repro.core.dag.Runs`
-merges its input's parts: the node that shares them (their concat) has
-each party sort its collected frame by the key first, and the parts'
-lengths are the runs the operator's backend call merges.
+A concat compiled with a ``presort`` (§5.4) has each party sort its
+collected frame by the key before inputToMPC, and the parts' lengths are
+the runs that the sort-based operator reading the concat merges.
 
 The engine itself holds only Spark and cleartext work: every step under
 MPC is a call on one backend object, which owns the format of its MPC
@@ -61,15 +60,9 @@ from ..mpc.secret_sharing import SecretSharingVM
 
 @dataclass
 class ClearVal:
-    """A relation held in the clear at one party (a Spark DataFrame)."""
-
-    party: str
-    df: DataFrame
-
-
-@dataclass
-class PartVal:
-    """A relation partitioned across parties, each part in the clear."""
+    """A relation in the clear, as one Spark DataFrame per party that
+    holds a part of it: one part is a relation held at that party,
+    several the parts of a concat that feeds a public join."""
 
     parts: dict[str, DataFrame]
 
@@ -103,9 +96,7 @@ class Engine:
         self._cons: dict[int, list[D.Node]] = {}
         self._noted: dict[int, DataFrame] = {}
         self._held: dict[int, pd.DataFrame] = {}
-        # the §5.4 merge: each concat whose parts the parties sort, by id,
-        # with its consumer's Runs, and once shared, its parts' lengths
-        self._presort: dict[int, D.Runs] = {}
+        # the §5.4 merge: each presorted concat's parts' lengths, by id
         self._run_lengths: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------ helpers
@@ -142,35 +133,30 @@ class Engine:
         """The clear frames of a value, parts in party order; none for an
         MPC value."""
         if isinstance(val, ClearVal):
-            return [val.df]
-        if isinstance(val, PartVal):
             return [df for _, df in sorted(val.parts.items())]
         return []
 
-    def _ensure_mpc_all(self, vals: list, runs: D.Runs | None = None) -> list:
+    def _ensure_mpc_all(self, vals: list, presort: tuple[str, bool] | None = None) -> list:
         """inputToMPC for every parent of a node: collect all their clear
         frames in one batch, then secret-share them in parent and party
-        order, every frame in the same round. A partitioned value is
-        shared part by part and concatenated; an MPC value passes
-        through. With ``runs`` (the node is its concat), each party first
-        sorts its frame by the key, stably, and the frames' lengths are
-        kept for the operator that merges them."""
+        order, every frame in the same round. A clear value of several
+        parts is shared part by part and concatenated; an MPC value
+        passes through. With ``presort`` (key, descending), each party
+        first sorts its frame by the key, stably."""
         frames = [self._frames(v) for v in vals]
         pdfs = self._collect([df for fs in frames for df in fs])
-        if runs is not None:
-            pdfs = [pdf.sort_values(runs.key, ascending=not runs.descending,
+        if presort is not None:
+            key, descending = presort
+            pdfs = [pdf.sort_values(key, ascending=not descending,
                                     kind="stable", ignore_index=True)
                     for pdf in pdfs]
-            self._run_lengths[id(runs.concat)] = [len(pdf) for pdf in pdfs]
         with self.meter.together():
             shares = iter([self._share(pdf) for pdf in pdfs])
         out = []
         for v, fs in zip(vals, frames):
-            shared = [next(shares) for _ in fs]
-            if isinstance(v, ClearVal):
-                v = shared[0]
-            elif isinstance(v, PartVal):
-                v = self.backend.concat(shared)
+            if fs:
+                shared = [next(shares) for _ in fs]
+                v = shared[0] if len(shared) == 1 else self.backend.concat(shared)
             out.append(v)
         return out
 
@@ -185,26 +171,16 @@ class Engine:
                 )
         return self.backend.input_rel(pdf.astype(np.int64), public=public)
 
-    def _reveal_to(self, val, party: str) -> ClearVal:
-        """revealTo: open an MPC value at one party as a Spark DataFrame."""
-        pdf = self.backend.reveal(val, party)
-        return ClearVal(party, self._to_spark(pdf))
-
     def _as_clear_at(self, val, party: str) -> DataFrame:
-        if isinstance(val, ClearVal):
-            if val.party != party:
-                self._charge_transfer(val.df.count(), len(val.df.columns))
-            return val.df
-        if isinstance(val, PartVal):
-            return reduce(DataFrame.unionByName, val.parts.values())
-        return self._reveal_to(val, party).df
-
-    def _as_parts(self, val) -> dict[str, DataFrame]:
-        if isinstance(val, PartVal):
-            return val.parts
-        if isinstance(val, ClearVal):
-            return {val.party: val.df}
-        raise TypeError("expected a cleartext relation")
+        """``val`` in the clear at ``party``: an MPC value is opened to it
+        (revealTo); each part of a clear value that another party holds
+        is sent to it, and the parts are unioned."""
+        if not isinstance(val, ClearVal):
+            return self._to_spark(self.backend.reveal(val, party))
+        for p, df in val.parts.items():
+            if p != party:
+                self._charge_transfer(df.count(), len(df.columns))
+        return reduce(DataFrame.unionByName, val.parts.values())
 
     def _stays_partitioned(self, n: D.Node) -> bool:
         """An MPC concat stays partitioned in the clear when it feeds a
@@ -241,8 +217,6 @@ class Engine:
         self.meter.restart_wall()
         dag = plan.dag
         self._cons = dag.consumers()
-        flags = [n.input_sorted for n in dag.topo_order()]
-        self._presort = {id(r.concat): r for r in flags if isinstance(r, D.Runs)}
         values: dict[int, object] = {}
         unread = {k: len(c) for k, c in self._cons.items()}
         try:
@@ -259,30 +233,28 @@ class Engine:
             self._noted.clear()
             self._held.clear()
             self._run_lengths.clear()
-        out = values[id(dag.outputs[0])]
-        assert isinstance(out, ClearVal)
-        return out.df
+        [out] = values[id(dag.outputs[0])].parts.values()
+        return out
 
     # ----------------------------------------------------------- dispatch
     def _exec_node(self, n: D.Node, inputs, values):
         pvals = [values[id(p)] for p in n.parents]
         if isinstance(n, D.Input):
-            return ClearVal(n.party.name, select_cols(inputs[n.name], n.out_cols))
+            return ClearVal({n.party.name: select_cols(inputs[n.name], n.out_cols)})
         if isinstance(n, D.Output):
             party = n.recipients[0].name
-            df = self._as_clear_at(pvals[0], party)
-            return ClearVal(party, df)
+            return ClearVal({party: self._as_clear_at(pvals[0], party)})
         site = n.site
         assert site is not None, f"uncompiled node {n.name}"
         if self._stays_partitioned(n):
             parts: dict[str, DataFrame] = {}
             for v in pvals:
-                for p, df in self._as_parts(v).items():
+                for p, df in v.parts.items():
                     parts[p] = df if p not in parts else parts[p].unionByName(df)
-            return PartVal(parts)
+            return ClearVal(parts)
         if site[0] == "clear":
             dfs = [self._as_clear_at(v, site[1]) for v in pvals]
-            return ClearVal(site[1], exec_clear_node(n, dfs))
+            return ClearVal({site[1]: exec_clear_node(n, dfs)})
         if site[0] == "public":
             return self._exec_public_join(n, pvals)
         return self._exec_mpc(n, pvals)
@@ -290,11 +262,14 @@ class Engine:
     # --------------------------------------------------------------- mpc
     def _exec_mpc(self, n: D.Node, pvals):
         be = self.backend
-        args = self._ensure_mpc_all(pvals, self._presort.get(id(n)))
+        if isinstance(n, D.Concat):
+            args = self._ensure_mpc_all(pvals, n.presort)
+            if n.presort:
+                self._run_lengths[id(n)] = [a.n_rows for a in args]
+            return be.concat(args)
+        args = self._ensure_mpc_all(pvals)
         stp = n.site[1] if n.site[0] == "hybrid" else None
         runs = self._runs(n, args[0])
-        if isinstance(n, D.Concat):
-            return be.concat(args)
         if isinstance(n, D.Project):
             return be.project(args[0], n.cols)
         if isinstance(n, D.Filter):
@@ -319,11 +294,11 @@ class Engine:
 
     def _runs(self, n: D.Node, rel) -> list[int] | None:
         """The lengths of the sorted runs ``n``'s MPC input ``rel`` comes
-        in: one run when it is sorted already, its concat's parts for a
-        §5.4 merge, None otherwise."""
-        if isinstance(n.input_sorted, D.Runs):
-            return self._run_lengths[id(n.input_sorted.concat)]
-        return [rel.n_rows] if n.input_sorted else None
+        in: its concat's parts for a §5.4 merge, one run when it is
+        sorted already, None otherwise."""
+        if not n.input_sorted:
+            return None
+        return self._run_lengths.get(id(n.parents[0]), [rel.n_rows])
 
     # ------------------------------------------------------- public join
     def _exec_public_join(self, n: D.Join, pvals):
@@ -366,7 +341,7 @@ class Engine:
                 .reset_index(drop=True)
             )
             out = pd.concat([left_sel, right_sel], axis=1)
-            return ClearVal(n.site[1], self._to_spark(out[n.out_cols]))
+            return ClearVal({n.site[1]: self._to_spark(out[n.out_cols])})
 
         # share only the matching rows of each partition into MPC
         def matched_shared(parts, gids: np.ndarray, drop_col: str | None,
@@ -379,13 +354,8 @@ class Engine:
             shared, offset = [], 0
             for pdf in parts:
                 local = needed[(needed >= offset) & (needed < offset + len(pdf))]
-                if len(local):
-                    rows = pdf.iloc[local - offset][cols]
-                    shared.append(self._share(rows, public))
+                shared.append(self._share(pdf.iloc[local - offset][cols], public))
                 offset += len(pdf)
-            if not shared:
-                empty = pd.DataFrame({c: np.zeros(0, np.int64) for c in cols})
-                return self.backend.input_rel(empty, public=public), pos
             return self.backend.concat(shared), pos
 
         # the matching rows of both sides go out in the same round

@@ -2,7 +2,8 @@
 
 Three runners, matching the paper's Figure 7 comparison:
 
-* ``run_aspirin_smcql`` — SMCQL: slicing on the public patient ID, then
+* ``run_aspirin_smcql`` — SMCQL: slicing on the public patient ID
+  (:func:`slice_aspirin`, after Bater et al. [3]), then
   one small garbled-circuit MPC *per shared slice* on the ObliVM
   backend (join + filters + distinct contribution), single-party slices
   processed locally in Spark;
@@ -38,7 +39,6 @@ from ..mpc.gc_backend import BIT_WIDTH, OBLIVM_GATES_PER_SECOND, WIRE_BYTES
 from ..queries import aspirin, comorbidity
 from ..queries.base import gen_to_spark
 from ..runtime.engine import Engine
-from .slicing import key_locations, slice_by_key
 
 #: SMCQL spawns one ObliVM garbled-circuit session per shared slice;
 #: session setup (JVM circuit generation + OT base phase) costs ~1 s —
@@ -54,34 +54,46 @@ def oblivm_meter(memory_cap_gib: int = 32) -> Meter:
     return m
 
 
-def _local_aspirin_count(spark: SparkSession, diag: pd.DataFrame,
-                         med: pd.DataFrame) -> int:
-    """One party's clear contribution: distinct c.diff+aspirin patients
-    among its single-party slices, computed in Spark."""
-    if len(diag) == 0 or len(med) == 0:
-        return 0
-    d = spark.createDataFrame(diag).where(
-        F.col("diag") == synth_data.CDIFF_CODE
-    )
-    m = spark.createDataFrame(med).where(
-        F.col("med") == synth_data.ASPIRIN_CODE
-    )
-    row = (
-        d.join(m, on="patient_id")
-        .agg(F.countDistinct("patient_id").alias("c"))
-        .collect()[0]
-    )
-    return int(row["c"])
+def slice_aspirin(gen: dict[str, pd.DataFrame]
+                  ) -> tuple[dict[str, pd.DataFrame], dict[str, pd.DataFrame]]:
+    """SMCQL's slicing of the aspirin inputs on the public patient ID: a
+    patient whose rows, in either relation, sit at both hospitals is
+    shared (MPC-bound); every other patient's rows stay with the one
+    hospital that holds them. Returns each input's single-party rows and
+    its shared rows, by input name, each in input order."""
+    held = [np.union1d(gen[f"diag_{p}"]["patient_id"], gen[f"med_{p}"]["patient_id"])
+            for p in ("h1", "h2")]
+    both = np.intersect1d(*held)
+    single, shared = {}, {}
+    for name, pdf in gen.items():
+        mask = pdf["patient_id"].isin(both).to_numpy()
+        single[name] = pdf[~mask].reset_index(drop=True)
+        shared[name] = pdf[mask].reset_index(drop=True)
+    return single, shared
 
 
-def _slice_aspirin(gen: dict[str, pd.DataFrame]):
-    diag_parts = {"h1": gen["diag_h1"], "h2": gen["diag_h2"]}
-    med_parts = {"h1": gen["med_h1"], "h2": gen["med_h2"]}
-    locs = key_locations([diag_parts, med_parts], "patient_id")
-    return (
-        slice_by_key(diag_parts, "patient_id", key_locations=locs),
-        slice_by_key(med_parts, "patient_id", key_locations=locs),
-    )
+def _local_counts(spark: SparkSession, single: dict[str, pd.DataFrame]) -> int:
+    """Each hospital's clear contribution, summed: the distinct
+    c.diff+aspirin patients among its single-party slices, computed in
+    Spark."""
+    count = 0
+    for p in ("h1", "h2"):
+        diag, med = single[f"diag_{p}"], single[f"med_{p}"]
+        if len(diag) == 0 or len(med) == 0:
+            continue
+        d = spark.createDataFrame(diag).where(
+            F.col("diag") == synth_data.CDIFF_CODE
+        )
+        m = spark.createDataFrame(med).where(
+            F.col("med") == synth_data.ASPIRIN_CODE
+        )
+        row = (
+            d.join(m, on="patient_id")
+            .agg(F.countDistinct("patient_id").alias("c"))
+            .collect()[0]
+        )
+        count += int(row["c"])
+    return count
 
 
 def run_aspirin_smcql(
@@ -89,17 +101,14 @@ def run_aspirin_smcql(
 ) -> tuple[int, Meter]:
     meter = meter or oblivm_meter()
     meter.restart_wall()
-    dslice, mslice = _slice_aspirin(gen)
+    single, shared = slice_aspirin(gen)
     # single-party slices: local cleartext Spark processing
-    count = sum(
-        _local_aspirin_count(spark, dslice.single[p], mslice.single[p])
-        for p in ("h1", "h2")
-    )
+    count = _local_counts(spark, single)
     # shared slices: one garbled-circuit MPC per patient slice. SMCQL
     # runs the join *obliviously within each slice* — quadratic in slice
     # size — plus filters and the distinct-count contribution.
-    dsh = pd.concat(dslice.shared.values(), ignore_index=True)
-    msh = pd.concat(mslice.shared.values(), ignore_index=True)
+    dsh, msh = (pd.concat([shared[f"{rel}_{p}"] for p in ("h1", "h2")], ignore_index=True)
+                for rel in ("diag", "med"))
     dsizes = dsh["patient_id"].value_counts()
     msizes = msh["patient_id"].value_counts()
     sizes = pd.concat([dsizes, msizes], axis=1, keys=["d", "m"]).fillna(0)
@@ -134,17 +143,10 @@ def run_aspirin_conclave(
     wall clock spans the slicing, the local counts and the engine."""
     meter = meter or Meter()
     meter.restart_wall()
-    dslice, mslice = _slice_aspirin(gen)
-    count = sum(
-        _local_aspirin_count(spark, dslice.single[p], mslice.single[p])
-        for p in ("h1", "h2")
-    )
-    shared = {
-        f"{rel}_{p}": s.shared[p]
-        for rel, s in (("diag", dslice), ("med", mslice))
-        for p in ("h1", "h2")
-    }
-    d_rows, m_rows = (sum(map(len, s.shared.values())) for s in (dslice, mslice))
+    single, shared = slice_aspirin(gen)
+    count = _local_counts(spark, single)
+    d_rows, m_rows = (sum(len(shared[f"{rel}_{p}"]) for p in ("h1", "h2"))
+                      for rel in ("diag", "med"))
     if d_rows == 0 or m_rows == 0:
         return count, meter  # the shared join is empty: nothing enters MPC
     spec = aspirin.build()

@@ -314,6 +314,21 @@ def test_one_aggregation_computes_every_output(be, backend, filtered, group, wan
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
+@pytest.mark.parametrize("backend", ["sharemind", "oblivc"])
+@pytest.mark.parametrize("runs,filtered", [(None, False), ([0, 0], False), (None, True)],
+                         ids=["no-runs", "two-empty-runs", "filtered"])
+def test_a_grouped_aggregation_of_no_rows_has_no_groups(be, backend, runs, filtered):
+    """SUM with COUNT over a relation with no rows (as it is, as two empty
+    sorted runs, or filtered) returns no groups."""
+    b = be if backend == "sharemind" else GCBackend(Meter())
+    r = b.input_rel(_pdf(k=[], f=[], v=[]))
+    if filtered:
+        r = b.filter_eq(r, "f", 1)
+    out = b.aggregate(r, ["k"], [("sum", "v", "s"), ("count", None, "c")], runs=runs)
+    got = b.reveal(out, "p0")
+    assert list(got.columns) == ["k", "s", "c"] and len(got) == 0
+
+
 @pytest.mark.parametrize("stp", [None, "p0"], ids=["mpc", "hybrid"])
 def test_outputs_share_the_rounds_of_one_aggregation(be, stp):
     """More outputs widen the sort, scan and shuffle of one grouped

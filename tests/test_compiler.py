@@ -352,14 +352,20 @@ def test_sortby_then_aggregate_eliminates_sort():
 
 def _over_concat(tail, **opts):
     """Compile ``tail`` applied to the MPC concat of two parties' tables
-    (``g`` trusted to party c, the STP), and return the sort flags of its
-    MPC and hybrid nodes, in topological order."""
+    (``g`` trusted to party c, the STP), and return its MPC and hybrid
+    nodes, in topological order."""
     pa, pb, pc = Party("a"), Party("b"), Party("c")
     cols = lambda: [Column("g", trust=(pc,)), Column("v")]  # noqa: E731
     rows = concat([newTable(cols(), at=pa, name="xa"), newTable(cols(), at=pb, name="xb")])
     plan = compile_query(tail(rows).collect(to=[pa]), CompileOptions(
         parties=[pa, pb, pc], allow_cardinality_leaking_pushdown=False, **opts))
-    return [n.input_sorted for n in plan.nodes() if n.site[0] in ("mpc", "hybrid")]
+    return [n for n in plan.nodes() if n.site[0] in ("mpc", "hybrid")]
+
+
+def _sorts_eliminated(nodes) -> bool:
+    """Whether any of ``nodes`` skips or merges a sort, or is a concat
+    whose parts the parties pre-sort."""
+    return any(n.input_sorted or isinstance(n, D.Concat) and n.presort for n in nodes)
 
 
 def test_a_sort_over_the_parties_concat_becomes_a_merge():
@@ -369,17 +375,18 @@ def test_a_sort_over_the_parties_concat_becomes_a_merge():
     sorts in the clear), and not for a concat read twice."""
     agg = lambda r: r.aggregate("s", D.SUM, group=["g"], over="v")  # noqa: E731
     [cat, merged] = _over_concat(lambda r: agg(r.project(["g", "v"])), enable_hybrid=False)
-    assert cat is False
-    assert (merged.key, merged.descending) == ("g", False)
-    assert isinstance(merged.concat, D.Concat)
-    [_, top] = _over_concat(lambda r: r.sort_by("v", ascending=False))
-    assert (top.key, top.descending) == ("v", True)
-    [_, dc] = _over_concat(lambda r: r.distinct_count("g"))
-    assert (dc.key, dc.descending) == ("g", False)
-    assert not any(_over_concat(agg, enable_hybrid=False, enable_sort_elimination=False))
-    assert not any(_over_concat(agg))  # hybrid: pinned to the STP
+    assert isinstance(cat, D.Concat) and cat.input_sorted is False
+    assert merged.input_sorted is True and merged.parents == [cat]
+    assert cat.presort == ("g", False)
+    [cat, top] = _over_concat(lambda r: r.sort_by("v", ascending=False))
+    assert top.input_sorted and cat.presort == ("v", True)
+    [cat, dc] = _over_concat(lambda r: r.distinct_count("g"))
+    assert dc.input_sorted and cat.presort == ("g", False)
+    assert not _sorts_eliminated(
+        _over_concat(agg, enable_hybrid=False, enable_sort_elimination=False))
+    assert not _sorts_eliminated(_over_concat(agg))  # hybrid: pinned to the STP
     twice = lambda r: agg(r).cross(r.distinct_count("v"))  # noqa: E731
-    assert not any(_over_concat(twice, enable_hybrid=False))
+    assert not _sorts_eliminated(_over_concat(twice, enable_hybrid=False))
 
 
 # -------------------------------------------------------- site assignment
@@ -455,9 +462,13 @@ def test_paper_query_plans_are_pinned(query, options, pins):
     sorted runs), in topological order: a change to placement has to show
     itself here."""
     plan = _compile(query.build(), **options)
+
+    def sort_mark(n: D.Node) -> str:
+        if not n.input_sorted:
+            return ""
+        p = n.parents[0]
+        return " merged" if isinstance(p, D.Concat) and p.presort else " sorted"
+
     assert [
-        f"{type(n).__name__} {':'.join(n.site)}"
-        + (" merged" if isinstance(n.input_sorted, D.Runs)
-           else " sorted" if n.input_sorted else "")
-        for n in plan.nodes()
+        f"{type(n).__name__} {':'.join(n.site)}{sort_mark(n)}" for n in plan.nodes()
     ] == pins

@@ -303,8 +303,12 @@ def test_fractional_column_into_mpc_raises(spark, backend, leaking):
 
 
 # ------------------------------------- §5.4 merge of pre-sorted parts
-def _merged(plan) -> list[D.Runs]:
-    return [n.input_sorted for n in plan.nodes() if isinstance(n.input_sorted, D.Runs)]
+def _merged(plan) -> list[tuple[D.Concat, D.Node]]:
+    """Each pre-sorted concat of the plan, with the operator that merges
+    its parts."""
+    return [(n.parents[0], n) for n in plan.nodes()
+            if n.input_sorted and isinstance(n.parents[0], D.Concat)
+            and n.parents[0].presort]
 
 
 def _revenue():
@@ -368,8 +372,8 @@ def test_a_merge_of_pre_sorted_parts_matches_duckdb(spark, name, backend, case):
     the sort-based aggregation merges the runs: the results are DuckDB's."""
     out, parties, opts, gen, sql = case()
     plan = compile_query(out, CompileOptions(parties=parties, **opts))
-    [runs] = _merged(plan)
-    assert isinstance(runs.concat, D.Concat) and not runs.descending
+    [(cat, _)] = _merged(plan)
+    assert cat.site == ("mpc",) and cat.presort[1] is False
     eng = Engine(spark, [p.name for p in parties], backend=backend)
     assert_equivalent(eng.run(plan, gen_to_spark(spark, gen)), sql, **gen)
 
@@ -411,8 +415,8 @@ def test_a_descending_sort_over_a_concat_merges(spark, backend):
                    for p in parties])
     out = rows.sort_by("v", ascending=False).collect(to=[parties[0]])
     plan = compile_query(out, CompileOptions(parties=parties))
-    [runs] = _merged(plan)
-    assert (runs.key, runs.descending) == ("v", True)
+    [(cat, _)] = _merged(plan)
+    assert cat.presort == ("v", True)
     g = np.random.default_rng(9)
     gen = {f"s{p}": _pdf(k=np.arange(n) + 100 * i, v=g.integers(-4, 5, n))
            for i, (p, n) in enumerate(zip("abc", (9, 0, 14)))}
@@ -616,6 +620,62 @@ def test_boundary_collect_leaves_no_thread_behind(spark):
     before = threading.active_count()
     eng.run(plan, data).toPandas()
     assert threading.active_count() == before
+
+
+def test_a_partitioned_value_read_in_the_clear_pays_its_transfer(spark):
+    """The concat of a's and b's rows feeds a public join and is also
+    collected at a: b's part (3 rows, 2 columns) travels to a, one more
+    round and 48 more bytes than a plan that did not move it would
+    charge."""
+    a, b = Party("a"), Party("b")
+    pub = lambda: [Column("k", trust=(a, b)), Column("v")]  # noqa: E731
+    rows = concat([newTable(pub(), at=a, name="ta"), newTable(pub(), at=b, name="tb")])
+    other = newTable([Column("k", trust=(a, b)), Column("w")], at=b, name="r")
+    joined = rows.join(other, left="k", right="k").collect(to=[a])
+    plan = compile_query([rows.collect(to=[a]), joined], CompileOptions(parties=[a, b]))
+    assert [j.site for j in plan.dag.nodes_of_type(D.Join)] == [("public", "a")]
+    gen = {"ta": _pdf(k=[1, 2], v=[10, 20]), "tb": _pdf(k=[2, 3, 4], v=[30, 40, 50]),
+           "r": _pdf(k=[2, 4], w=[7, 8])}
+    eng = Engine(spark, ["a", "b"])
+    df = eng.run(plan, gen_to_spark(spark, gen))
+    assert_equivalent(df, "SELECT * FROM ta UNION ALL SELECT * FROM tb", **gen)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (5, 368.0)
+
+
+def test_a_public_join_that_matches_nothing_feeds_mpc(spark):
+    """The aspirin plan with no medication patient among the diagnosed:
+    the public join shares an empty part of each side, and the count is
+    DuckDB's 0."""
+    from repro.queries import aspirin
+
+    gen = aspirin.gen_inputs(n_per_party=200, seed=5)
+    shift = 1 + max(int(gen[f"diag_{p}"]["patient_id"].max()) for p in ("h1", "h2"))
+    for p in ("h1", "h2"):
+        gen[f"med_{p}"] = gen[f"med_{p}"].assign(
+            patient_id=gen[f"med_{p}"]["patient_id"] + shift)
+    spec = aspirin.build()
+    plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
+    eng = Engine(spark, [p.name for p in spec.parties])
+    df = eng.run(plan, gen_to_spark(spark, gen))
+    assert df.toPandas()["rx_cnt"].tolist() == [0]
+    assert_equivalent(df, spec.oracle_sql, **gen)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (21, 12_808.0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("leaking", [True, False])
+def test_an_mpc_aggregation_of_two_empty_parts_has_no_rows(spark, backend, leaking):
+    """T3's MPC aggregation over two parties with no rows returns no
+    groups, as DuckDB does: with the leaking push-down (local
+    pre-aggregates) and without (a merge of two empty runs)."""
+    out, parties, _, _, sql = _mpc_agg()
+    opts = CompileOptions(parties=parties, allow_cardinality_leaking_pushdown=leaking)
+    plan = compile_query(out, opts)
+    gen = {n: _pdf(k=[], v=[]) for n in ("ga", "gb")}
+    eng = Engine(spark, [p.name for p in parties], backend=backend)
+    df = eng.run(plan, gen_to_spark(spark, gen))
+    assert df.count() == 0
+    assert_equivalent(df, sql, **gen)
 
 
 # ------------------------------------------------------ benchmark tracer

@@ -19,8 +19,8 @@ from repro.smcql.runners import (
     run_aspirin_smcql,
     oblivm_meter,
     run_comorbidity,
+    slice_aspirin,
 )
-from repro.smcql.slicing import key_locations, slice_by_key
 
 
 def _oracle_count(gen) -> int:
@@ -34,26 +34,31 @@ def _oracle_count(gen) -> int:
 
 
 # ---------------------------------------------------------------- slicing
+def _inputs(diag_h1, diag_h2, med_h1=(), med_h2=()) -> dict[str, pd.DataFrame]:
+    """Aspirin inputs that hold only the given patient IDs."""
+    ids = {"diag_h1": diag_h1, "diag_h2": diag_h2, "med_h1": med_h1, "med_h2": med_h2}
+    return {name: pd.DataFrame({"patient_id": np.asarray(k, np.int64)})
+            for name, k in ids.items()}
+
+
 def test_slice_by_key_partitions_rows():
-    a = pd.DataFrame({"k": [1, 2, 3], "v": [10, 20, 30]})
-    b = pd.DataFrame({"k": [3, 4], "v": [33, 44]})
-    locs = key_locations([{"h1": a, "h2": b}], "k")
-    s = slice_by_key({"h1": a, "h2": b}, "k", key_locations=locs)
-    assert list(s.shared_keys) == [3]
-    assert s.single["h1"]["k"].tolist() == [1, 2]
-    assert s.shared["h1"]["k"].tolist() == [3]
-    assert s.shared["h2"]["k"].tolist() == [3]
-    assert s.single["h2"]["k"].tolist() == [4]
+    gen = _inputs([1, 2, 3], [3, 4])
+    gen["diag_h1"]["v"], gen["diag_h2"]["v"] = [10, 20, 30], [33, 44]
+    single, shared = slice_aspirin(gen)
+    shared_keys = np.unique(pd.concat(shared.values())["patient_id"])
+    assert list(shared_keys) == [3]
+    assert single["diag_h1"]["patient_id"].tolist() == [1, 2]
+    assert shared["diag_h1"]["patient_id"].tolist() == [3]
+    assert shared["diag_h2"]["patient_id"].tolist() == [3]
+    assert single["diag_h2"]["patient_id"].tolist() == [4]
+    assert shared["diag_h2"]["v"].tolist() == [33]
 
 
 def test_slice_uses_cross_relation_key_locations():
     """A key is MPC-bound if it appears at both parties in ANY relation."""
-    diag = {"h1": pd.DataFrame({"k": [1]}), "h2": pd.DataFrame({"k": [9]})}
-    med = {"h1": pd.DataFrame({"k": [9]}), "h2": pd.DataFrame({"k": [1]})}
-    locs = key_locations([diag, med], "k")
-    s = slice_by_key(diag, "k", key_locations=locs)
+    single, _ = slice_aspirin(_inputs([1], [9], med_h1=[9], med_h2=[1]))
     # both keys exist at both parties (via the other relation)
-    assert len(s.single["h1"]) == 0 and len(s.single["h2"]) == 0
+    assert len(single["diag_h1"]) == 0 and len(single["diag_h2"]) == 0
 
 
 # ---------------------------------------------------------------- aspirin
@@ -112,13 +117,8 @@ def test_aspirin_conclave_one_empty_shared_slice(spark):
     med = gen["med_h2"]
     both = _held_at(gen, "h1") & _held_at(gen, "h2")
     gen["med_h2"] = med[~med["patient_id"].isin(both)].reset_index(drop=True)
-    diag_parts = {p: gen[f"diag_{p}"] for p in ("h1", "h2")}
-    med_parts = {p: gen[f"med_{p}"] for p in ("h1", "h2")}
-    locs = key_locations([diag_parts, med_parts], "patient_id")
-    shared = [
-        len(slice_by_key(parts, "patient_id", key_locations=locs).shared[p])
-        for parts in (diag_parts, med_parts) for p in ("h1", "h2")
-    ]
+    _, sliced = slice_aspirin(gen)
+    shared = [len(sliced[f"{rel}_{p}"]) for rel in ("diag", "med") for p in ("h1", "h2")]
     assert shared[3] == 0 and min(shared[:3]) > 0
     got, meter = run_aspirin_conclave(spark, gen)
     assert got == _oracle_count(gen)
