@@ -9,6 +9,7 @@ column ``__mask``.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +116,7 @@ class SharemindBackend:
     def aggregate(
         self, r: SharedRelation, group: list[str], aggs: list[tuple[str, str | None, str]],
         *, runs: Sequence[int] | None = None, stp: str | None = None,
+        shuffled: bool = False,
     ) -> SharedRelation:
         """The SUM and COUNT outputs ``(op, over, out_col)`` of the rows a
         filter kept, grouped by at most one column, all in one pass.
@@ -127,8 +129,11 @@ class SharemindBackend:
         :func:`P.oblivious_sort`).
 
         With ``stp`` it is the §5.3 hybrid aggregation: the columns it
-        reads are shuffled, the group column is revealed to the STP, and
-        the STP's clear sort replaces the oblivious sort. The STP sends the
+        reads are shuffled (not with ``shuffled``, which says that they
+        come in a hidden random order nothing has opened since: the
+        closing shuffle of an MPC join that this aggregation alone reads),
+        the group column is revealed to the STP, and the STP's clear sort
+        replaces the oblivious sort. The STP sends the
         sort order in the clear (each party reorders its shares locally),
         breaking ties between equal keys at random, so the order every
         party sees is a uniformly random permutation, whatever the group
@@ -146,8 +151,10 @@ class SharemindBackend:
         summed = [o for o in overs if o is not None]
         keys = None
         if stp is not None:
-            # shuffle only the columns read below (and the mask)
-            (r,) = self.shuffle([self.project(r, group + list(dict.fromkeys(summed)))])
+            # only the columns read below (and the mask) go on
+            r = self.project(r, group + list(dict.fromkeys(summed)))
+            if not shuffled:
+                (r,) = self.shuffle([r])
             (keys,) = self.reveal_col_to([(r, group[0])], stp)
             # STP: sort in the clear, ties in random order (a stable sort
             # would keep each group's rows in place and show its size)
@@ -206,24 +213,27 @@ class SharemindBackend:
 
     def join(
         self, left: SharedRelation, right: SharedRelation, lk: str, rk: str,
-        *, stp: str | None = None,
+        *, cols: Sequence[str] | None = None, stp: str | None = None,
     ) -> SharedRelation:
         """Equi-join. The matching (left, right) row pairs come from the
         Cartesian product's equality flags (:func:`P.cartesian_join_pairs`)
         or, with ``stp``, from the §5.3 hybrid join (Figure 3): the
         shuffled sides' key columns are revealed to the STP, which joins
-        them in the clear. Oblivious indexing then rebuilds the matching
-        rows under MPC, both sides' masks kept, and a last shuffle hides
-        the pair order. In the hybrid join the STP, which holds the index
-        pairs, deals each side's read permutation in place of the
-        parties' oblivious sort of the index records; nothing else is
-        secret-shared. Steps where neither side reads the other's result
-        run side by side."""
+        them in the clear. Each side is then cut to the output columns
+        ``cols`` the plan's later nodes read (None: every column), the keys
+        included only if named, so the steps after the match carry no
+        other. Oblivious indexing rebuilds the matching rows under MPC,
+        both sides' masks kept, and a last shuffle hides the pair order. In
+        the hybrid join the STP, which holds the index pairs, deals each
+        side's read permutation in place of the parties' oblivious sort of
+        the index records; nothing else is secret-shared. Steps where
+        neither side reads the other's result run side by side."""
         if not lk:  # cross join: broadcast a 1-row right side
             if right.n_rows != 1:
                 raise NotImplementedError("cross join needs a scalar right side")
             idx = np.zeros(left.n_rows, dtype=np.int64)
-            return self.concat_columns(left, self.take(right, idx))
+            joined = self.concat_columns(left, self.take(right, idx))
+            return joined if cols is None else self.project(joined, list(cols))
         if stp is not None:
             left, right = self.shuffle([left, right])
             li, ri = P.join_index_pairs(
@@ -232,8 +242,13 @@ class SharemindBackend:
         else:
             li, ri = P.cartesian_join_pairs(self.vm, left.columns[lk], right.columns[rk])
         right = self.project(right, [c for c in right.column_names if c != rk])
-        joined = self.concat_columns(*self.select_rows([(left, li), (right, ri)], stp))
-        return self.shuffle([joined])[0]
+        if cols is not None:
+            left, right = (self.project(s, [c for c in s.column_names if c in cols])
+                           for s in (left, right))
+        # a side that keeps no column (and no mask) adds nothing to read
+        picked = self.select_rows(
+            [(s, i) for s, i in ((left, li), (right, ri)) if s.columns], stp)
+        return self.shuffle([reduce(self.concat_columns, picked)])[0]
 
     def distinct_count(
         self, r: SharedRelation, col: str, out_col: str, *,

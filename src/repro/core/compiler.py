@@ -16,8 +16,11 @@
    ``("mpc",)``, ``("hybrid", stp)`` or ``("public", party)``: a site
    pinned by step 4 or 5 first, else ``("clear", owner)``, else MPC —
    then sort-order tracking / oblivious-sort elimination (§5.4), which
-   reads the sites; the runtime engine interprets the annotated DAG in
-   topological order, entering/leaving MPC at site transitions.
+   reads the sites, and column pruning: each join outside the clear
+   keeps only the columns some later node reads, so the MPC steps that
+   rebuild and shuffle its rows carry no other; the runtime engine
+   interprets the annotated DAG in topological order, entering/leaving
+   MPC at site transitions.
 
 All passes are deterministic, so every party derives the identical plan
 (the paper's requirement that parties agree on the computation).
@@ -74,6 +77,52 @@ def _assign_sites(dag: D.Dag) -> None:
             n.site = ("mpc",)
 
 
+def _reads(n: D.Node, need: set[str], i: int) -> set[str]:
+    """The columns of ``n``'s ``i``-th parent that ``n`` reads when the
+    nodes after it read ``need`` of its own columns."""
+    parent = n.parents[i]
+    if isinstance(n, (D.Filter, D.SortBy)):
+        return need | {n.col}
+    if isinstance(n, D.Limit):
+        return need
+    if isinstance(n, D.Arith):
+        right = {n.right} if isinstance(n.right, str) else set()
+        return (need - {n.out_col}) | {n.left} | right
+    if isinstance(n, D.Aggregate):
+        return set(n.group_cols) | {a.over for a in n.aggs if a.over is not None}
+    if isinstance(n, D.DistinctCount):
+        return {n.col}
+    if isinstance(n, D.Project):
+        return set(n.cols)
+    if isinstance(n, D.Join):
+        key = (n.left_key, n.right_key)[i]
+        return (need & set(parent.out_cols)) | ({key} if key else set())
+    return set(parent.out_cols)  # a concat's parts and an output keep all
+
+
+def _prune_join_columns(dag: D.Dag) -> None:
+    """Narrow each join outside the clear to the columns some later node
+    reads (at least one, so that its rows stay counted); an output keeps
+    every column it has. A clear join is a Spark join, whose optimizer
+    prunes columns itself. The filters, sorts, limits and arithmetic
+    after a narrowed join then list only the columns they get."""
+    order = dag.topo_order()
+    needs: dict[int, set[str]] = {}
+    for n in reversed(order):
+        need = needs.get(id(n), set())
+        if isinstance(n, D.Join) and n.site[0] != "clear":
+            n.out_cols = [c for c in n.out_cols if c in need] or n.out_cols[:1]
+            need = set(n.out_cols)
+        for i, p in enumerate(n.parents):
+            needs.setdefault(id(p), set()).update(_reads(n, need, i))
+    for n in order:
+        if isinstance(n, (D.Filter, D.SortBy, D.Limit, D.Arith)):
+            got = set(n.parents[0].out_cols)
+            if isinstance(n, D.Arith):
+                got.add(n.out_col)
+            n.out_cols = [c for c in n.out_cols if c in got]
+
+
 def compile_query(
     outputs: list[D.Output] | D.Output, options: CompileOptions
 ) -> Plan:
@@ -114,7 +163,9 @@ def compile_query(
         propagate_ownership(dag)
         propagate_trust(dag, options.parties)
 
-    # 6: site assignment, then sort tracking, which reads the sites
+    # 6: site assignment, then sort tracking and column pruning, which
+    # read the sites
     _assign_sites(dag)
     track_sort_orders(dag, enabled=options.enable_sort_elimination)
+    _prune_join_columns(dag)
     return Plan(dag=dag, options=options, rewrites=rewrites)

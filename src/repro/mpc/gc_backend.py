@@ -164,12 +164,13 @@ class GCBackend:
 
     def join(
         self, left: GCRelation, right: GCRelation, lk: str, rk: str,
-        *, stp: str | None = None,
+        *, cols: Sequence[str] | None = None, stp: str | None = None,
     ) -> GCRelation:
         """Cartesian-product join: n·m equality circuits plus muxes for
-        the output columns. The n·m match flags are retained wire state —
-        this is what OOMs Obliv-C at ~30k records; the pairs they mark come
-        from :func:`join_index_pairs`. The §5.3 hybrid join (``stp``) needs
+        the output columns ``cols`` (None: every column; a filter mask is
+        kept). The n·m match flags are retained wire state — this is what
+        OOMs Obliv-C at ~30k records; the pairs they mark come from
+        :func:`join_index_pairs`. The §5.3 hybrid join (``stp``) needs
         the secret-sharing backend."""
         if stp is not None:
             raise NotImplementedError("hybrid operators need the secret-sharing backend")
@@ -178,21 +179,28 @@ class GCBackend:
         n, m = left.n_rows, right.n_rows
         eq_and, _ = gate_counts("eq", BIT_WIDTH)
         mux_and, _ = gate_counts("mux", BIT_WIDTH)
-        out_cols = left.n_cols + right.n_cols - 1
+        lkeep, rkeep = (
+            [c for c in r.pdf.columns
+             if c != drop and (cols is None or c in cols or c == MASK)]
+            for r, drop in ((left, None), (right, rk))
+        )
         self._charge_live(
             "gc join pair flags",
             float(n) * m + self._bits(n, left.n_cols) + self._bits(m, right.n_cols),
         )
-        self.meter.charge_gates(and_gates=float(n) * m * (eq_and + mux_and * out_cols))
+        self.meter.charge_gates(
+            and_gates=float(n) * m * (eq_and + mux_and * (len(lkeep) + len(rkeep)))
+        )
         li, ri = join_index_pairs(
             left.pdf[lk].to_numpy(), right.pdf[rk].to_numpy(), by_key=False
         )
-        right = GCRelation(right.pdf.drop(columns=rk))
-        return self.concat_columns(self.take(left, li), self.take(right, ri))
+        return self.concat_columns(self.take(GCRelation(left.pdf[lkeep]), li),
+                                   self.take(GCRelation(right.pdf[rkeep]), ri))
 
     def aggregate(
         self, rel: GCRelation, group: list[str], aggs: list[tuple[str, str | None, str]],
         *, runs: Sequence[int] | None = None, stp: str | None = None,
+        shuffled: bool = False,
     ) -> GCRelation:
         """The SUM and COUNT outputs ``(op, over, out_col)`` of mask=1
         rows, grouped by at most one column, all in one circuit.
@@ -205,7 +213,8 @@ class GCBackend:
         a linear oblivious scan of an eq and, per value, an add and two
         muxes. The output is unpadded (leaks the group
         count), matching SMCQL/Conclave behaviour (§7.4). The §5.3 hybrid
-        aggregation (``stp``) needs the secret-sharing backend."""
+        aggregation (``stp``) needs the secret-sharing backend, so
+        ``shuffled``, which only lets it skip its shuffle, is ignored."""
         if stp is not None:
             raise NotImplementedError("hybrid operators need the secret-sharing backend")
         # the column each output sums; a COUNT sums ones

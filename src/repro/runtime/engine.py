@@ -280,10 +280,12 @@ class Engine:
             return be.arith(args[0], n.out_col, n.left, n.op, n.right)
         if isinstance(n, D.Aggregate):
             return be.aggregate(
-                args[0], n.group_cols, n.aggs, runs=runs, stp=stp
+                args[0], n.group_cols, n.aggs, runs=runs, stp=stp,
+                shuffled=self._comes_shuffled(n),
             )
         if isinstance(n, D.Join):
-            return be.join(args[0], args[1], n.left_key, n.right_key, stp=stp)
+            return be.join(args[0], args[1], n.left_key, n.right_key,
+                           cols=n.out_cols, stp=stp)
         if isinstance(n, D.DistinctCount):
             return be.distinct_count(args[0], n.col, n.out_col, runs=runs)
         if isinstance(n, D.SortBy):
@@ -291,6 +293,15 @@ class Engine:
         if isinstance(n, D.Limit):
             return be.limit(args[0], n.n)
         raise NotImplementedError(type(n))  # pragma: no cover
+
+    def _comes_shuffled(self, n: D.Node) -> bool:
+        """Whether ``n``'s MPC input comes in a hidden random order that
+        nothing has opened since: the closing shuffle of an MPC or hybrid
+        equi-join that ``n`` alone reads. It reads only the plan's shape,
+        so the charges do not depend on the data."""
+        p = n.parents[0]
+        return (isinstance(p, D.Join) and bool(p.left_key)
+                and p.site[0] in ("mpc", "hybrid") and len(self._cons[id(p)]) == 1)
 
     def _runs(self, n: D.Node, rel) -> list[int] | None:
         """The lengths of the sorted runs ``n``'s MPC input ``rel`` comes
@@ -324,8 +335,9 @@ class Engine:
         # clear join at the chosen party
         lgid, rgid = join_index_pairs(lkeys, rkeys)
         to_mpc = self._downstream_has_mpc(n)
-        # index pairs go back to every party, with their key if it enters MPC
-        self._charge_transfer(len(lgid) * len(self.parties), 3 if to_mpc else 2)
+        # index pairs go back to every party, with their key if the key enters MPC
+        key_in = to_mpc and n.left_key in n.out_cols
+        self._charge_transfer(len(lgid) * len(self.parties), 3 if key_in else 2)
 
         if not to_mpc:
             # assemble the join result in the clear at the site's party
@@ -347,10 +359,11 @@ class Engine:
         def matched_shared(parts, gids: np.ndarray, drop_col: str | None,
                            public: tuple[str, ...] = ()):
             """Share the rows ``gids`` names, each once, in row-id order,
-            the ``public`` columns as trivial sharings; also return each
-            pair's position among the shared rows."""
+            only the columns the join keeps, the ``public`` ones as trivial
+            sharings; also return each pair's position among the shared
+            rows."""
             needed, pos = np.unique(gids, return_inverse=True)
-            cols = [c for c in parts[0].columns if c != drop_col]
+            cols = [c for c in parts[0].columns if c != drop_col and c in n.out_cols]
             shared, offset = [], 0
             for pdf in parts:
                 local = needed[(needed >= offset) & (needed < offset + len(pdf))]

@@ -317,6 +317,45 @@ def test_other_plans_take_neither_merge_nor_column_push_up(name):
                     if isinstance(a.right, str) and a.forced_site]
 
 
+# -------------------------------------------------------- column pruning
+def test_credit_join_keeps_only_the_columns_its_aggregation_reads():
+    """No node after the credit join reads the regulator's ssn, so neither
+    the hybrid join nor the MPC join of the untrusted query carries it."""
+    for trust, options in ((True, {}), (False, {}), (True, _NO_HYBRID)):
+        plan = _compile(credit_card.build(with_trust=trust), **options)
+        (join,) = plan.dag.nodes_of_type(D.Join)
+        assert join.out_cols == ["zip", "score"]
+
+
+@pytest.mark.parametrize("mode", ["mpc", "hybrid", "public"])
+def test_a_join_that_feeds_an_output_keeps_every_column(mode):
+    out, parties = _join_query(mode)
+    plan = compile_query(out, CompileOptions(parties=parties))
+    (join,) = plan.dag.nodes_of_type(D.Join)
+    assert join.out_cols == ["k", "v", "w"]
+
+
+def test_pruning_follows_what_each_later_node_reads():
+    """Through a filter and an arithmetic step, the join keeps the filter's
+    column, the operand and the group column, not the key or ``y``, and
+    the nodes after it list only the columns they get, so the same DAG
+    compiles again to the same plan. A join whose rows only an ungrouped
+    COUNT reads keeps one column."""
+    joined, parties = _cross_party_join()
+    out = (joined.filter("x", "==", 1).multiply("z", "x", 2)
+           .aggregate("s", D.SUM, group=["g"], over="z").collect(to=[parties[0]]))
+    for _ in range(2):
+        plan = compile_query(out, CompileOptions(parties=parties))
+        (join,), (f,), (ar,) = (plan.dag.nodes_of_type(c)
+                                for c in (D.Join, D.Filter, D.Arith))
+        assert join.out_cols == f.out_cols == ["x", "g"]
+        assert ar.out_cols == ["x", "g", "z"]
+    joined, parties = _cross_party_join()
+    out = joined.aggregate("c", D.COUNT).collect(to=[parties[0]])
+    (join,) = compile_query(out, CompileOptions(parties=parties)).dag.nodes_of_type(D.Join)
+    assert join.out_cols == ["k"]
+
+
 # ------------------------------------------------------ sort elimination
 def test_aspirin_sort_elimination():
     spec = aspirin.build()

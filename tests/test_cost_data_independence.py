@@ -15,6 +15,7 @@ import pandas as pd
 import pytest
 
 from repro.backends.sharemind_sim import MASK, SharemindBackend
+from repro.core import dag as D
 from repro.core.columns import Column, Party
 from repro.core.compiler import CompileOptions, compile_query
 from repro.core.lang import newTable
@@ -131,12 +132,28 @@ def _filtered_join():
     return out, [a, b, c], {}, gen, twin
 
 
+def _two_hybrid_aggs():
+    """A hybrid join read by two hybrid aggregations with different group
+    columns, each of which shuffles (their results go to two outputs)."""
+    a, b, c = Party("a"), Party("b"), Party("c")
+    left = newTable([Column(n, trust=(c,)) for n in "kgh"], at=a, name="ql")
+    right = newTable([Column("k", trust=(c,)), Column("v")], at=b, name="qr")
+    joined = left.join(right, left="k", right="k")
+    outs = [joined.aggregate("s", D.SUM, group=[g], over="v").collect(to=[a])
+            for g in "gh"]
+    g = np.random.default_rng(7)
+    gen = {"ql": _pdf(k=np.arange(30), g=g.integers(0, 5, 30), h=g.integers(0, 3, 30)),
+           "qr": _pdf(k=g.integers(0, 45, 40), v=g.integers(0, 1000, 40))}
+    return outs, [a, b, c], {}, gen, _twin(gen, "k", ["v"], seed=8)
+
+
 #: a case whose name ends so runs on the garbled-circuit backend
 _GC = "-oblivc"
 CASES = {
     "credit": _credit, "aspirin": _aspirin, "hhi": _hhi, "comorbidity": _comorbidity,
     "mpc_agg": lambda: _t3_agg("mpc"), "hybrid_agg": lambda: _t3_agg("hybrid"),
     "hybrid_join": _hybrid_join, "filtered_join": _filtered_join,
+    "two_hybrid_aggs": _two_hybrid_aggs,
     "comorbidity" + _GC: _comorbidity,
 }
 _CHARGES = ("charge_comm", "charge_memory", "charge_gates")

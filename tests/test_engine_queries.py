@@ -131,6 +131,9 @@ def test_credit_card_one_aggregation_matches_duckdb(spark, trust, backend):
     )
     (agg,) = plan.dag.nodes_of_type(D.Aggregate)
     assert agg.site[0] == ("hybrid" if trust else "mpc")
+    # no node after the join reads the regulator's ssn
+    (join,) = plan.dag.nodes_of_type(D.Join)
+    assert join.out_cols == ["zip", "score"]
     assert [n.site for n in plan.dag.nodes_of_type(D.Arith)] == [("clear", "a")]
 
 
@@ -160,6 +163,39 @@ def test_credit_hybrid_cheaper_than_mpc(spark):
         eng.run(plan, gen_to_spark(spark, gen))
         costs[hybrid] = eng.meter.bytes_sent
     assert costs[True] < costs[False] / 5  # O(n log n) vs O(n^2)
+
+
+@pytest.mark.parametrize("mode,backend", [
+    ("mpc", "sharemind"), ("hybrid", "sharemind"), ("public", "sharemind"),
+    ("mpc", "oblivc"),
+])
+def test_pruned_joins_match_duckdb(spark, mode, backend):
+    """a's (k, f, x, g) joined with b's (k, y), then an MPC filter on f and
+    SUM(y) by g: the join carries only f, g and y. With no column read at
+    all, an ungrouped COUNT of the join keeps one column and counts right."""
+    from repro.core import dag as D
+
+    pa, pb, pc = Party("a"), Party("b"), Party("c")
+    key = {"mpc": Column("k"), "hybrid": Column("k", trust=(pc,)),
+           "public": Column("k", public=True)}[mode]
+    joined = lambda: newTable(  # noqa: E731
+        [key, Column("f"), Column("x"), Column("g")], at=pa, name="pl",
+    ).join(newTable([key, Column("y")], at=pb, name="pr"), left="k", right="k")
+    g = np.random.default_rng(8)
+    gen = {"pl": pd.DataFrame({"k": g.integers(0, 20, 40), "f": g.integers(0, 2, 40),
+                               "x": g.integers(0, 99, 40), "g": g.integers(0, 4, 40)}),
+           "pr": pd.DataFrame({"k": g.integers(0, 20, 30), "y": g.integers(0, 99, 30)})}
+    sql = "FROM pl JOIN pr ON pl.k = pr.k"
+    for rel, kept, query in (
+        (joined().filter("f", "==", 1).aggregate("s", D.SUM, group=["g"], over="y"),
+         ["f", "g", "y"], f"SELECT g, SUM(y) AS s {sql} WHERE f = 1 GROUP BY g"),
+        (joined().aggregate("c", D.COUNT), ["k"], f"SELECT COUNT(*) AS c {sql}"),
+    ):
+        plan = compile_query(rel.collect(to=[pa]), CompileOptions(parties=[pa, pb, pc]))
+        (join,) = plan.dag.nodes_of_type(D.Join)
+        assert (join.site[0], join.out_cols) == (mode, kept)
+        eng = Engine(spark, ["a", "b", "c"], backend=backend)
+        assert_equivalent(eng.run(plan, gen_to_spark(spark, gen)), query, **gen)
 
 
 # ------------------------------------------------------------- aspirin
@@ -249,7 +285,9 @@ def test_boundary_operator_costs_are_pinned(spark):
     plan, eng = _check_credit(spark, credit_card.gen_inputs(n_holders=150, seed=1))
     assert any(j.site[0] == "hybrid" for j in plan.dag.nodes_of_type(D.Join))
     assert any(a.site[0] == "hybrid" for a in plan.dag.nodes_of_type(D.Aggregate))
-    assert (eng.meter.rounds, eng.meter.bytes_sent) == (29, 198_576.0)
+    # the join carries no ssn, and the aggregation reads the rows in the
+    # order of the join's closing shuffle (29 rounds and 198,576 B before)
+    assert (eng.meter.rounds, eng.meter.bytes_sent) == (26, 148_176.0)
 
 
 # ---------------------------------------------------------- comorbidity

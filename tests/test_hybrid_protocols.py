@@ -406,3 +406,105 @@ def test_hybrid_agg_empty_group_flags_hide_the_emptied_group():
         assert out.n_rows == 4
     assert len(set(positions)) >= 3
     assert positions.count(2) < len(positions) / 2
+
+
+# ---------------------------------------- one shuffle between join and agg
+def _vm_events(monkeypatch) -> list[str]:
+    """Record, in order, each oblivious read (``read``), each oblivious
+    shuffle (``shuffle``) and each column opened to the STP
+    (``open:<column>``)."""
+    events = []
+    gather, permute = SecretSharingVM.gather, SecretSharingVM.oblivious_permute
+    reveal_col_to = SharemindBackend.reveal_col_to
+
+    def gather_spy(self, *args, **kw):
+        events.append("read")
+        return gather(self, *args, **kw)
+
+    def permute_spy(self, *args, **kw):
+        events.append("shuffle")
+        return permute(self, *args, **kw)
+
+    def reveal_spy(self, cols, party):
+        events.extend(f"open:{col}" for _, col in cols)
+        return reveal_col_to(self, cols, party)
+
+    monkeypatch.setattr(SecretSharingVM, "gather", gather_spy)
+    monkeypatch.setattr(SecretSharingVM, "oblivious_permute", permute_spy)
+    monkeypatch.setattr(SharemindBackend, "reveal_col_to", reveal_spy)
+    return events
+
+
+def _join_then_aggs(*, filtered: bool = False, two: bool = False):
+    """A hybrid join of a's (k, g, h, f) and b's (k, v) on k, every column
+    but v trusted to c, then a hybrid SUM(v) by g; with ``filtered`` an MPC
+    filter on f comes first, with ``two`` a second hybrid SUM(v) by h reads
+    the join too (its result goes to a second output)."""
+    pa, pb, pc = _parties()
+    trusted = lambda name: Column(name, trust=(pc,))  # noqa: E731
+    left = newTable([trusted(c) for c in "kghf"], at=pa, name="ql")
+    right = newTable([trusted("k"), Column("v")], at=pb, name="qr")
+    joined = left.join(right, left="k", right="k")
+    if filtered:
+        joined = joined.filter("f", "==", 1)
+    outs = [joined.aggregate("s", D.SUM, group=[g], over="v").collect(to=[pa])
+            for g in ("gh" if two else "g")]
+    plan = compile_query(outs, CompileOptions(parties=[pa, pb, pc]))
+    assert [a.site for a in plan.dag.nodes_of_type(D.Aggregate)] == [("hybrid", "c")] * len(outs)
+    return plan, [pa, pb, pc]
+
+
+def _join_then_aggs_data(spark, seed=3):
+    g = np.random.default_rng(seed)
+    ql = pd.DataFrame({"k": np.arange(40), "g": g.integers(0, 5, 40),
+                       "h": g.integers(0, 3, 40), "f": g.integers(0, 2, 40)})
+    qr = pd.DataFrame({"k": g.integers(0, 60, 50), "v": g.integers(0, 99, 50)})
+    return ql, qr, {"ql": spark.createDataFrame(ql), "qr": spark.createDataFrame(qr)}
+
+
+def test_credit_shuffles_once_between_the_join_read_and_the_group_reveal(
+        spark, monkeypatch):
+    """The hybrid aggregation is the credit join's only reader, so it reads
+    the rows in the order of the join's closing shuffle: exactly one
+    oblivious shuffle runs between the join's index read and the reveal of
+    ``zip`` to the STP, and the result still matches pandas."""
+    events = _vm_events(monkeypatch)
+    gen = credit_card.gen_inputs(n_holders=80, seed=2)
+    spec = credit_card.build()
+    plan = compile_query(spec.output, CompileOptions(parties=spec.parties))
+    got = Engine(spark, [p.name for p in spec.parties]).run(
+        plan, gen_to_spark(spark, gen)).toPandas()
+    after = events[events.index("read") + 1:]
+    assert after[:after.index("open:zip")] == ["shuffle"]
+    scores = pd.concat([gen["scores_b"], gen["scores_c"]])
+    expected = gen["demographics"].merge(scores, on="ssn").groupby("zip")["score"].sum()
+    np.testing.assert_array_equal(got.sort_values("zip")["total"], expected.to_numpy())
+
+
+def test_two_aggregations_of_one_join_each_shuffle(spark, monkeypatch):
+    """A join read by two hybrid aggregations with different group columns:
+    each shuffles before its group column reaches the STP. Were both to
+    read the join's one order, the STP could line up g and h row by row."""
+    events = _vm_events(monkeypatch)
+    plan, parties = _join_then_aggs(two=True)
+    ql, qr, data = _join_then_aggs_data(spark)
+    got = Engine(spark, [p.name for p in parties]).run(plan, data).toPandas()
+    assert events[events.index("read") + 1:] == [
+        "shuffle", "shuffle", "open:g", "read", "shuffle", "open:h", "read"]
+    expected = ql.merge(qr, on="k").groupby("g")["v"].sum()
+    np.testing.assert_array_equal(got.sort_values("g")["s"], expected.to_numpy())
+
+
+def test_an_mpc_step_between_join_and_aggregation_keeps_the_shuffle(
+        spark, monkeypatch):
+    """A join, then an MPC filter, then a hybrid aggregation: the
+    aggregation's parent is no join, so it shuffles its input itself."""
+    events = _vm_events(monkeypatch)
+    plan, parties = _join_then_aggs(filtered=True)
+    ql, qr, data = _join_then_aggs_data(spark)
+    got = Engine(spark, [p.name for p in parties]).run(plan, data).toPandas()
+    after = events[events.index("read") + 1:]
+    assert after[:after.index("open:g")] == ["shuffle", "shuffle"]
+    joined = ql.merge(qr, on="k")
+    expected = joined[joined["f"] == 1].groupby("g")["v"].sum()
+    np.testing.assert_array_equal(got.sort_values("g")["s"], expected.to_numpy())
